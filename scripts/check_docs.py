@@ -11,6 +11,12 @@ for backticked code anchors and verifies each one still exists:
   paths (optionally with a ``:line`` suffix) -- checked against the repo
   tree.
 
+It also takes a **knob census**: every ``REPRO_*`` environment variable
+named by a string literal under ``src/`` (the resolvers read them through
+such constants) must have a row in ``docs/TUNING.md``, and every such row
+must still name a variable ``src/`` knows -- so the knob table can neither
+lag behind a new switch nor keep advertising a deleted one.
+
 Exits non-zero listing every broken reference, so CI fails when a refactor
 renames a module or class the docs still point at.  Run locally with::
 
@@ -19,11 +25,12 @@ renames a module or class the docs still point at.  Run locally with::
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_DOCS = ["docs/PAPER_MAP.md", "docs/TUNING.md", "docs/INVARIANTS.md"]
@@ -31,6 +38,9 @@ DEFAULT_DOCS = ["docs/PAPER_MAP.md", "docs/TUNING.md", "docs/INVARIANTS.md"]
 BACKTICK = re.compile(r"`([^`]+)`")
 DOTTED = re.compile(r"^repro(?:\.\w+)+$")
 FILEPATH = re.compile(r"^(?:src|benchmarks|tests|scripts|examples|docs)/[\w./-]+$")
+KNOB = re.compile(r"^REPRO_[A-Z_]+$")
+KNOB_ROW = re.compile(r"^\| `(REPRO_[A-Z_]+)` \|", re.MULTILINE)
+KNOB_TABLE = "docs/TUNING.md"
 
 
 def check_dotted(ref: str) -> Tuple[bool, str]:
@@ -86,6 +96,32 @@ def check_document(doc_path: Path) -> List[str]:
     return errors
 
 
+def knobs_in_source() -> Set[str]:
+    """Every string literal under ``src/`` that is exactly a ``REPRO_*`` name."""
+    knobs: Set[str] = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if KNOB.match(node.value):
+                    knobs.add(node.value)
+    return knobs
+
+
+def check_knob_census() -> List[str]:
+    in_source = knobs_in_source()
+    in_table = set(KNOB_ROW.findall((REPO_ROOT / KNOB_TABLE).read_text(encoding="utf-8")))
+    errors = [
+        f"{KNOB_TABLE}: `{knob}` is read under src/ but has no row in the knob tables"
+        for knob in sorted(in_source - in_table)
+    ]
+    errors += [
+        f"{KNOB_TABLE}: `{knob}` has a row but no longer occurs under src/"
+        for knob in sorted(in_table - in_source)
+    ]
+    return errors
+
+
 def main(argv: List[str]) -> int:
     docs = argv[1:] or DEFAULT_DOCS
     errors: List[str] = []
@@ -97,12 +133,16 @@ def main(argv: List[str]) -> int:
             continue
         checked += 1
         errors.extend(check_document(path))
+    errors.extend(check_knob_census())
     if errors:
         print(f"check_docs: {len(errors)} broken reference(s):", file=sys.stderr)
         for error in errors:
             print(f"  {error}", file=sys.stderr)
         return 1
-    print(f"check_docs: all code references resolve ({checked} document(s) checked)")
+    print(
+        f"check_docs: all code references resolve ({checked} document(s) checked); "
+        f"REPRO_* knobs under src/ and the {KNOB_TABLE} rows agree"
+    )
     return 0
 
 

@@ -10,7 +10,7 @@ from .decomposition import (
     pod_shards_for_matrix,
 )
 from .incidence import Backend, IncidenceIndex, RefinablePartition, RowProjection, resolve_backend
-from .lazy_greedy import BatchCELFHeap, CELFSolutionCache, LazyMinHeap, ShardedSolutionCache
+from .lazy_greedy import BatchCELFHeap, LazyMinHeap, ShardedSolutionCache
 from .link_partition import LinkSetPartition
 from .pmc import (
     PMCOptions,
@@ -47,7 +47,6 @@ __all__ = [
     "RowProjection",
     "resolve_backend",
     "BatchCELFHeap",
-    "CELFSolutionCache",
     "LazyMinHeap",
     "ShardedSolutionCache",
     "ShardOutcome",

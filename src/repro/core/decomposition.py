@@ -26,8 +26,8 @@ are grouped with the paths that can probe them (a shard's universe is the
 union of its paths' links), and universe links no shard's paths touch are
 orphaned into the residual shard so they surface as uncoverable exactly like
 path-less singleton components do in the exact decomposition.  Shards are
-emitted in canonical order -- pods ascending, residual last -- independent of
-pod enumeration order, which is what makes the parallel merge deterministic.
+emitted in canonical order -- pods ascending, residual last -- which is what
+makes the parallel merge deterministic.
 """
 
 from __future__ import annotations
@@ -124,14 +124,12 @@ def _pod_shards(
     row_items: Iterable[Tuple[int, Iterable[int]]],
     link_universe: Sequence[int],
     link_pods: Dict[int, Optional[int]],
-    pod_order: Optional[Sequence[int]] = None,
 ) -> List[Subproblem]:
     """Shard ``(row, links)`` items by owning pod, cross-pod rows to residual.
 
-    ``pod_order`` is an iteration hint only: shards always come back pods
-    ascending with the residual shard last, whatever order (or subset) the
-    caller enumerates pods in.  The invariance is load-bearing -- the
-    parallel merge concatenates shard selections in this canonical order.
+    Shards always come back pods ascending with the residual shard last.
+    The canonical order is load-bearing -- the parallel merge concatenates
+    shard selections in it.
     """
     universe = sorted(set(link_universe))
     universe_set = set(universe)
@@ -163,12 +161,6 @@ def _pod_shards(
         shard_links.setdefault(RESIDUAL_POD, set()).update(orphans)
 
     pods_present = sorted(pod for pod in shard_rows if pod != RESIDUAL_POD)
-    if pod_order is not None:
-        # Honor the hint for iteration, then canonicalise: the output must
-        # not depend on the enumeration order handed in.
-        hinted = [pod for pod in pod_order if pod in shard_rows and pod != RESIDUAL_POD]
-        hinted += [pod for pod in pods_present if pod not in set(hinted)]
-        pods_present = sorted(hinted)
     order = pods_present + ([RESIDUAL_POD] if RESIDUAL_POD in shard_rows else [])
     return [
         Subproblem(
@@ -184,7 +176,6 @@ def decompose_by_link_sets(
     path_link_sets: Sequence[frozenset],
     link_universe: Sequence[int],
     link_pods: Optional[Dict[int, Optional[int]]] = None,
-    pod_order: Optional[Sequence[int]] = None,
 ) -> List[Subproblem]:
     """Decompose from raw path->link-set data (no RoutingMatrix required).
 
@@ -195,9 +186,7 @@ def decompose_by_link_sets(
     never in pod 0.
     """
     if link_pods is not None:
-        return _pod_shards(
-            enumerate(path_link_sets), link_universe, link_pods, pod_order=pod_order
-        )
+        return _pod_shards(enumerate(path_link_sets), link_universe, link_pods)
     index = IncidenceIndex(path_link_sets, tuple(link_universe))
     return _subproblems_from_components(index.components())
 
@@ -205,7 +194,6 @@ def decompose_by_link_sets(
 def pod_shards_for_matrix(
     routing_matrix: "RoutingMatrix",
     rows: Optional[Sequence[int]] = None,
-    pod_order: Optional[Sequence[int]] = None,
 ) -> List[Subproblem]:
     """Pod-shard a routing matrix's candidate rows (all rows, or a subset).
 
@@ -221,21 +209,23 @@ def pod_shards_for_matrix(
     considered = range(index.num_paths) if rows is None else rows
     index.counters.tick("pod_shards", len(considered))
     row_items = ((row, index.row_link_set(row)) for row in considered)
-    return _pod_shards(row_items, index.link_ids, link_pods, pod_order=pod_order)
+    return _pod_shards(row_items, index.link_ids, link_pods)
 
 
 def decompose_routing_matrix(
     routing_matrix: "RoutingMatrix",
     by_pods: bool = False,
-    pod_order: Optional[Sequence[int]] = None,
+    rows: Optional[Sequence[int]] = None,
 ) -> List[Subproblem]:
-    """Subproblems of a routing matrix.
+    """Subproblems of a routing matrix's candidate rows (all rows, or a subset).
 
     The default is the exact decomposition: connected components of the
     path/link bipartite graph.  ``by_pods=True`` switches to the pod-sharded
     approximate decomposition (see :func:`pod_shards_for_matrix`), the basis
-    of the parallel control plane.
+    of the parallel control plane.  ``rows`` restricts either flavour to the
+    given path indices (the masked flow passes the active rows; columns no
+    considered row crosses surface as path-less subproblems).
     """
     if by_pods:
-        return pod_shards_for_matrix(routing_matrix, pod_order=pod_order)
-    return _subproblems_from_components(routing_matrix.incidence.components())
+        return pod_shards_for_matrix(routing_matrix, rows=rows)
+    return _subproblems_from_components(routing_matrix.incidence.components(rows=rows))

@@ -60,7 +60,6 @@ from .costmodel import KernelCounters
 __all__ = [
     "Backend",
     "resolve_backend",
-    "shm_enabled",
     "shm_telemetry",
     "IncidenceHandle",
     "SharedIncidence",
@@ -70,25 +69,6 @@ __all__ = [
 ]
 
 _ENV_VAR = "REPRO_BACKEND"
-_SHM_ENV = "REPRO_SHM"
-_FALSEY = {"", "0", "false", "no", "off"}
-
-
-def shm_enabled(enabled: Optional[bool] = None) -> bool:
-    """Resolve the shared-memory plane switch: argument > ``REPRO_SHM`` > on.
-
-    When off (or whenever the backend is :attr:`Backend.PYTHON`), shard
-    dispatch ships the index by pickle exactly as before the shm plane
-    existed -- the fallback the cross-backend byte-identity tests pin
-    semantics against.  The switch never changes results, only how the bytes
-    travel to the workers.
-    """
-    if enabled is not None:
-        return bool(enabled)
-    raw = os.environ.get(_SHM_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSEY
 
 
 class Backend(Enum):

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from typing import Callable, Generic, Hashable, Iterable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Hashable, Iterable, List, Optional, Tuple, TypeVar
 
-__all__ = ["LazyMinHeap", "BatchCELFHeap", "CELFSolutionCache", "ShardedSolutionCache"]
+__all__ = ["LazyMinHeap", "BatchCELFHeap", "ShardedSolutionCache"]
 
 T = TypeVar("T")
 
@@ -339,8 +339,8 @@ class BatchCELFHeap:
         return selected
 
 
-class CELFSolutionCache:
-    """Memo of completed CELF runs, keyed by a digest of the subproblem inputs.
+class ShardedSolutionCache:
+    """Memo of completed CELF runs: one bounded LRU bucket per shard.
 
     The incremental controller re-runs the lazy greedy after every churn
     delta, but a CELF run is a pure function of its inputs: the candidate
@@ -352,79 +352,46 @@ class CELFSolutionCache:
     digests (the PMC layer hashes the packed row/link arrays), so entries
     stay tiny even when a subproblem spans half a million candidate rows.
 
-    A bounded LRU: inserting beyond ``capacity`` evicts the least recently
-    used entry.  ``hits`` / ``misses`` feed the PMC stats.
+    Buckets are keyed by ``Subproblem.pod`` and created on first use: every
+    unsharded subproblem shares the ``None`` bucket, a pod-sharded controller
+    gets one bucket per pod plus ``RESIDUAL_POD`` for the residual shard --
+    so churn confined to one pod can only evict entries of that pod's bucket
+    and the residual one; the other pods keep their digests and replay
+    without solving.  Inserting beyond ``capacity_per_shard`` evicts the
+    bucket's least recently used entry.
     """
 
-    def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._capacity = capacity
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable) -> Optional[object]:
-        """The cached solution for *key*, or ``None`` (counts hit/miss)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: Hashable, solution: object) -> None:
-        self._entries[key] = solution
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-class ShardedSolutionCache:
-    """Per-pod family of :class:`CELFSolutionCache` instances.
-
-    The pod-sharded control plane keeps warm-start state *per shard* so that
-    churn confined to one pod can only invalidate that pod's cache bucket
-    (plus the shared residual bucket holding the cross-pod paths); the other
-    pods' buckets keep their digests and replay without solving.  Buckets are
-    created on first use and keyed by ``Subproblem.pod`` (``None`` buckets
-    serve non-sharded subproblems, ``RESIDUAL_POD`` the residual shard).
-    """
-
-    def __init__(self, capacity_per_shard: int = 16):
+    def __init__(self, capacity_per_shard: int = 64):
         if capacity_per_shard < 1:
             raise ValueError("capacity_per_shard must be >= 1")
         self._capacity = capacity_per_shard
-        self._buckets: "OrderedDict[Optional[int], CELFSolutionCache]" = OrderedDict()
+        self._buckets: Dict[Optional[int], OrderedDict[Hashable, object]] = {}
+        self.hits = 0
+        self.misses = 0
 
-    def bucket(self, pod: Optional[int]) -> CELFSolutionCache:
-        """The cache bucket of one shard (created on first use)."""
-        cache = self._buckets.get(pod)
-        if cache is None:
-            cache = CELFSolutionCache(capacity=self._capacity)
-            self._buckets[pod] = cache
-        return cache
+    def get(self, pod: Optional[int], key: Hashable) -> Optional[object]:
+        """The solution cached for *key* in *pod*'s bucket, or ``None`` (counts hit/miss)."""
+        bucket = self._buckets.get(pod)
+        entry = bucket.get(key) if bucket is not None else None
+        if entry is None:
+            self.misses += 1
+            return None
+        bucket.move_to_end(key)
+        self.hits += 1
+        return entry
+
+    def put(self, pod: Optional[int], key: Hashable, solution: object) -> None:
+        bucket = self._buckets.setdefault(pod, OrderedDict())
+        bucket[key] = solution
+        bucket.move_to_end(key)
+        while len(bucket) > self._capacity:
+            bucket.popitem(last=False)
 
     def pods(self) -> List[Optional[int]]:
         return list(self._buckets)
 
-    @property
-    def hits(self) -> int:
-        return sum(cache.hits for cache in self._buckets.values())
-
-    @property
-    def misses(self) -> int:
-        return sum(cache.misses for cache in self._buckets.values())
-
     def __len__(self) -> int:
-        return sum(len(cache) for cache in self._buckets.values())
+        return sum(len(bucket) for bucket in self._buckets.values())
 
     def clear(self) -> None:
         self._buckets.clear()

@@ -32,12 +32,23 @@ link set nor cover an under-covered link is discarded permanently: by
 submodularity its marginal gain can only shrink, so it will never become
 useful.  This keeps the selection minimal when the requested identifiability
 is unachievable (e.g. ``beta = 2`` in a 4-ary Fattree, §6.3).
+
+Both public entry points -- :func:`construct_probe_matrix` (cold: every
+candidate row) and :func:`construct_probe_matrix_masked` (incremental: the
+active rows of a link-masked index, warm-startable) -- are thin wrappers over
+one pipeline, :func:`_construct`: decompose, digest each subproblem, replay
+the digests a warm cache still holds, solve the misses (inline at
+``jobs == 1``, over a worker pool otherwise) and merge in canonical
+subproblem order.  Which wrapper or ``jobs`` value ran is invisible in the
+selection, the cost counters, the kernel totals and the per-subproblem
+:class:`ShardOutcome` records.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -62,14 +73,8 @@ from ..parallel import (
 from ..topology import PathOrbits, Topology
 from .costmodel import CostModel
 from .decomposition import Subproblem, decompose_routing_matrix, pod_shards_for_matrix
-from .incidence import (
-    Backend,
-    IncidenceHandle,
-    IncidenceIndex,
-    RefinablePartition,
-    shm_enabled,
-)
-from .lazy_greedy import BatchCELFHeap, CELFSolutionCache, LazyMinHeap, ShardedSolutionCache
+from .incidence import Backend, IncidenceHandle, IncidenceIndex, RefinablePartition
+from .lazy_greedy import BatchCELFHeap, LazyMinHeap, ShardedSolutionCache
 from .probe_matrix import ProbeMatrix
 from .virtual_links import ExtendedLinkSpace
 
@@ -121,8 +126,9 @@ class PMCOptions:
         Worker processes for solving subproblems; ``None`` resolves through
         the ``REPRO_JOBS`` environment variable (default 1, serial).  Any
         value produces byte-identical selections, stats and cost counters --
-        only wall-clock time changes.  ``max_paths`` forces a serial solve
-        (its early-stop crosses subproblem boundaries).
+        only wall-clock time changes.  ``max_paths`` forces an inline solve
+        (its early-stop crosses subproblem boundaries), and so does
+        ``use_symmetry`` (orbits never cross the pool boundary).
     """
 
     alpha: int = 1
@@ -246,12 +252,12 @@ class PMCStats:
 
 @dataclass(frozen=True, slots=True)
 class ShardOutcome:
-    """Per-shard provenance of a dispatched (sharded or pooled) PMC solve.
+    """Per-subproblem provenance of a PMC run.
 
     One record per :class:`~repro.core.decomposition.Subproblem`, in the
     canonical merge order (pods ascending, residual last; plain components in
     component order).  ``digest`` is the content digest keying the warm
-    :class:`~repro.core.lazy_greedy.CELFSolutionCache` -- two cycles solved
+    :class:`~repro.core.lazy_greedy.ShardedSolutionCache` -- two cycles solved
     the same shard iff their digests match, which is what the incremental
     shard-isolation gates compare.  ``kernel_cost`` is the shard's
     :class:`~repro.core.costmodel.KernelCounters` delta (exact integers,
@@ -277,30 +283,33 @@ class PMCResult:
     selected_indices: Tuple[int, ...]
     options: PMCOptions
     stats: PMCStats
-    #: Per-shard records when the solve was dispatched (``shard_by_pods`` or
-    #: ``jobs > 1``); ``None`` for the plain serial path.
-    shards: Optional[Tuple[ShardOutcome, ...]] = None
+    #: One record per subproblem resolved, in merge order (a ``max_paths``
+    #: early stop ends the list at the subproblem that reached the cap).
+    shards: Tuple[ShardOutcome, ...]
 
     @property
     def num_paths(self) -> int:
         return len(self.selected_indices)
 
     def shard_digests(self) -> Dict[Optional[int], str]:
-        """``{pod: digest}`` of the dispatched shards (empty when serial)."""
-        if not self.shards:
-            return {}
+        """``{pod: digest}`` of a pod-sharded run's shards.
+
+        Unsharded subproblems all carry ``pod=None``; read their digests off
+        :attr:`shards` directly.
+        """
         return {outcome.pod: outcome.digest for outcome in self.shards}
 
 
-@informational_wall(
-    "PMCStats.elapsed_seconds is informational; gates use cost_counters()"
-)
 def construct_probe_matrix(
     routing_matrix: RoutingMatrix,
     options: Optional[PMCOptions] = None,
     orbits: Optional[PathOrbits] = None,
 ) -> PMCResult:
     """Run PMC over a routing matrix and return the constructed probe matrix.
+
+    The cold entry point: every candidate row, no warm cache, coverability
+    judged against the full candidate set (a link mask on the index is
+    ignored).
 
     Parameters
     ----------
@@ -311,375 +320,27 @@ def construct_probe_matrix(
         decomposition and lazy updates enabled.
     orbits:
         Precomputed :class:`~repro.topology.PathOrbits` over the routing
-        matrix's paths; required when ``options.use_symmetry`` is set (the
-        convenience wrapper :func:`pmc_for_topology` computes it).
+        matrix's paths, consulted when ``options.use_symmetry`` is set
+        (computed here from the paths' walks when not given).
     """
     options = options or PMCOptions()
     if options.use_symmetry and orbits is None:
         orbits = PathOrbits.from_walks(
             routing_matrix.topology, [p.nodes for p in routing_matrix.paths]
         )
-
-    start = time.perf_counter()
-    stats = PMCStats(fully_refined=True, coverage_satisfied=True)
-
-    if options.shard_by_pods:
-        subproblems = decompose_routing_matrix(routing_matrix, by_pods=True)
-    elif options.use_decomposition:
-        subproblems = decompose_routing_matrix(routing_matrix)
-    else:
-        subproblems = [
-            Subproblem(
-                link_ids=tuple(routing_matrix.link_ids),
-                path_indices=tuple(range(routing_matrix.num_paths)),
-            )
-        ]
-    stats.subproblems = len(subproblems)
-
-    jobs = options.resolved_jobs()
-    dispatch = (
-        options.max_paths is None
-        and not options.use_symmetry
-        and (options.shard_by_pods or (jobs > 1 and len(subproblems) > 1))
-    )
-    shard_outcomes: Optional[Tuple[ShardOutcome, ...]] = None
-    with trace_span(
-        "pmc.construct",
-        paths=routing_matrix.num_paths,
-        subproblems=len(subproblems),
-        sharded=options.shard_by_pods,
-    ):
-        if dispatch:
-            selected, shard_outcomes = _dispatch_subproblems(
-                routing_matrix, subproblems, options, stats, jobs
-            )
-        else:
-            selected = []
-            for subproblem in subproblems:
-                solve_started = time.perf_counter()
-                sub_selected, sub_stats = _solve_subproblem(
-                    routing_matrix.incidence,
-                    subproblem,
-                    options,
-                    orbits,
-                    links_on=routing_matrix.links_on,
-                )
-                selected.extend(sub_selected)
-                stats.merge(sub_stats)
-                _record_shard_span(
-                    subproblem,
-                    len(sub_selected),
-                    False,
-                    WorkerTelemetry(wall_seconds=time.perf_counter() - solve_started),
-                )
-                if options.max_paths is not None and len(selected) >= options.max_paths:
-                    selected = selected[: options.max_paths]
-                    break
-
-    stats.elapsed_seconds = time.perf_counter() - start
-    selected_tuple = tuple(selected)
-    probe_matrix = ProbeMatrix.from_selection(routing_matrix, selected_tuple)
-    return PMCResult(
-        probe_matrix=probe_matrix,
-        selected_indices=selected_tuple,
-        options=options,
-        stats=stats,
-        shards=shard_outcomes,
-    )
-
-
-def pmc_for_topology(
-    topology: Topology,
-    alpha: int = 1,
-    beta: int = 1,
-    ordered_pairs: bool = False,
-    **option_overrides,
-) -> PMCResult:
-    """Enumerate candidate paths for *topology* and run PMC on them.
-
-    This is the one-call entry point used by the controller and the examples:
-    it wires together path enumeration, orbit computation (when symmetry is
-    requested) and the greedy itself.
-    """
-    from ..routing import RoutingMatrix, enumerate_candidate_paths
-
-    paths = enumerate_candidate_paths(topology, ordered=ordered_pairs)
-    routing_matrix = RoutingMatrix(topology, paths)
-    options = PMCOptions(alpha=alpha, beta=beta, **option_overrides)
-    orbits = None
-    if options.use_symmetry:
-        orbits = PathOrbits.from_walks(topology, [p.nodes for p in paths])
-    return construct_probe_matrix(routing_matrix, options, orbits=orbits)
-
-
-# ---------------------------------------------------------------------------
-# sharded / pooled dispatch
-# ---------------------------------------------------------------------------
-
-#: Per-worker solve context: ``(incidence_index, options)``.  Installed once
-#: per worker process by the pool initializer -- for a numpy-backed parent
-#: through a ~100-byte :class:`~repro.core.incidence.IncidenceHandle` the
-#: worker attaches (zero-copy shared memory), otherwise by pickling the index
-#: itself.  Per-shard data (the subproblem and its coverage slice) rides in
-#: the task payload, so steady-state dispatch ships O(churned shards) bytes,
-#: never the matrix.
-_SHARD_CONTEXT: Optional[Tuple[IncidenceIndex, PMCOptions]] = None
-
-
-def _init_shard_context(index_source, options) -> None:
-    global _SHARD_CONTEXT
-    if isinstance(index_source, IncidenceHandle):
-        index_source = IncidenceIndex.attach(index_source)
-    _SHARD_CONTEXT = (index_source, options)
-
-
-def _solve_shard_task(task):
-    """Pool entry point: solve one ``(subproblem, shard_counts)`` task."""
-    index, options = _SHARD_CONTEXT
-    subproblem, shard_counts = task
-    return _solve_shard(index, subproblem, options, shard_counts=shard_counts)
-
-
-@informational_wall("WorkerTelemetry.wall_seconds is informational; the kernel delta gates")
-def _solve_shard(
-    index: IncidenceIndex,
-    subproblem: Subproblem,
-    options: PMCOptions,
-    coverage_counts=None,
-    shard_counts=None,
-):
-    """Solve one shard and capture the kernel-counter delta it caused.
-
-    The delta is read off the index's :class:`~repro.core.costmodel.KernelCounters`
-    around the solve, so it is the same whether the solve ran inline (ticking
-    the parent's counters) or in a worker (ticking its attached/pickled
-    copy's) -- that equivalence is what keeps per-shard kernel gates
-    invariant to ``jobs``.  Coverability input comes precomputed from the
-    dispatching parent for the same reason -- workers must not each re-derive
-    (and re-tick) it: inline callers hand the parent's full
-    ``coverage_counts`` vector, pooled tasks the O(shard)-sized
-    ``shard_counts`` slice that travelled in the task payload.
-
-    Returns ``(selection, stats, telemetry)`` where the
-    :class:`~repro.parallel.WorkerTelemetry` carries the kernel delta
-    (deterministic) and the solve's own wall seconds (informational).
-    """
-    counters = index.counters
-    before = counters.as_dict()
-    started = time.perf_counter()
-    selected, sub_stats = _solve_subproblem(
-        index,
-        subproblem,
+    return _construct(
+        routing_matrix,
         options,
-        orbits=None,
-        coverage_counts=coverage_counts,
-        shard_counts=shard_counts,
-    )
-    wall = time.perf_counter() - started
-    kernel_cost = counters.cost.delta_since(before)
-    return selected, sub_stats, WorkerTelemetry(wall_seconds=wall, counters=kernel_cost)
-
-
-def _shard_counts(index: IncidenceIndex, subproblem: Subproblem, coverage_counts):
-    """The shard's slice of the coverage vector, in sorted-link (local) order.
-
-    This is the only piece of the parent's coverage state a shard solve ever
-    reads, so it is what travels in the task payload: O(shard links) integers
-    instead of the O(topology) vector -- which both keeps per-cycle dispatch
-    payload proportional to churn and keeps the persistent pool's worker
-    context mask-independent (the masked vector changes every delta; the
-    attached index does not).
-    """
-    return tuple(
-        int(coverage_counts[index.position(link)]) for link in sorted(subproblem.link_ids)
+        rows=None,
+        coverage_counts=routing_matrix.incidence.coverage_counts(),
+        orbits=orbits,
     )
 
 
-def _options_context_key(options: PMCOptions) -> str:
-    """Compact digest of every option field a worker-side solve reads."""
-    return (
-        f"a{options.alpha}b{options.beta}z{int(options.skip_zero_gain)}"
-        f"l{int(options.use_lazy_update)}m{options.max_paths}"
-    )
-
-
-def _shard_dispatch_context(index: IncidenceIndex):
-    """``(initializer source, context id)`` for pooled shard dispatch.
-
-    Numpy-backed indexes export (once -- the share is cached on the index)
-    into shared memory and ship the handle; the python backend, or
-    ``REPRO_SHM=0``, ships the pickled index exactly as before the shm plane
-    existed.  The context id goes into the persistent-pool key: the share
-    generation (or the index uid) changes whenever the underlying index does,
-    so a warm pool can never serve a different topology's context.
-
-    Inside a multiprocessing child (a pooled experiment harness solving with
-    ``jobs > 1``) the pickle path is used unconditionally: fork children skip
-    atexit, so a worker-side segment would leak until the resource tracker
-    complains (see :func:`repro.parallel.in_main_process`).
-    """
-    if index.backend is Backend.NUMPY and shm_enabled() and in_main_process():
-        share = index.share()  # repro: allow[REP008] -- the index owns and caches the share; released via release_share()/the atexit sweep
-        return share.handle, f"shm:g{share.handle.generation}"
-    return index, f"pickle:inc{index.uid}"
-
-
-def _solve_many(
-    index: IncidenceIndex,
-    subproblems: Sequence[Subproblem],
-    options: PMCOptions,
-    jobs: int,
-    coverage_counts,
-) -> List[Tuple[List[int], PMCStats, WorkerTelemetry]]:
-    """Solve a batch of subproblems inline (``jobs == 1``) or over a pool.
-
-    Either way the returned list is ordered like *subproblems* and every
-    entry is ``(selection, stats, telemetry)`` -- byte-identical at any
-    ``jobs`` setting (telemetry wall seconds aside), because workers run the
-    exact same :func:`_solve_subproblem` against the same incidence structure
-    (a zero-copy shared-memory view, or a pickled copy on the fallback path)
-    with the same per-shard coverage slice.  After a pooled run the workers'
-    kernel deltas are folded back into the parent's index counters, so the
-    parent's kernel *totals* match the inline path's too -- workers ticked
-    their own copies.
-
-    The pool itself persists across calls (same index, same options, same
-    ``jobs``): the context key below hands :func:`~repro.parallel.pool_map`
-    everything the initializer installs, so repeated controller/engine cycles
-    reuse warm workers and pay dispatch only for the task payloads.
-    """
-    global _SHARD_CONTEXT
-    if jobs == 1 or len(subproblems) <= 1:
-        return [
-            _solve_shard(index, subproblem, options, coverage_counts=coverage_counts)
-            for subproblem in subproblems
-        ]
-    tasks = [
-        (subproblem, _shard_counts(index, subproblem, coverage_counts))
-        for subproblem in subproblems
-    ]
-    source, context_id = _shard_dispatch_context(index)
-    try:
-        results = pool_map(
-            _solve_shard_task,
-            tasks,
-            jobs=jobs,
-            initializer=_init_shard_context,
-            initargs=(source, options),
-            context_key=f"pmc:{context_id}:{_options_context_key(options)}",
-        )
-    finally:
-        _SHARD_CONTEXT = None
-    merge_worker_telemetry(
-        (telemetry for _, _, telemetry in results),
-        cost=index.counters.cost,
-    )
-    return results
-
-
-def _dispatch_subproblems(
-    routing_matrix: "RoutingMatrix",
-    subproblems: Sequence[Subproblem],
-    options: PMCOptions,
-    stats: PMCStats,
-    jobs: int,
-    coverage_counts=None,
-) -> Tuple[List[int], Tuple[ShardOutcome, ...]]:
-    """Solve subproblems (inline or over a process pool) and merge covers.
-
-    The merge is deterministic: shard selections are concatenated in the
-    canonical subproblem order (pods ascending, residual last) keeping each
-    shard's greedy selection order; should two shards ever nominate the same
-    candidate row, the first (lowest-shard) occurrence wins -- the canonical
-    path id tie-break.  Because the order depends only on the subproblem
-    list, the result is byte-identical at any ``jobs`` setting.
-    """
-    index = routing_matrix.incidence
-    if coverage_counts is None:
-        coverage_counts = index.coverage_counts()
-    results = _solve_many(index, subproblems, options, jobs, coverage_counts)
-
-    selected: List[int] = []
-    seen: Set[int] = set()
-    outcomes: List[ShardOutcome] = []
-    for subproblem, (sub_selected, sub_stats, telemetry) in zip(subproblems, results):
-        for row in sub_selected:
-            if row not in seen:
-                seen.add(row)
-                selected.append(row)
-        stats.merge(sub_stats)
-        # Parent-side span emission in canonical shard order: workers never
-        # trace themselves, so the span tree is invariant to ``jobs``.
-        _record_shard_span(subproblem, len(sub_selected), False, telemetry)
-        outcomes.append(
-            ShardOutcome(
-                pod=subproblem.pod,
-                num_links=subproblem.num_links,
-                num_paths=subproblem.num_paths,
-                num_selected=len(sub_selected),
-                digest=_subproblem_digest(
-                    index, subproblem.link_ids, subproblem.path_indices, options
-                ).hex(),
-                reused=False,
-                cost_counters=sub_stats.cost_counters(),
-                kernel_cost=dict(telemetry.counters),
-            )
-        )
-    return selected, tuple(outcomes)
-
-
-def _record_shard_span(
-    subproblem: Subproblem, num_selected: int, reused: bool, telemetry: WorkerTelemetry
-) -> None:
-    """One ``pmc.solve`` span per shard, emitted by the dispatching parent."""
-    labels: Dict[str, object] = {
-        "paths": subproblem.num_paths,
-        "links": subproblem.num_links,
-        "selected": num_selected,
-        "reused": reused,
-    }
-    if subproblem.pod is not None:
-        labels["pod"] = subproblem.pod
-    trace_record("pmc.solve", wall_seconds=telemetry.wall_seconds, **labels)
-
-
-# ---------------------------------------------------------------------------
-# masked (incremental) construction
-# ---------------------------------------------------------------------------
-
-def _subproblem_digest(index, link_ids: Sequence[int], rows: Sequence[int], options: PMCOptions) -> bytes:
-    """Compact content digest of a decomposition subproblem.
-
-    Two subproblems with the same digest have the same link universe, the same
-    surviving candidate rows and the same solver options, hence the same CELF
-    selection -- the digest keys :class:`CELFSolutionCache` without retaining
-    multi-hundred-thousand-entry row tuples per cache slot.
-    """
-    hasher = hashlib.sha256()
-    if index.backend is Backend.NUMPY:
-        hasher.update(_np.asarray(link_ids, dtype=_np.int64).tobytes())
-        hasher.update(b"|")
-        hasher.update(_np.asarray(rows, dtype=_np.int64).tobytes())
-    else:
-        import array
-
-        hasher.update(array.array("q", link_ids).tobytes())
-        hasher.update(b"|")
-        hasher.update(array.array("q", rows).tobytes())
-    hasher.update(
-        f"|a{options.alpha}b{options.beta}z{int(options.skip_zero_gain)}"
-        f"l{int(options.use_lazy_update)}m{options.max_paths}".encode()
-    )
-    return hasher.digest()
-
-
-@informational_wall(
-    "PMCStats.elapsed_seconds is informational; gates use cost_counters()"
-)
 def construct_probe_matrix_masked(
     routing_matrix: "RoutingMatrix",
     options: Optional[PMCOptions] = None,
-    warm: Optional[CELFSolutionCache] = None,
+    warm: Optional[ShardedSolutionCache] = None,
 ) -> PMCResult:
     """PMC over the *active* rows of a link-masked routing matrix (warm-startable).
 
@@ -703,17 +364,14 @@ def construct_probe_matrix_masked(
       which is the same relative order a cold rebuild's re-densified rows
       have.
 
-    ``warm`` is an optional :class:`CELFSolutionCache` (or, for the
-    pod-sharded control plane, a :class:`ShardedSolutionCache` holding one
-    bucket per pod): subproblems whose digest (links, surviving rows,
-    options) matches a previously solved one replay the cached selection
-    without touching a heap, so steady-state cycles with little or no churn
-    skip CELF almost entirely.  With ``options.shard_by_pods`` the
-    decomposition is the pod sharding of
-    :func:`~repro.core.decomposition.pod_shards_for_matrix` and churn
-    confined to one pod re-solves only that pod's shard plus the shared
-    residual shard; every other shard keeps its digest and replays.
-    Cache misses are dispatched over ``options.jobs`` worker processes.
+    ``warm`` is an optional :class:`ShardedSolutionCache` (one bucket per
+    ``Subproblem.pod``; unsharded subproblems share the ``None`` bucket):
+    subproblems whose digest (links, surviving rows, options) matches a
+    previously solved one replay the cached selection without touching a
+    heap, so steady-state cycles with little or no churn skip CELF almost
+    entirely.  With ``options.shard_by_pods`` churn confined to one pod
+    re-solves only that pod's shard plus the shared residual shard; every
+    other shard keeps its digest and replays.
 
     Symmetry batching is not supported here (orbit indices are only
     meaningful on the matrix the orbits were computed for); callers that need
@@ -725,139 +383,157 @@ def construct_probe_matrix_masked(
             "construct_probe_matrix_masked does not support use_symmetry; "
             "fall back to a full rebuild for symmetry-enabled configurations"
         )
-
-    start = time.perf_counter()
-    stats = PMCStats(fully_refined=True, coverage_satisfied=True)
-
     index = routing_matrix.incidence
-    active = index.active_rows()
-    active_counts = index.active_coverage_counts()
+    return _construct(
+        routing_matrix,
+        options,
+        rows=index.active_rows(),
+        coverage_counts=index.active_coverage_counts(),
+        warm=warm,
+    )
 
+
+def pmc_for_topology(
+    topology: Topology,
+    alpha: int = 1,
+    beta: int = 1,
+    ordered_pairs: bool = False,
+    **option_overrides,
+) -> PMCResult:
+    """Enumerate candidate paths for *topology* and run PMC on them.
+
+    This is the one-call entry point used by the CLI and the examples:
+    it wires together path enumeration and the greedy itself.
+    """
+    from ..routing import RoutingMatrix, enumerate_candidate_paths
+
+    paths = enumerate_candidate_paths(topology, ordered=ordered_pairs)
+    routing_matrix = RoutingMatrix(topology, paths)
+    options = PMCOptions(alpha=alpha, beta=beta, **option_overrides)
+    return construct_probe_matrix(routing_matrix, options)
+
+
+# ---------------------------------------------------------------------------
+# the pipeline: decompose -> digest -> replay -> solve -> merge
+# ---------------------------------------------------------------------------
+
+def _decompose(
+    routing_matrix: "RoutingMatrix", options: PMCOptions, rows: Optional[Sequence[int]]
+) -> List[Subproblem]:
+    """Subproblems over all candidate rows (``rows is None``) or a subset."""
     if options.shard_by_pods:
-        subproblems = pod_shards_for_matrix(routing_matrix, rows=active)
-    elif options.use_decomposition:
-        subproblems = [
-            Subproblem(link_ids=links, path_indices=rows)
-            for links, rows in index.components(rows=active)
-        ]
-    else:
-        subproblems = [
-            Subproblem(
-                link_ids=tuple(routing_matrix.link_ids),
-                path_indices=tuple(active),
-            )
-        ]
-    stats.subproblems = len(subproblems)
-
-    def bucket_for(subproblem: Subproblem) -> Optional[CELFSolutionCache]:
-        if isinstance(warm, ShardedSolutionCache):
-            return warm.bucket(subproblem.pod)
-        return warm
-
-    if options.max_paths is not None:
-        # The path cap's early stop crosses subproblem boundaries, so this
-        # flavour stays strictly serial (and reports no per-shard records).
-        selected = _masked_serial_capped(
-            routing_matrix, subproblems, options, stats, active_counts, bucket_for
+        return pod_shards_for_matrix(routing_matrix, rows=rows)
+    if options.use_decomposition:
+        return decompose_routing_matrix(routing_matrix, rows=rows)
+    return [
+        Subproblem(
+            link_ids=tuple(routing_matrix.link_ids),
+            path_indices=tuple(range(routing_matrix.num_paths) if rows is None else rows),
         )
-        stats.elapsed_seconds = time.perf_counter() - start
-        selected_tuple = tuple(selected)
-        return PMCResult(
-            probe_matrix=ProbeMatrix.from_selection(routing_matrix, selected_tuple),
-            selected_indices=selected_tuple,
-            options=options,
-            stats=stats,
-        )
+    ]
 
-    # Phase 1: replay every subproblem whose digest survives in the warm
-    # cache.  Phase 2: dispatch the remaining solves (inline or pooled).
-    # Phase 3: merge in canonical subproblem order, exactly like the cold
-    # dispatch -- so warm, cold, serial and pooled runs all agree byte for
-    # byte on the same inputs.
+
+@informational_wall(
+    "PMCStats.elapsed_seconds is informational; gates use cost_counters()"
+)
+def _construct(
+    routing_matrix: "RoutingMatrix",
+    options: PMCOptions,
+    rows: Optional[Sequence[int]],
+    coverage_counts,
+    warm: Optional[ShardedSolutionCache] = None,
+    orbits: Optional[PathOrbits] = None,
+) -> PMCResult:
+    """The one PMC driver behind both public entry points.
+
+    ``rows`` (``None`` = every candidate) and ``coverage_counts`` (per-column
+    candidate counts over those rows) are the only things the cold and masked
+    flavours disagree on.  Subproblems whose digest survives in ``warm``
+    replay; the misses go through :func:`_solve_many`; everything merges in
+    canonical subproblem order (pods ascending, residual last; components in
+    component order), keeping each subproblem's greedy selection order --
+    should two subproblems ever nominate the same candidate row, the first
+    occurrence wins.  The order depends only on the subproblem list, so warm,
+    cold, inline and pooled runs all agree byte for byte on the same inputs.
+
+    The path cap stops early across subproblem boundaries, so a capped run
+    resolves one subproblem at a time (nothing past the stop is looked up or
+    solved, and :attr:`PMCResult.shards` ends there); every other run
+    resolves the whole list as one batch, which is what lets the misses share
+    a worker pool.  Orbit batching solves inline: orbits never cross the pool
+    boundary.
+    """
+    start = time.perf_counter()
+    index = routing_matrix.incidence
+    subproblems = _decompose(routing_matrix, options, rows)
+    stats = PMCStats(
+        subproblems=len(subproblems), fully_refined=True, coverage_satisfied=True
+    )
+    capped = options.max_paths is not None
+    jobs = 1 if capped or options.use_symmetry else options.resolved_jobs()
+    step = 1 if capped else max(1, len(subproblems))
+
+    selected: List[int] = []
+    seen: Set[int] = set()
+    outcomes: List[ShardOutcome] = []
     with trace_span(
         "pmc.construct",
         paths=routing_matrix.num_paths,
         subproblems=len(subproblems),
         sharded=options.shard_by_pods,
-        masked=True,
+        masked=rows is not None,
     ):
-        digests = [
-            _subproblem_digest(index, sub.link_ids, sub.path_indices, options)
-            for sub in subproblems
-        ]
-        results: List[Optional[Tuple[List[int], PMCStats, WorkerTelemetry]]] = [
-            None
-        ] * len(subproblems)
-        reused = [False] * len(subproblems)
-        to_solve: List[int] = []
-        for i, subproblem in enumerate(subproblems):
-            cached = bucket_for(subproblem).get(digests[i]) if warm is not None else None
-            if cached is None:
-                to_solve.append(i)
-                continue
-            cached_selected, cached_stats = cached
-            sub_stats = PMCStats(**cached_stats)
-            sub_stats.reused_subproblems = 1
-            # Replayed selections cost no scoring (or kernel) work this cycle.
-            sub_stats.iterations = 0
-            sub_stats.candidates_scored = 0
-            sub_stats.candidates_discarded = 0
-            results[i] = (list(cached_selected), sub_stats, WorkerTelemetry())
-            reused[i] = True
-
-        if to_solve:
+        for lo in range(0, len(subproblems), step):
+            batch = subproblems[lo : lo + step]
+            digests = [
+                _subproblem_digest(index, sub.link_ids, sub.path_indices, options)
+                for sub in batch
+            ]
+            results: List[Optional[Tuple[List[int], PMCStats, WorkerTelemetry]]] = [
+                _replay(warm.get(sub.pod, digest)) if warm is not None else None
+                for sub, digest in zip(batch, digests)
+            ]
+            replayed = [result is not None for result in results]
+            misses = [i for i, hit in enumerate(replayed) if not hit]
             solved = _solve_many(
-                index,
-                [subproblems[i] for i in to_solve],
-                options,
-                options.resolved_jobs(),
-                active_counts,
+                index, [batch[i] for i in misses], options, jobs, coverage_counts, orbits
             )
-            for i, result in zip(to_solve, solved):
+            for i, result in zip(misses, solved):
                 results[i] = result
                 if warm is not None:
-                    sub_selected, sub_stats, _telemetry = result
-                    bucket_for(subproblems[i]).put(
-                        digests[i],
-                        (
-                            tuple(sub_selected),
-                            dict(
-                                fully_refined=sub_stats.fully_refined,
-                                coverage_satisfied=sub_stats.coverage_satisfied,
-                                uncoverable_links=sub_stats.uncoverable_links,
-                            ),
-                        ),
-                    )
+                    warm.put(batch[i].pod, digests[i], _cache_entry(result))
 
-        selected: List[int] = []
-        seen: Set[int] = set()
-        outcomes: List[ShardOutcome] = []
-        for i, subproblem in enumerate(subproblems):
-            sub_selected, sub_stats, telemetry = results[i]
-            for row in sub_selected:
-                if row not in seen:
-                    seen.add(row)
-                    selected.append(row)
-            stats.merge(sub_stats)
-            _record_shard_span(subproblem, len(sub_selected), reused[i], telemetry)
-            outcomes.append(
-                ShardOutcome(
-                    pod=subproblem.pod,
-                    num_links=subproblem.num_links,
-                    num_paths=subproblem.num_paths,
-                    num_selected=len(sub_selected),
-                    digest=digests[i].hex(),
-                    reused=reused[i],
-                    cost_counters=sub_stats.cost_counters(),
-                    kernel_cost=dict(telemetry.counters),
+            for sub, digest, reused, (sub_selected, sub_stats, telemetry) in zip(
+                batch, digests, replayed, results
+            ):
+                for row in sub_selected:
+                    if row not in seen:
+                        seen.add(row)
+                        selected.append(row)
+                stats.merge(sub_stats)
+                # Parent-side span emission in canonical order: workers never
+                # trace themselves, so the span tree is invariant to ``jobs``.
+                _record_shard_span(sub, len(sub_selected), reused, telemetry)
+                outcomes.append(
+                    ShardOutcome(
+                        pod=sub.pod,
+                        num_links=sub.num_links,
+                        num_paths=sub.num_paths,
+                        num_selected=len(sub_selected),
+                        digest=digest.hex(),
+                        reused=reused,
+                        cost_counters=sub_stats.cost_counters(),
+                        kernel_cost=dict(telemetry.counters),
+                    )
                 )
-            )
+            if capped and len(selected) >= options.max_paths:
+                del selected[options.max_paths :]
+                break
 
     stats.elapsed_seconds = time.perf_counter() - start
     selected_tuple = tuple(selected)
-    probe_matrix = ProbeMatrix.from_selection(routing_matrix, selected_tuple)
     return PMCResult(
-        probe_matrix=probe_matrix,
+        probe_matrix=ProbeMatrix.from_selection(routing_matrix, selected_tuple),
         selected_indices=selected_tuple,
         options=options,
         stats=stats,
@@ -865,56 +541,234 @@ def construct_probe_matrix_masked(
     )
 
 
-def _masked_serial_capped(
-    routing_matrix: "RoutingMatrix",
+def _cache_entry(result: Tuple[List[int], PMCStats, WorkerTelemetry]):
+    """What the warm cache keeps of a solve: the selection and its verdicts."""
+    sub_selected, sub_stats, _telemetry = result
+    return (
+        tuple(sub_selected),
+        dict(
+            fully_refined=sub_stats.fully_refined,
+            coverage_satisfied=sub_stats.coverage_satisfied,
+            uncoverable_links=sub_stats.uncoverable_links,
+        ),
+    )
+
+
+def _replay(cached) -> Optional[Tuple[List[int], PMCStats, WorkerTelemetry]]:
+    """A :func:`_cache_entry` as a solve result that cost no work this cycle."""
+    if cached is None:
+        return None
+    cached_selected, cached_stats = cached
+    # Scoring and kernel counters stay zero: a replay touches no heap.
+    return (
+        list(cached_selected),
+        PMCStats(reused_subproblems=1, **cached_stats),
+        WorkerTelemetry(),
+    )
+
+
+def _record_shard_span(
+    subproblem: Subproblem, num_selected: int, reused: bool, telemetry: WorkerTelemetry
+) -> None:
+    """One ``pmc.solve`` span per shard, emitted by the dispatching parent."""
+    labels: Dict[str, object] = {
+        "paths": subproblem.num_paths,
+        "links": subproblem.num_links,
+        "selected": num_selected,
+        "reused": reused,
+    }
+    if subproblem.pod is not None:
+        labels["pod"] = subproblem.pod
+    trace_record("pmc.solve", wall_seconds=telemetry.wall_seconds, **labels)
+
+
+def _options_key(options: PMCOptions) -> str:
+    """Every option field a subproblem solve reads, as a compact string.
+
+    Suffixes the subproblem digest (same inputs + same key = same selection)
+    and the persistent-pool context key (workers keep the options they were
+    initialised with).
+    """
+    return (
+        f"a{options.alpha}b{options.beta}z{int(options.skip_zero_gain)}"
+        f"l{int(options.use_lazy_update)}m{options.max_paths}"
+    )
+
+
+def _subproblem_digest(index, link_ids: Sequence[int], rows: Sequence[int], options: PMCOptions) -> bytes:
+    """Compact content digest of a decomposition subproblem.
+
+    Two subproblems with the same digest have the same link universe, the same
+    surviving candidate rows and the same solver options, hence the same CELF
+    selection -- the digest keys :class:`ShardedSolutionCache` without
+    retaining multi-hundred-thousand-entry row tuples per cache slot.
+    """
+    hasher = hashlib.sha256()
+    if index.backend is Backend.NUMPY:
+        hasher.update(_np.asarray(link_ids, dtype=_np.int64).tobytes())
+        hasher.update(b"|")
+        hasher.update(_np.asarray(rows, dtype=_np.int64).tobytes())
+    else:
+        import array
+
+        hasher.update(array.array("q", link_ids).tobytes())
+        hasher.update(b"|")
+        hasher.update(array.array("q", rows).tobytes())
+    hasher.update(f"|{_options_key(options)}".encode())
+    return hasher.digest()
+
+
+# ---------------------------------------------------------------------------
+# solving a batch of subproblems: inline or over a worker pool
+# ---------------------------------------------------------------------------
+
+#: Per-worker solve context: ``(incidence_index, options)``.  Installed once
+#: per worker process by the pool initializer -- for a numpy-backed parent
+#: through a ~100-byte :class:`~repro.core.incidence.IncidenceHandle` the
+#: worker attaches (zero-copy shared memory), otherwise by pickling the index
+#: itself.  Per-shard data (the subproblem and its coverage slice) rides in
+#: the task payload, so steady-state dispatch ships O(churned shards) bytes,
+#: never the matrix.
+_SHARD_CONTEXT: Optional[Tuple[IncidenceIndex, PMCOptions]] = None
+
+
+def _init_shard_context(index_source, options) -> None:
+    global _SHARD_CONTEXT
+    if isinstance(index_source, IncidenceHandle):
+        index_source = IncidenceIndex.attach(index_source)
+    _SHARD_CONTEXT = (index_source, options)
+
+
+def _solve_shard_task(task):
+    """Pool entry point: solve one ``(subproblem, shard_counts)`` task."""
+    index, options = _SHARD_CONTEXT
+    subproblem, shard_counts = task
+    return _solve_shard(index, subproblem, options, shard_counts)
+
+
+@informational_wall("WorkerTelemetry.wall_seconds is informational; the kernel delta gates")
+def _solve_shard(
+    index: IncidenceIndex,
+    subproblem: Subproblem,
+    options: PMCOptions,
+    shard_counts,
+    orbits: Optional[PathOrbits] = None,
+):
+    """Solve one shard and capture the kernel-counter delta it caused.
+
+    The delta is read off the index's :class:`~repro.core.costmodel.KernelCounters`
+    around the solve, so it is the same whether the solve ran inline (ticking
+    the parent's counters) or in a worker (ticking its attached/pickled
+    copy's) -- that equivalence is what keeps per-shard kernel gates
+    invariant to ``jobs``.  The coverability input (``shard_counts``, see
+    :func:`_shard_counts`) comes precomputed from the dispatching parent for
+    the same reason: a solve must not re-derive (and re-tick) it.
+
+    Returns ``(selection, stats, telemetry)`` where the
+    :class:`~repro.parallel.WorkerTelemetry` carries the kernel delta
+    (deterministic) and the solve's own wall seconds (informational).
+    """
+    counters = index.counters
+    before = counters.as_dict()
+    started = time.perf_counter()
+    selected, sub_stats = _solve_subproblem(index, subproblem, options, shard_counts, orbits)
+    wall = time.perf_counter() - started
+    kernel_cost = counters.cost.delta_since(before)
+    return selected, sub_stats, WorkerTelemetry(wall_seconds=wall, counters=kernel_cost)
+
+
+def _shard_counts(index: IncidenceIndex, subproblem: Subproblem, coverage_counts):
+    """The shard's slice of the coverage vector, in sorted-link (local) order.
+
+    This is the only piece of the parent's coverage state a shard solve ever
+    reads, so it is what travels in the task payload: O(shard links) integers
+    instead of the O(topology) vector -- which both keeps per-cycle dispatch
+    payload proportional to churn and keeps the persistent pool's worker
+    context mask-independent (the masked vector changes every delta; the
+    attached index does not).
+    """
+    return tuple(
+        int(coverage_counts[index.position(link)]) for link in sorted(subproblem.link_ids)
+    )
+
+
+def _shard_dispatch_context(index: IncidenceIndex):
+    """``(initializer source, context id)`` for pooled shard dispatch.
+
+    The mechanism follows from what the code can observe, never from a
+    switch: a numpy-backed index in the main process exports (once -- the
+    share is cached on the index) into shared memory and ships the handle;
+    the python backend has no buffers to export and ships the pickled index.
+    Inside a multiprocessing child (a pooled experiment harness solving with
+    ``jobs > 1``) the pickle path is used too: fork children skip atexit, so
+    a worker-side segment would leak until the resource tracker complains
+    (see :func:`repro.parallel.in_main_process`).
+
+    The context id goes into the persistent-pool key: the share generation
+    (or the index uid) changes whenever the underlying index does, so a warm
+    pool can never serve a different topology's context.
+    """
+    if index.backend is Backend.NUMPY and in_main_process():
+        share = index.share()  # repro: allow[REP008] -- the index owns and caches the share; released via release_share()/the atexit sweep
+        return share.handle, f"shm:g{share.handle.generation}"
+    return index, f"pickle:inc{index.uid}"
+
+
+def _solve_many(
+    index: IncidenceIndex,
     subproblems: Sequence[Subproblem],
     options: PMCOptions,
-    stats: PMCStats,
-    active_counts,
-    bucket_for,
-) -> List[int]:
-    """The legacy serial masked loop for ``max_paths``-capped runs."""
-    index = routing_matrix.incidence
-    selected: List[int] = []
-    for subproblem in subproblems:
-        digest = _subproblem_digest(
-            index, subproblem.link_ids, subproblem.path_indices, options
-        )
-        bucket = bucket_for(subproblem)
-        cached = bucket.get(digest) if bucket is not None else None
-        if cached is not None:
-            sub_selected, cached_stats = cached
-            sub_stats = PMCStats(**cached_stats)
-            sub_stats.reused_subproblems = 1
-            sub_stats.iterations = 0
-            sub_stats.candidates_scored = 0
-            sub_stats.candidates_discarded = 0
-        else:
-            sub_selected, sub_stats = _solve_subproblem(
-                index,
-                subproblem,
-                options,
-                orbits=None,
-                coverage_counts=active_counts,
+    jobs: int,
+    coverage_counts,
+    orbits: Optional[PathOrbits] = None,
+) -> List[Tuple[List[int], PMCStats, WorkerTelemetry]]:
+    """Solve a batch of subproblems inline (``jobs == 1``) or over a pool.
+
+    Either way the returned list is ordered like *subproblems* and every
+    entry is ``(selection, stats, telemetry)`` -- byte-identical at any
+    ``jobs`` setting (telemetry wall seconds aside), because workers run the
+    exact same :func:`_solve_shard` against the same incidence structure (a
+    zero-copy shared-memory view, or a pickled copy) with the same per-shard
+    coverage slice.  After a pooled run the workers' kernel deltas are folded
+    back into the parent's index counters, so the parent's kernel *totals*
+    match the inline path's too -- workers ticked their own copies.
+
+    The pool itself persists across calls (same index, same options, same
+    ``jobs``): the context key below hands :func:`~repro.parallel.pool_map`
+    everything the initializer installs, so repeated controller/engine cycles
+    reuse warm workers and pay dispatch only for the task payloads.  A worker
+    dying mid-dispatch degrades to the inline solve of the same batch -- same
+    selections, and the same kernel totals since inline ticks the parent's
+    counters directly -- while the broken pool is left for
+    :func:`~repro.parallel.pool_map` to respawn on the next dispatch.
+    """
+    tasks = [
+        (subproblem, _shard_counts(index, subproblem, coverage_counts))
+        for subproblem in subproblems
+    ]
+    if jobs > 1 and len(tasks) > 1:
+        source, context_id = _shard_dispatch_context(index)
+        try:
+            results = pool_map(
+                _solve_shard_task,
+                tasks,
+                jobs=jobs,
+                initializer=_init_shard_context,
+                initargs=(source, options),
+                context_key=f"pmc:{context_id}:{_options_key(options)}",
             )
-            if bucket is not None:
-                bucket.put(
-                    digest,
-                    (
-                        tuple(sub_selected),
-                        dict(
-                            fully_refined=sub_stats.fully_refined,
-                            coverage_satisfied=sub_stats.coverage_satisfied,
-                            uncoverable_links=sub_stats.uncoverable_links,
-                        ),
-                    ),
-                )
-        selected.extend(sub_selected)
-        stats.merge(sub_stats)
-        if len(selected) >= options.max_paths:
-            selected = selected[: options.max_paths]
-            break
-    return selected
+        except BrokenProcessPool:
+            pass  # a worker died: the inline solve below gives the same answer
+        else:
+            merge_worker_telemetry(
+                (telemetry for _, _, telemetry in results),
+                cost=index.counters.cost,
+            )
+            return results
+    return [
+        _solve_shard(index, subproblem, options, shard_counts, orbits)
+        for subproblem, shard_counts in tasks
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -925,20 +779,20 @@ def _solve_subproblem(
     index: IncidenceIndex,
     subproblem: Subproblem,
     options: PMCOptions,
-    orbits: Optional[PathOrbits],
-    coverage_counts=None,
-    shard_counts=None,
-    links_on=None,
+    shard_counts: Sequence[int],
+    orbits: Optional[PathOrbits] = None,
 ) -> Tuple[List[int], PMCStats]:
     """Greedy-solve one subproblem against an incidence index.
 
-    Coverability comes from exactly one of three sources, all producing the
-    same judgement: ``shard_counts`` (the shard's precomputed slice, local-id
-    order -- what pooled tasks carry), ``coverage_counts`` (the full vector a
-    dispatching parent precomputed), or -- when neither is given -- the
-    index's own :meth:`~repro.core.incidence.IncidenceIndex.coverage_counts`.
-    ``links_on`` (``path row -> link id set``) is only consulted by the
-    symmetry batch, which never runs on the dispatch path.
+    ``shard_counts`` is the subproblem's slice of the candidate-count vector
+    in local-id (sorted-link) order, see :func:`_shard_counts`: a link is
+    coverable iff its count is non-zero.  The counts are judged against the
+    full candidate set (a link with zero candidate paths anywhere can never
+    be covered, even if this subproblem has paths); masked (incremental) runs
+    slice the active-row counts, so coverability is judged against the
+    surviving candidates only -- the same vector a from-scratch rebuild on
+    the post-delta topology would compute.  ``orbits`` is only consulted
+    under ``options.use_symmetry``, which always solves inline.
     """
     stats = PMCStats()
     link_ids = sorted(subproblem.link_ids)
@@ -983,32 +837,10 @@ def _solve_subproblem(
     else:
         ext_row = proj.row
 
-    # "Coverable" is judged against the full candidate set, exactly like the
-    # seed implementation (a link with zero candidate paths anywhere can never
-    # be covered, even if this subproblem has paths).  Masked (incremental)
-    # runs pass the active-row counts explicitly so coverability is judged
-    # against the surviving candidates only -- the same vector a from-scratch
-    # rebuild on the post-delta topology would compute.
-    if shard_counts is not None:
-        # Pooled dispatch: the shard's slice arrived in the task payload,
-        # indexed by local id (sorted-link order) -- value-identical to the
-        # global-vector lookups below, just O(shard) instead of O(topology).
-        coverable_locals = [
-            local for local in range(num_local) if shard_counts[local]
-        ]
-        stats.uncoverable_links = tuple(
-            link for local, link in enumerate(link_ids) if not shard_counts[local]
-        )
-    else:
-        global_counts = (
-            coverage_counts if coverage_counts is not None else index.coverage_counts()
-        )
-        coverable_locals = [
-            local for local, link in enumerate(link_ids) if global_counts[index.position(link)]
-        ]
-        stats.uncoverable_links = tuple(
-            link for link in link_ids if not global_counts[index.position(link)]
-        )
+    coverable_locals = [local for local in range(num_local) if shard_counts[local]]
+    stats.uncoverable_links = tuple(
+        link for local, link in enumerate(link_ids) if not shard_counts[local]
+    )
     under_covered = kernels.bool_zeros(num_local)
     under_count = 0
     if options.alpha > 0 and coverable_locals:
@@ -1108,7 +940,7 @@ def _solve_subproblem(
                 orbits,
                 path_index_set,
                 selected_set,
-                links_on,
+                index.row_link_set,
                 marginal_gain,
                 apply_selection,
                 options,

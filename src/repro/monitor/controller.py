@@ -19,7 +19,7 @@ Two cycle flavours exist:
   :class:`~repro.topology.HealthSnapshot` is translated into link-mask
   updates on a cached :class:`~repro.core.incidence.IncidenceIndex`, PMC
   re-runs only over surviving candidate rows (with per-subproblem warm-start
-  through a :class:`~repro.core.lazy_greedy.CELFSolutionCache`), and the
+  through a :class:`~repro.core.lazy_greedy.ShardedSolutionCache`), and the
   result is byte-identical to a cold rebuild on the same post-delta state.
   When churn exceeds ``ControllerConfig.churn_rebuild_threshold`` (or
   symmetry batching is enabled, whose orbit indices are tied to a concrete
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import (
-    CELFSolutionCache,
     PMCOptions,
     PMCResult,
     ProbeMatrix,
@@ -85,9 +84,9 @@ class ControllerConfig:
         Run PMC over the pod-sharded decomposition instead of exact
         connected components: one subproblem per pod plus a residual shard
         for cross-pod paths.  Shards solve independently (and in parallel
-        with ``jobs > 1``), the warm cache becomes a
-        :class:`~repro.core.ShardedSolutionCache` with one bucket per pod,
-        and incremental cycles re-solve only the shards the churn touched.
+        with ``jobs > 1``), the warm :class:`~repro.core.ShardedSolutionCache`
+        fills one bucket per pod, and incremental cycles re-solve only the
+        shards the churn touched.
     jobs:
         Worker processes for PMC subproblem solves; ``None`` resolves
         through the ``REPRO_JOBS`` environment variable (default 1).
@@ -183,14 +182,11 @@ class Controller:
         # Incremental-cycle state: the candidate enumeration and its routing
         # matrix are pure functions of the (immutable) topology, so they are
         # computed once and shared by every subsequent cycle; the warm cache
-        # memoizes solved CELF subproblems by content digest.
+        # memoizes solved CELF subproblems by content digest, one bucket per
+        # pod so churn in one pod cannot evict another pod's cached solution.
         self._candidate_paths: Optional[List[Path]] = None
         self._full_matrix: Optional[RoutingMatrix] = None
-        # Pod-sharded controllers keep one warm bucket per pod so churn in
-        # one pod cannot evict another pod's cached solution.
-        self._warm = (
-            ShardedSolutionCache() if self.config.shard_by_pods else CELFSolutionCache()
-        )
+        self._warm = ShardedSolutionCache()
         self._planned_snapshot: Optional[HealthSnapshot] = None
         self._last_cycle: Optional[ControllerCycle] = None
 
@@ -352,11 +348,9 @@ class Controller:
         if mode == "incremental" and self._last_cycle is not None:
             changed = self._diff_pinglists(self._last_cycle.pinglists, pinglists)
         touched: Optional[Tuple[int, ...]] = None
-        if pmc_result.shards is not None:
+        if self.config.shard_by_pods:
             touched = tuple(
-                shard.pod
-                for shard in pmc_result.shards
-                if shard.pod is not None and not shard.reused
+                shard.pod for shard in pmc_result.shards if not shard.reused
             )
         self._version += 1
         self._planned_snapshot = self.watchdog.snapshot()

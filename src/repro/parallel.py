@@ -15,16 +15,18 @@ every input (specs are plain data; shard workers receive their solve context
 once through the pool initializer), parallel output is byte-identical to the
 serial loop at any ``jobs`` setting -- the pool only changes wall-clock time.
 
-Since the shared-memory data plane landed, pooled dispatch no longer pays a
-pool spawn per call: callers that pass a ``context_key`` get a
-:class:`PersistentPool` -- one warm :class:`~concurrent.futures.ProcessPoolExecutor`
-keyed by ``(jobs, context digest)`` that outlives the call and is reused by
-every later dispatch with the same key (controller cycles, engine runs,
+Which executor a pooled dispatch gets follows from what :func:`pool_map` can
+observe, never from a switch.  A call that passes a ``context_key`` from the
+main process gets a :class:`PersistentPool` -- one warm
+:class:`~concurrent.futures.ProcessPoolExecutor` keyed by
+``(jobs, context digest)`` that outlives the call and is reused by every
+later dispatch with the same key (controller cycles, engine runs,
 ``experiment all``).  A changed key (new topology, new options) retires the
 old pool and spawns a fresh generation, so stale worker state can never leak
-into a new context.  ``REPRO_POOL_PERSIST=0`` restores the old
-pool-per-call behaviour, and ``REPRO_MP_START`` pins the multiprocessing
-start method (CI runs a ``spawn`` leg to catch fork-only assumptions).
+into a new context.  Unkeyed calls, and any call made from inside a pool
+worker (see :func:`in_main_process`), get an ephemeral executor that is torn
+down with the call.  ``REPRO_MP_START`` pins the multiprocessing start method
+(CI runs a ``spawn`` leg to catch fork-only assumptions).
 
 ``jobs`` resolves like the incidence backend does
 (:func:`repro.core.incidence.resolve_backend`): explicit argument first, then
@@ -67,7 +69,6 @@ __all__ = [
     "resolve_jobs",
     "resolve_start_method",
     "in_main_process",
-    "pool_persistence_enabled",
     "pool_map",
     "PersistentPool",
     "shutdown_pools",
@@ -78,9 +79,7 @@ __all__ = [
 ]
 
 _ENV_VAR = "REPRO_JOBS"
-_PERSIST_ENV = "REPRO_POOL_PERSIST"
 _START_ENV = "REPRO_MP_START"
-_FALSEY = {"", "0", "false", "no", "off"}
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -105,23 +104,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
-
-
-def pool_persistence_enabled(enabled: Optional[bool] = None) -> bool:
-    """Resolve the pool-persistence switch: explicit argument > ``REPRO_POOL_PERSIST`` > on.
-
-    When off, every keyed :func:`pool_map` call falls back to the legacy
-    pool-per-call behaviour (spawn, run, tear down) -- the escape hatch for
-    environments where long-lived worker processes are unwelcome.
-    Persistence never changes results, only wall-clock time: the differential
-    harness pins that.
-    """
-    if enabled is not None:
-        return bool(enabled)
-    raw = os.environ.get(_PERSIST_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSEY
 
 
 def resolve_start_method(method: Optional[str] = None) -> Optional[str]:
@@ -159,7 +141,7 @@ def in_main_process() -> bool:
     processes the worker does not own, and fork children skip :mod:`atexit`,
     so nothing would ever sweep a worker-side pool or segment.  Nested
     dispatch inside a worker (an experiment harness solving with
-    ``jobs > 1``) therefore falls back to the legacy ephemeral path.
+    ``jobs > 1``) therefore takes the ephemeral pool and pickle dispatch.
     """
     return multiprocessing.parent_process() is None
 
@@ -333,11 +315,10 @@ def pool_map(
     context a single time instead of once per subproblem).
 
     *context_key* is a digest of everything the initializer installs (for PMC
-    dispatch: the incidence identity plus solver options).  When given -- and
-    :func:`pool_persistence_enabled` -- the executor is a
-    :class:`PersistentPool` reused by every later call with the same
-    ``(jobs, context_key)``; without it each call spawns and tears down its
-    own executor, exactly as before persistence existed.
+    dispatch: the incidence identity plus solver options).  When given, and
+    the caller is the main process, the executor is a :class:`PersistentPool`
+    reused by every later call with the same ``(jobs, context_key)``;
+    otherwise the call spawns and tears down its own executor.
 
     The result list is ordered by *submission* index, never by completion
     order, so callers can zip it back onto ``items`` directly.
@@ -352,7 +333,7 @@ def pool_map(
     _TELEMETRY.payload_bytes += sum(
         len(pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)) for item in items
     )
-    if context_key is not None and pool_persistence_enabled() and in_main_process():
+    if context_key is not None and in_main_process():
         pool = _ensure_pool(jobs, context_key, initializer, initargs)
         return pool.map(fn, items)
     _TELEMETRY.spawns += 1

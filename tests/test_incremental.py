@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CELFSolutionCache,
     PMCOptions,
+    ShardedSolutionCache,
     construct_probe_matrix,
     construct_probe_matrix_masked,
 )
@@ -224,6 +224,58 @@ class TestMaskedPMC:
         assert masked.stats.coverage_satisfied == cold.stats.coverage_satisfied
         assert masked.stats.fully_refined == cold.stats.fully_refined
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            PMCOptions(),
+            PMCOptions(alpha=2),
+            PMCOptions(beta=2),
+            PMCOptions(use_lazy_update=False),
+            PMCOptions(use_decomposition=False),
+            PMCOptions(shard_by_pods=True),
+            PMCOptions(max_paths=5),
+            PMCOptions(alpha=0, beta=0),
+        ],
+        ids=["default", "a2", "b2", "eager", "no-decomp", "pods", "cap5", "a0b0"],
+    )
+    def test_masked_on_unmasked_index_is_the_cold_run(self, fattree4, options):
+        # One pipeline behind both entry points: without a mask they must be
+        # indistinguishable, down to the index's kernel totals.
+        paths = enumerate_candidate_paths(fattree4, ordered=False, include_intrapod_agg=True)
+        cold_matrix = RoutingMatrix(fattree4, paths)
+        masked_matrix = RoutingMatrix(fattree4, paths)
+        cold = construct_probe_matrix(cold_matrix, options)
+        masked = construct_probe_matrix_masked(masked_matrix, options)
+        assert masked.selected_indices == cold.selected_indices
+        assert masked.stats.cost_counters() == cold.stats.cost_counters()
+        assert masked.stats.uncoverable_links == cold.stats.uncoverable_links
+        assert masked.shards == cold.shards
+        assert (
+            masked_matrix.incidence.counters.as_dict()
+            == cold_matrix.incidence.counters.as_dict()
+        )
+
+    @pytest.mark.parametrize("shard_by_pods", [False, True], ids=["components", "pods"])
+    def test_nothing_to_select_from(self, fattree4, shard_by_pods):
+        # Every link masked (no active row) and a matrix without candidates:
+        # an empty cover with every link reported uncoverable, no exception.
+        options = PMCOptions(alpha=2, beta=1, shard_by_pods=shard_by_pods)
+        all_links = tuple(sorted(link.link_id for link in fattree4.switch_links))
+        assert len(all_links) == 32
+        blackout = RoutingMatrix(fattree4, enumerate_candidate_paths(fattree4, ordered=False))
+        blackout.incidence.apply_link_mask(all_links)
+        assert blackout.incidence.num_active_rows == 0
+        empty = RoutingMatrix(fattree4, [])
+        for result in (
+            construct_probe_matrix_masked(blackout, options),
+            construct_probe_matrix_masked(empty, options),
+            construct_probe_matrix(empty, options),
+        ):
+            assert result.selected_indices == ()
+            assert result.probe_matrix.num_paths == 0
+            assert result.stats.uncoverable_links == all_links
+            assert sum(shard.num_links for shard in result.shards) == 32
+
     def test_symmetry_rejected(self, fattree4_routing):
         with pytest.raises(ValueError):
             construct_probe_matrix_masked(
@@ -234,7 +286,7 @@ class TestMaskedPMC:
         paths = enumerate_candidate_paths(fattree4, ordered=False)
         full = RoutingMatrix(fattree4, paths)
         options = PMCOptions(alpha=2, beta=1)
-        warm = CELFSolutionCache()
+        warm = ShardedSolutionCache()
 
         first = construct_probe_matrix_masked(full, options, warm=warm)
         assert first.stats.reused_subproblems == 0
@@ -245,13 +297,13 @@ class TestMaskedPMC:
         assert warm.hits > 0
 
     def test_warm_cache_lru_eviction(self):
-        cache = CELFSolutionCache(capacity=2)
-        cache.put(b"a", 1)
-        cache.put(b"b", 2)
-        assert cache.get(b"a") == 1  # refresh a
-        cache.put(b"c", 3)  # evicts b
-        assert cache.get(b"b") is None
-        assert cache.get(b"a") == 1 and cache.get(b"c") == 3
+        cache = ShardedSolutionCache(capacity_per_shard=2)
+        cache.put(None, b"a", 1)
+        cache.put(None, b"b", 2)
+        assert cache.get(None, b"a") == 1  # refresh a
+        cache.put(None, b"c", 3)  # evicts b
+        assert cache.get(None, b"b") is None
+        assert cache.get(None, b"a") == 1 and cache.get(None, b"c") == 3
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -104,15 +105,6 @@ class TestResidualShard:
         subsets = [frozenset({2, 3}), frozenset({0, 4}), frozenset({0, 1})]
         shards = decompose_by_link_sets(subsets, self.UNIVERSE, link_pods=self.LINK_PODS)
         assert [shard.pod for shard in shards] == [0, 1, RESIDUAL_POD]
-
-    def test_pod_order_hint_does_not_change_output(self):
-        subsets = [frozenset({0, 1}), frozenset({2, 3}), frozenset({0, 2})]
-        default = decompose_by_link_sets(subsets, self.UNIVERSE, link_pods=self.LINK_PODS)
-        for hint in ([1, 0], [0, 1], [1], []):
-            hinted = decompose_by_link_sets(
-                subsets, self.UNIVERSE, link_pods=self.LINK_PODS, pod_order=hint
-            )
-            assert hinted == default
 
     def test_orphan_links_surface_in_residual(self):
         # Link 3 is in the universe but no path touches it: it must orphan
@@ -225,7 +217,7 @@ class TestParallelDifferential:
     @pytest.mark.parametrize("name", ["fattree4", "vl2", "bcube"])
     def test_component_decomposition_invariant_to_jobs(self, name):
         # jobs > 1 also parallelises the exact component decomposition; the
-        # pooled result must equal the legacy serial loop byte for byte.
+        # pooled result must equal the inline solve byte for byte.
         topology, paths = _build(name)
         matrix = RoutingMatrix(topology, paths)
         serial = construct_probe_matrix(matrix, PMCOptions(alpha=2, beta=1, jobs=1))
@@ -233,6 +225,30 @@ class TestParallelDifferential:
         assert serial.selected_indices == pooled.selected_indices
         assert serial.stats.cost_counters() == pooled.stats.cost_counters()
         assert serial.probe_matrix.to_json() == pooled.probe_matrix.to_json()
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
+    def test_unsharded_cold_path_invariant_to_jobs(self, backend):
+        # The same contract off the pod-sharded path: which driver ran must
+        # be invisible in the shard records and in the index's kernel totals.
+        topology, paths = _build("fattree4")
+        results, kernel_totals = [], []
+        for jobs in (1, 2):
+            matrix = RoutingMatrix(topology, paths, backend=backend)
+            result = construct_probe_matrix(
+                matrix, PMCOptions(alpha=2, beta=1, use_decomposition=True, jobs=jobs)
+            )
+            assert len(result.shards) == result.stats.subproblems > 1
+            assert all(shard.pod is None and not shard.reused for shard in result.shards)
+            results.append(result)
+            kernel_totals.append(matrix.incidence.counters.as_dict())
+        _assert_results_identical(*results)
+        assert [s.digest for s in results[0].shards] == [s.digest for s in results[1].shards]
+        assert kernel_totals[0] == kernel_totals[1]
+        # Shard records are always there; touched_shards is the sharded
+        # controller's report and stays None without shard_by_pods.
+        controller = Controller(topology, ControllerConfig(alpha=2, beta=1))
+        assert controller.run_cycle().touched_shards is None
+        assert controller.run_incremental_cycle().touched_shards is None
 
     def test_sharded_masked_equals_sharded_cold(self, fattree4):
         paths = enumerate_candidate_paths(fattree4, ordered=False, include_intrapod_agg=True)
@@ -309,12 +325,12 @@ class TestOptionsAndPlumbing:
 
     def test_sharded_solution_cache_buckets_are_isolated(self):
         cache = ShardedSolutionCache(capacity_per_shard=2)
-        cache.bucket(0).put(b"x", 1)
-        cache.bucket(1).put(b"x", 2)
-        assert cache.bucket(0).get(b"x") == 1
-        assert cache.bucket(1).get(b"x") == 2
-        assert cache.bucket(RESIDUAL_POD).get(b"x") is None
-        assert sorted(cache.pods()) == [RESIDUAL_POD, 0, 1]
+        cache.put(0, b"x", 1)
+        cache.put(1, b"x", 2)
+        assert cache.get(0, b"x") == 1
+        assert cache.get(1, b"x") == 2
+        assert cache.get(RESIDUAL_POD, b"x") is None
+        assert sorted(cache.pods()) == [0, 1]  # a miss creates no bucket
         assert cache.hits == 2 and cache.misses == 1
         assert len(cache) == 2
         cache.clear()
@@ -355,6 +371,33 @@ class TestShardedController:
         assert [p.nodes for p in cycle.probe_matrix.paths] == [
             p.nodes for p in cold_cycle.probe_matrix.paths
         ]
+
+    def test_worker_death_degrades_to_inline_solve(self, fattree4, monkeypatch):
+        from repro.monitor import Watchdog
+
+        dispatches = []
+
+        def dead_pool(fn, items, **kwargs):
+            dispatches.append(len(items))
+            raise BrokenProcessPool("a worker died mid-dispatch")
+
+        monkeypatch.setattr("repro.core.pmc.pool_map", dead_pool)
+        cycles, kernel_totals = [], []
+        for jobs in (1, 2):
+            watchdog = Watchdog(fattree4)
+            controller = Controller(fattree4, self._config(jobs=jobs), watchdog=watchdog)
+            controller.run_cycle()
+            watchdog.report_failed_link(fattree4.switch_links[3].link_id)
+            cycles.append(controller.run_incremental_cycle())
+            kernel_totals.append(
+                controller._full_routing_matrix().incidence.counters.as_dict()
+            )
+        assert dispatches and all(count > 1 for count in dispatches)  # jobs=2 did dispatch
+        serial, degraded = cycles
+        assert degraded.mode == "incremental"
+        _assert_results_identical(serial.pmc_result, degraded.pmc_result)
+        assert degraded.touched_shards == serial.touched_shards
+        assert kernel_totals[0] == kernel_totals[1]
 
     def test_jobs_env_var_reaches_controller(self, fattree4, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")

@@ -14,7 +14,6 @@ from repro.core import (
     check_identifiability,
     construct_probe_matrix,
     decompose_by_link_sets,
-    pod_shards_for_matrix,
 )
 from repro.localization import (
     ObservationSet,
@@ -195,22 +194,9 @@ def test_pod_sharding_is_a_partition_with_residual(data):
         assert pods_emitted[-1] == RESIDUAL_POD
 
 
-@given(pod_sharding_inputs(), st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_pod_sharding_invariant_to_pod_enumeration_order(data, rnd):
-    universe, subsets, link_pods, num_pods = data
-    baseline = decompose_by_link_sets(subsets, universe, link_pods=link_pods)
-    order = list(range(num_pods))
-    rnd.shuffle(order)
-    shuffled = decompose_by_link_sets(
-        subsets, universe, link_pods=link_pods, pod_order=order
-    )
-    assert shuffled == baseline
-
-
 # ---------------------------------------------------------------------------
-# Shard-merge invariance: covers and counters do not depend on jobs or on
-# pod enumeration order, on random Fattree/VL2/BCube instances
+# Shard-merge invariance: covers and counters do not depend on jobs, on
+# random Fattree/VL2/BCube instances
 # ---------------------------------------------------------------------------
 
 _TOPOLOGY_FAMILIES = ["fattree", "vl2", "bcube"]
@@ -257,22 +243,6 @@ def test_sharded_cover_invariant_to_jobs(family, seed, alpha):
         assert [s.kernel_cost for s in parallel.shards] == [
             s.kernel_cost for s in baseline.shards
         ]
-
-
-@given(
-    st.sampled_from(_TOPOLOGY_FAMILIES),
-    st.integers(min_value=0, max_value=2**16),
-    st.randoms(use_true_random=False),
-)
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_pod_shards_of_matrix_invariant_to_pod_order(family, seed, rnd):
-    topology, matrix = _random_instance(family, seed)
-    baseline = pod_shards_for_matrix(matrix)
-    pods = sorted(
-        {p for p in (n.pod for n in topology.nodes.values()) if p is not None}
-    )
-    rnd.shuffle(pods)
-    assert pod_shards_for_matrix(matrix, pod_order=pods) == baseline
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ Three layers of guarantees, in rough order of blast radius:
   view of the exported one, the python backend keeps its pickle path, and
   repeated ``share()`` calls reuse one segment.
 * **persistent pools** -- keyed :func:`repro.parallel.pool_map` calls reuse a
-  warm executor, a broken pool is retired and respawned, and
-  ``REPRO_POOL_PERSIST=0`` restores pool-per-call behaviour.
+  warm executor, and a broken pool is retired and respawned.
 * **no leaks** -- subprocess scenarios (clean exit, Ctrl-C, worker crash)
   leave no ``/dev/shm`` segment behind and trigger no resource-tracker
   warnings, which is the property the atexit sweeps exist for.
@@ -32,12 +31,10 @@ from repro.core.incidence import (
     IncidenceIndex,
     SharedIncidence,
     release_all_shares,
-    shm_enabled,
     shm_telemetry,
 )
 from repro.parallel import (
     pool_map,
-    pool_persistence_enabled,
     pool_telemetry,
     resolve_start_method,
     shutdown_pools,
@@ -158,14 +155,6 @@ class TestShareAttach:
             pass
         assert index.counters.as_dict() == before
 
-    def test_shm_enabled_resolver(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert shm_enabled()
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert not shm_enabled()
-        monkeypatch.setenv("REPRO_SHM", "on")
-        assert shm_enabled()
-
     def test_release_all_shares_sweeps(self):
         index = _numpy_index()
         share = index.share()  # repro: allow[REP008] -- swept by release_all_shares below
@@ -236,17 +225,6 @@ class TestPersistentPool:
         for tag in ("a", "b", "c", "d", "e"):
             pool_map(_square, [1, 2], jobs=2, context_key=f"shmtest.lru.{tag}")
         assert len(parallel._POOLS) <= parallel._MAX_POOLS
-
-    def test_persistence_off_restores_pool_per_call(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "0")
-        assert not pool_persistence_enabled()
-        before = pool_telemetry()
-        pool_map(_square, [1, 2], jobs=2, context_key="shmtest.ephemeral")
-        pool_map(_square, [1, 2], jobs=2, context_key="shmtest.ephemeral")
-        after = pool_telemetry()
-        assert after["pool_spawns"] - before["pool_spawns"] == 2
-        assert after["pool_reuses"] == before["pool_reuses"]
-        assert not parallel._POOLS
 
     def test_broken_pool_is_retired_and_respawned(self):
         before = pool_telemetry()
