@@ -4,16 +4,30 @@ Relative gate: coalesced (batched) probe scheduling must beat the per-event
 baseline by a wide margin on the streaming plane.  Absolute gate: a modest
 floor the small CI instance clears comfortably -- the hard >= 2M events/s
 Fattree(16) gate lives in ``bench_engine.py --min-rate 2000000``, which the
-CI benchmark job runs on the full instance.
+CI benchmark job runs on the full instance.  Storm gate: with the three fault
+classes on ~6 % of the switch links -- the regime neither gate above enters --
+the bulk probing kernel must beat row-by-row dispatch of the same rows.
 """
 
 from __future__ import annotations
 
+import time
+
+import numpy as np
 import pytest
 
+from repro.contracts import informational_wall
 from repro.engine import DynamicFaultModel, EngineConfig, FlappingLink, TelemetryEngine
 from repro.monitor import ControllerConfig, DetectorSystem
-from repro.simulation import ChurnSchedule, SeededStreams
+from repro.simulation import (
+    ChurnSchedule,
+    FailureScenario,
+    LinkFailure,
+    LossMode,
+    ProbeConfig,
+    ProbeSimulator,
+    SeededStreams,
+)
 from repro.topology import build_fattree
 
 
@@ -57,6 +71,57 @@ def _run(topology, batched: bool, duration: float = 120.0) -> "tuple":
     return result
 
 
+@informational_wall("kernel wall times feed the non-blocking storm-mix gate only")
+def _storm_mix_walls(topology, drains: int = 20) -> "tuple":
+    """Wall seconds of ``drains`` whole-table drains through the bulk kernel
+    and through one ``probe_path_batch`` call per row, same rows, same seed."""
+    streams = SeededStreams(2017)
+    system = DetectorSystem(
+        topology, streams.generator("probing"), ControllerConfig(alpha=2, beta=1)
+    )
+    system.run_controller_cycle()
+    paths = system.probe_matrix.paths
+    links = [int(link.link_id) for link in topology.switch_links]
+    picker = streams.generator("fault-placement")
+    per_class = max(1, len(links) // 50)  # three classes: ~6 % of the links
+    faulty = picker.choice(len(links), size=3 * per_class, replace=False)
+    scenario = FailureScenario(description="storm mix")
+    for position, index in enumerate(faulty):
+        mode = list(LossMode)[position % 3]
+        scenario.add(
+            LinkFailure(links[int(index)], mode, loss_rate=0.05, match_fraction=0.125,
+                        salt=position)
+        )
+    config = ProbeConfig()
+    rows = np.arange(len(paths), dtype=np.int64)
+    counts = 3 + rows % 5
+    firing = np.zeros(len(rows), dtype=np.int64)
+
+    bulk = ProbeSimulator(topology, scenario, streams.generator("bulk"))
+    bulk.prime_paths(paths)
+    scalar = ProbeSimulator(topology, scenario, streams.generator("bulk"))
+    dirty = [row for row, path in enumerate(paths) if path.link_ids & scenario.failures.keys()]
+    bulk_wall = scalar_wall = 0.0
+    for drain in range(drains):
+        starts = counts * drain
+        started = time.perf_counter()
+        sent, lost = bulk.probe_paths_bulk(rows, counts, starts, [config], firing, [2])
+        bulk_wall += time.perf_counter() - started
+        # Row-by-row dispatch of the rows the mask cannot answer, as
+        # probe_paths_bulk did it before the columnar kernel.
+        expected = counts.copy(), np.zeros(len(rows), dtype=np.int64)
+        started = time.perf_counter()
+        for row in dirty:
+            expected[0][row], expected[1][row] = scalar.probe_path_batch(
+                paths[row], config, int(counts[row]), int(starts[row]), confirm_losses=2
+            )
+        scalar_wall += time.perf_counter() - started
+        assert sent.tolist() == expected[0].tolist() and lost.tolist() == expected[1].tolist()
+    assert bulk.drops_per_link == scalar.drops_per_link
+    assert bulk.telemetry()["rows_stochastic"] > 0 < bulk.telemetry()["rows_deterministic"]
+    return bulk_wall, scalar_wall
+
+
 @pytest.mark.wallclock
 class TestStreamingThroughput:
     def test_batched_beats_per_event_streaming_plane(self):
@@ -82,4 +147,13 @@ class TestStreamingThroughput:
         result = _run(build_fattree(8), batched=True)
         assert result.probe_events_per_second > 1_000_000, (
             f"{result.probe_events_per_second:,.0f} events/s"
+        )
+
+    def test_bulk_kernel_beats_row_dispatch_in_a_storm(self):
+        """Unhealthy fabric: the columnar dirty-row kernel must stay well
+        ahead of one scalar call per dirty row (3x gate vs ~7x measured;
+        their equality on every observable is covered in tier-1)."""
+        bulk_wall, scalar_wall = _storm_mix_walls(build_fattree(8))
+        assert scalar_wall > 3.0 * bulk_wall, (
+            f"bulk {bulk_wall * 1e3:.1f} ms vs row-by-row {scalar_wall * 1e3:.1f} ms"
         )

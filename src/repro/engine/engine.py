@@ -403,6 +403,9 @@ class TelemetryEngine:
         registry.register_source(
             "scheduler_drains", self._scheduler.drain_telemetry, informational=True
         )
+        # Row classes of the bulk probing kernel: like the drains, they exist
+        # only in the coalesced regime, hence informational.
+        registry.register_source("sim_bulk", self._bulk_probe_source, informational=True)
         # Dispatch-plane visibility (informational: spawn/reuse balance and
         # payload bytes vary with jobs, pool persistence and shm settings,
         # never with the workload's deterministic outcome).
@@ -467,6 +470,11 @@ class TelemetryEngine:
         if self._aggregator is not None:
             totals.merge(self._aggregator.incidence.counters.cost)
         return {f"kernel_{name}": count for name, count in totals.as_dict().items()}
+
+    def _bulk_probe_source(self) -> Dict[str, int]:
+        """The probe simulator's bulk-kernel run totals, ``sim_bulk_``-prefixed."""
+        telemetry = self.system.simulator.telemetry()
+        return {f"sim_bulk_{name}": count for name, count in telemetry.items()}
 
     def _shard_assignment(self) -> Optional[List[int]]:
         """Pod-keyed shard of each probe path (source node's pod, when the

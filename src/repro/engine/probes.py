@@ -11,7 +11,7 @@ behaviour (§3.1) at any rate.
 
 Outcomes are pushed as ``(path_index, time, sent, lost)`` batches into a sink
 (the engine wires the :class:`~repro.engine.aggregator.StreamAggregator`
-here).  Batches use the vectorized
+here).  Per-event firings use the vectorized
 :meth:`~repro.simulation.ProbeSimulator.probe_path_batch` kernel, so
 failure-free paths -- the vast majority -- cost one dictionary lookup each.
 
@@ -29,7 +29,10 @@ observable (probe outcomes, random draws, counters):
   per firing in pop order (reproducing the per-event sequence exactly), but
   the round-robin expansion to ``(path, count, start_sequence)`` rows, the
   sequence-counter bumps, and the probing itself run as columnar numpy
-  passes through :meth:`~repro.simulation.ProbeSimulator.probe_paths_bulk`.
+  passes through :meth:`~repro.simulation.ProbeSimulator.probe_paths_bulk`,
+  which answers clean and deterministic-loss rows without per-row Python and
+  random-loss rows one compiled kernel call each, in row order -- on every
+  observable what ``probe_path_batch`` returns row by row.
   Below ``bulk_batch_threshold`` rows the expansion falls back to the scalar
   per-entry loop (same arrays, same order, same bytes).
 

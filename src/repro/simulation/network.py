@@ -10,15 +10,26 @@ treats links as undirected (§4.1).
 The simulator is deliberately stateless about time: an "aggregation window" is
 just a number of probes per path.  All randomness flows through an explicit
 ``numpy.random.Generator``.
+
+Two probing kernels share one semantics.  :meth:`ProbeSimulator.probe_path_batch`
+answers one ``(path, count)`` row per call and is the per-event path and the
+reference; :meth:`ProbeSimulator.probe_paths_bulk` answers a whole drain of
+rows from a plan compiled once per scenario version -- clean rows by a mask,
+rows crossing only full-loss / deterministic-partial links closed-form from a
+per-port "first link that drops it" table, rows crossing a random-partial
+link with exactly the reference's ``Generator.random(n)`` sequence.  The two
+agree on ``(sent, lost)``, ``drops_per_link`` and the generator state after
+every call (``docs/INVARIANTS.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..contracts import trace_record
 from ..core import ProbeMatrix
 from ..localization import ObservationSet, PathObservation
 from ..routing import ECMPRouter, Path, ProbePacket
@@ -90,6 +101,64 @@ class PairProbeOutcome:
         return self.lost > 0
 
 
+# How one failed link of a compiled path treats the probes that reach it.
+_FULL, _MATCH, _RANDOM = range(3)
+
+#: What of a :class:`ProbeConfig` decides a probe's flow key:
+#: ``(base_port, port_range, destination_port)``.
+_Signature = Tuple[int, int, int]
+
+
+def _group_rows(rows: np.ndarray, signatures: List[_Signature], config_of: np.ndarray):
+    """Split drain rows by the signature of the pinger that fired them."""
+    distinct = list(dict.fromkeys(signatures))
+    if len(distinct) == 1:
+        return [(distinct[0], rows)] if len(rows) else []
+    index = {signature: k for k, signature in enumerate(distinct)}
+    of_firing = np.fromiter((index[s] for s in signatures), np.int64, len(signatures))
+    of_row = of_firing[config_of[rows]]
+    groups = [(signature, rows[of_row == k]) for k, signature in enumerate(distinct)]
+    return [(signature, group) for signature, group in groups if len(group)]
+
+
+class _SignatureTables(NamedTuple):
+    """A plan's dirty paths compiled for one port-entropy signature.
+
+    A deterministic path owns row ``table_of_path[path]`` of ``first_drop``:
+    per port slot, the link that drops a probe sent from that port -- the
+    first match walking the path forward, then back -- or -1 when it is
+    delivered.  A stochastic path owns ``walks[path] = (walk, port_range or
+    0)``: the same walk flattened to ``(link_id, kind, argument)`` steps, the
+    argument being the loss rate of a random step and the per-slot pattern of
+    a deterministic-partial one (0 when no step needs the slots).
+    """
+
+    table_of_path: np.ndarray
+    first_drop: np.ndarray
+    walks: Dict[int, Tuple[list, int]]
+
+
+class _ScenarioPlan:
+    """One scenario version compiled against the primed path table.
+
+    ``dirty`` marks the primed paths crossing a failed link, ``stochastic``
+    those of them crossing a random-partial one, and ``failures[row]`` is a
+    dirty path's ``(link_id, LinkFailure)`` list in the order the scalar
+    kernel walks it.  ``tables`` holds one :class:`_SignatureTables` per
+    port-entropy signature met since the compile.
+    """
+
+    __slots__ = ("scenario", "version", "dirty", "stochastic", "failures", "tables")
+
+    def __init__(self, scenario, dirty, stochastic, failures):
+        self.scenario = scenario
+        self.version = scenario.version
+        self.dirty = dirty
+        self.stochastic = stochastic
+        self.failures = failures
+        self.tables: Dict[_Signature, _SignatureTables] = {}
+
+
 class ProbeSimulator:
     """Simulates probe transmission over a topology with injected failures."""
 
@@ -106,11 +175,21 @@ class ProbeSimulator:
         self._probe_reverse_path = probe_reverse_path
         self.drops_per_link: Dict[int, int] = {}
         # Bulk-probing state (prime_paths): the probe matrix's path table, a
-        # link -> path-rows reverse index, and a cached dirty-path mask keyed
-        # on the scenario object and its mutation version.
+        # link -> path-rows reverse index, the plan compiled for the current
+        # (scenario, version), and the per-port decisions of every
+        # deterministic-partial failure met since the last prime.
         self._primed_paths: Optional[List[Path]] = None
         self._rows_by_link: Dict[int, np.ndarray] = {}
-        self._dirty_cache: Optional[Tuple[FailureScenario, int, np.ndarray]] = None
+        self._plan_cache: Optional[_ScenarioPlan] = None
+        self._flow_memo: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        # Run totals of the bulk kernel (telemetry()).
+        self._bulk_totals = {
+            "rows_clean": 0,
+            "rows_deterministic": 0,
+            "rows_stochastic": 0,
+            "scenario_compiles": 0,
+            "random_draws": 0,
+        }
 
     # ------------------------------------------------------------------ state
     @property
@@ -125,15 +204,28 @@ class ProbeSimulator:
         """Swap the failure scenario (new evaluation minute, same simulator)."""
         self._scenario = scenario
         self.drops_per_link = {}
-        self._dirty_cache = None
+        self._plan_cache = None
+
+    def telemetry(self) -> Dict[str, int]:
+        """Run totals of the bulk kernel, shaped for a metrics-registry source.
+
+        Rows answered per class (clean / deterministic / stochastic), plans
+        compiled (one per scenario version the kernel met) and uniform
+        variates drawn.  Only :meth:`probe_paths_bulk` ticks them, so they
+        describe the coalesced scheduling regime and read zero in the
+        per-event one -- informational, like the scheduler's drain statistics.
+        """
+        return dict(self._bulk_totals)
 
     # ------------------------------------------------------------ bulk probing
     def prime_paths(self, paths: Sequence[Path]) -> None:
         """Register a probe matrix's path table for :meth:`probe_paths_bulk`.
 
         Builds a link -> path-rows reverse index once per controller cycle so
-        that scenario changes re-derive the dirty-path mask in time
-        proportional to the *affected* rows, not the whole matrix.
+        that scenario changes re-compile the plan in time proportional to the
+        *affected* rows, not the whole matrix.  Drops the compiled plan and
+        the per-port decision memo: a long ``serve()`` holds at most one
+        controller cycle's ``(failure, src, dst)`` patterns.
         """
         self._primed_paths = list(paths)
         rows_by_link: Dict[int, List[int]] = {}
@@ -144,25 +236,114 @@ class ProbeSimulator:
             link_id: np.asarray(rows, dtype=np.int64)
             for link_id, rows in rows_by_link.items()
         }
-        self._dirty_cache = None
+        self._plan_cache = None
+        self._flow_memo = {}
 
-    def _dirty_path_mask(self) -> np.ndarray:
-        """Boolean mask over primed paths: does the path cross a failed link?
+    def _plan(self) -> _ScenarioPlan:
+        """The plan of the current ``(scenario, scenario.version)``.
 
-        Cached per ``(scenario, scenario.version)``; the fault model bumps the
-        version on every in-place activation/deactivation.
+        Compiled on first use and dropped wherever the scenario or the path
+        table can have changed: :meth:`set_scenario`, :meth:`prime_paths`, and
+        a version bump (the fault model bumps it on every in-place
+        activation/deactivation).
         """
         scenario = self._scenario
-        cache = self._dirty_cache
-        if cache is not None and cache[0] is scenario and cache[1] == scenario.version:
-            return cache[2]
-        mask = np.zeros(len(self._primed_paths), dtype=bool)
-        for link_id in scenario.failures:
+        plan = self._plan_cache
+        if plan is not None and plan.scenario is scenario and plan.version == scenario.version:
+            return plan
+        failing = scenario.failures
+        dirty = np.zeros(len(self._primed_paths), dtype=bool)
+        stochastic = np.zeros(len(self._primed_paths), dtype=bool)
+        for link_id, failure in failing.items():
             rows = self._rows_by_link.get(link_id)
             if rows is not None:
-                mask[rows] = True
-        self._dirty_cache = (scenario, scenario.version, mask)
-        return mask
+                dirty[rows] = True
+                if failure.mode is LossMode.RANDOM_PARTIAL:
+                    stochastic[rows] = True
+        paths = self._primed_paths
+        # Same link iteration order as the scalar transmit() loop, so drop
+        # attribution (which failed link gets charged) matches that regime.
+        failures = {
+            row: [
+                (link_id, failing[link_id])
+                for link_id in paths[row].link_ids
+                if link_id in failing
+            ]
+            for row in np.flatnonzero(dirty).tolist()
+        }
+        self._bulk_totals["scenario_compiles"] += 1
+        self._plan_cache = plan = _ScenarioPlan(scenario, dirty, stochastic, failures)
+        return plan
+
+    def _flow_patterns(
+        self, failure: LinkFailure, src: str, dst: str, signature: _Signature
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-port-slot ``drops_flow`` decisions, forward and reverse.
+
+        The flow key varies only through the source port, so ``port_range``
+        decisions per direction cover every probe a pinger can send on the
+        pair.  Memoized across scenario versions until the next prime.
+        """
+        key = (failure, src, dst, signature)
+        patterns = self._flow_memo.get(key)
+        if patterns is None:
+            base_port, port_range, dst_port = signature
+            ports = range(base_port, base_port + port_range)
+            patterns = (
+                np.fromiter(
+                    (failure.drops_flow((src, dst, port, dst_port, 17)) for port in ports),
+                    bool,
+                    port_range,
+                ),
+                np.fromiter(
+                    (failure.drops_flow((dst, src, dst_port, port, 17)) for port in ports),
+                    bool,
+                    port_range,
+                ),
+            )
+            self._flow_memo[key] = patterns
+        return patterns
+
+    def _tables(self, plan: _ScenarioPlan, signature: _Signature) -> _SignatureTables:
+        """``plan``'s dirty paths compiled for ``signature``, on first use."""
+        tables = plan.tables.get(signature)
+        if tables is not None:
+            return tables
+        port_range = signature[1]
+        directions = (0, 1) if self._probe_reverse_path else (0,)
+        table_of_path = np.full(len(self._primed_paths), -1, dtype=np.int64)
+        first_rows: List[np.ndarray] = []
+        walks: Dict[int, Tuple[list, int]] = {}
+        for row, failures in plan.failures.items():
+            path = self._primed_paths[row]
+            walk = []
+            matching = False
+            for direction in directions:
+                for link_id, failure in failures:
+                    if failure.mode is LossMode.FULL:
+                        walk.append((link_id, _FULL, None))
+                    elif failure.mode is LossMode.DETERMINISTIC_PARTIAL:
+                        matching = True
+                        patterns = self._flow_patterns(failure, path.src, path.dst, signature)
+                        walk.append((link_id, _MATCH, patterns[direction]))
+                    else:
+                        walk.append((link_id, _RANDOM, failure.loss_rate))
+            if plan.stochastic[row]:
+                walks[row] = (walk, port_range if matching else 0)
+                continue
+            first = np.full(port_range, -1, dtype=np.int64)
+            for link_id, kind, pattern in walk:
+                if kind == _FULL:
+                    first[first < 0] = link_id
+                    break  # nothing gets past a full-loss link
+                first[pattern & (first < 0)] = link_id
+            table_of_path[row] = len(first_rows)
+            first_rows.append(first)
+        first_drop = (
+            np.array(first_rows) if first_rows else np.zeros((0, port_range), dtype=np.int64)
+        )
+        plan.tables[signature] = tables = _SignatureTables(table_of_path, first_drop, walks)
+        return tables
 
     def probe_paths_bulk(
         self,
@@ -178,32 +359,144 @@ class ProbeSimulator:
         ``path_indices[i]`` names a primed path receiving ``counts[i]`` probes
         starting at sequence ``start_sequences[i]``; ``configs[config_of[i]]``
         and ``confirms[config_of[i]]`` supply the row's probe entropy and
-        loss-confirmation settings (one entry per firing pinger).  Rows whose
-        path crosses no failed link -- the overwhelming majority in steady
-        state -- are answered wholesale as ``(count, 0)`` without consuming
-        any randomness, exactly like :meth:`probe_path_batch`'s early return;
-        dirty rows fall back to that scalar kernel *in row order*, so random
-        draws and per-link drop attribution are byte-identical to issuing the
-        same rows one call at a time.  Returns ``(sent, lost)`` int64 arrays
-        including confirmation resends.
+        loss-confirmation settings (one entry per firing pinger).  Rows are
+        answered by class, from the plan compiled for the scenario version:
+
+        * *clean* rows (no failed link; the overwhelming majority in steady
+          state) are ``(count, 0)`` wholesale;
+        * *deterministic* rows (full-loss and deterministic-partial links
+          only) in one numpy pass: probes per port slot from ``divmod`` on
+          ``(count, start_sequence)``, a slot's fate from the compiled
+          first-drop table, every loss re-sent and lost again ``confirm``
+          times, drops charged per link by one ``bincount``;
+        * *stochastic* rows (at least one random-partial link) one kernel call
+          each, in row order, drawing ``Generator.random(n)`` exactly where
+          :meth:`probe_path_batch` does.
+
+        No randomness is consumed by the first two classes, so ``(sent,
+        lost)``, ``drops_per_link`` and the generator state equal issuing the
+        same rows one :meth:`probe_path_batch` call at a time.  Returns
+        ``(sent, lost)`` int64 arrays including confirmation resends.
         """
         if self._primed_paths is None:
             raise RuntimeError("prime_paths() must be called before probe_paths_bulk()")
         counts = np.asarray(counts, dtype=np.int64)
         sent = counts.copy()
         lost = np.zeros(len(counts), dtype=np.int64)
-        dirty = self._dirty_path_mask()
-        for i in np.flatnonzero(dirty[path_indices]):
-            firing = int(config_of[i])
-            row_sent, row_lost = self.probe_path_batch(
-                self._primed_paths[int(path_indices[i])],
-                configs[firing],
-                int(counts[i]),
-                int(start_sequences[i]),
-                confirm_losses=confirms[firing],
-            )
-            sent[i] = row_sent
-            lost[i] = row_lost
+        plan = self._plan()
+        dirty_rows = np.flatnonzero(plan.dirty[path_indices])
+        stochastic = plan.stochastic[path_indices[dirty_rows]]
+        if len(dirty_rows):
+            signatures = [(c.base_port, c.port_range, c.destination_port) for c in configs]
+            confirm_of = np.asarray(confirms, dtype=np.int64)
+            rows = dirty_rows[~stochastic]
+            for signature, group in _group_rows(rows, signatures, config_of):
+                tables = self._tables(plan, signature)
+                sent[group], lost[group] = self._probe_deterministic_rows(
+                    tables.first_drop[tables.table_of_path[path_indices[group]]],
+                    counts[group],
+                    start_sequences[group],
+                    confirm_of[config_of[group]],
+                )
+            rows = dirty_rows[stochastic]
+            outcomes = []
+            for path, count, start, firing in zip(
+                path_indices[rows].tolist(),
+                counts[rows].tolist(),
+                start_sequences[rows].tolist(),
+                config_of[rows].tolist(),
+            ):
+                walk, port_range = self._tables(plan, signatures[firing]).walks[path]
+                outcomes.append(
+                    self._probe_stochastic_row(walk, port_range, count, start, confirms[firing])
+                )
+            if outcomes:
+                sent[rows], lost[rows] = np.asarray(outcomes, dtype=np.int64).T
+        num_stochastic = int(np.count_nonzero(stochastic))
+        row_classes = {
+            "rows_clean": len(counts) - len(dirty_rows),
+            "rows_deterministic": len(dirty_rows) - num_stochastic,
+            "rows_stochastic": num_stochastic,
+        }
+        for name, rows in row_classes.items():
+            self._bulk_totals[name] += rows
+        trace_record("sim.bulk", informational=True, **row_classes)
+        return sent, lost
+
+    def _probe_deterministic_rows(
+        self, first: np.ndarray, counts: np.ndarray, starts: np.ndarray, confirms: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Closed-form outcome of rows whose every port slot has a fixed fate.
+
+        ``first[i, s]`` is the link dropping row ``i``'s probes from port slot
+        ``s`` (-1: delivered).  A row sends ``count // port_range`` probes
+        from every slot plus one from each of the ``count % port_range``
+        slots following ``start_sequence``; a dropped probe is re-sent and
+        dropped again ``confirm`` times, each copy charged to the same link.
+        """
+        port_range = first.shape[1]
+        whole, part = np.divmod(counts, port_range)
+        behind_start = (np.arange(port_range) - starts[:, None]) % port_range
+        probes = whole[:, None] + (behind_start < part[:, None])
+        dropped = first >= 0
+        lost_once = np.where(dropped, probes, 0).sum(axis=1)
+        charged = np.bincount(
+            first[dropped], weights=(probes * (1 + confirms)[:, None])[dropped]
+        )
+        drops = self.drops_per_link
+        for link_id in np.flatnonzero(charged).tolist():
+            drops[link_id] = drops.get(link_id, 0) + int(charged[link_id])
+        return counts + confirms * lost_once, (1 + confirms) * lost_once
+
+    def _probe_stochastic_row(
+        self, walk: list, port_range: int, count: int, start_sequence: int, confirm_losses: int
+    ) -> Tuple[int, int]:
+        """One row crossing a random-partial link, from its compiled walk.
+
+        Draw for draw what :meth:`probe_path_batch` does: one
+        ``random(n)`` per random link reached, ``n`` the size of the
+        transmission (dead probes included), nothing drawn once every probe
+        is dead; then ``confirm_losses`` re-transmissions of the probes the
+        first transmission lost.
+        """
+        random = self._rng.random
+        drops = self.drops_per_link
+        slots = (
+            np.arange(start_sequence, start_sequence + count) % port_range if port_range else None
+        )
+        sent = size = count
+        lost = draws = 0
+        for attempt in range(1 + confirm_losses):
+            if attempt:
+                sent += size
+            alive = None  # mask of the survivors once a probe has died
+            remaining = size
+            for link_id, kind, argument in walk:
+                if kind == _FULL:
+                    dropped = remaining
+                else:
+                    if kind == _RANDOM:
+                        dead = random(size) < argument
+                        draws += size
+                    else:
+                        dead = argument[slots]
+                    if alive is not None:
+                        dead &= alive
+                    dropped = int(np.count_nonzero(dead))
+                if dropped:
+                    drops[link_id] = drops.get(link_id, 0) + dropped
+                    remaining -= dropped
+                    if not remaining:
+                        break
+                    alive = ~dead if alive is None else alive ^ dead
+            lost += size - remaining
+            if not attempt:
+                if remaining == size:
+                    break  # nothing to confirm
+                if remaining and slots is not None:
+                    slots = slots[~alive]
+                size -= remaining
+        self._bulk_totals["random_draws"] += draws
         return sent, lost
 
     # ------------------------------------------------------------ primitives

@@ -112,6 +112,53 @@ class TestLoopPrimitives:
 # bulk probing kernel: probe_paths_bulk == scalar probe_path_batch
 # ---------------------------------------------------------------------------
 
+def _bulk_and_scalar(topology, paths, scenario, rows, counts, starts, configs,
+                     config_of, confirms, reverse=True, seed=99):
+    """Probe the same rows through both kernels; returns the four observables
+    of each: ``(sent, lost, drops_per_link, generator state)``."""
+    rows, counts, starts, config_of = (
+        np.asarray(column, dtype=np.int64) for column in (rows, counts, starts, config_of)
+    )
+    bulk = ProbeSimulator(topology, scenario, np.random.default_rng(seed), reverse)
+    bulk.prime_paths(paths)
+    sent, lost = bulk.probe_paths_bulk(rows, counts, starts, configs, config_of, confirms)
+    scalar = ProbeSimulator(topology, scenario, np.random.default_rng(seed), reverse)
+    outcomes = [
+        scalar.probe_path_batch(
+            paths[row], configs[firing], count, start, confirm_losses=confirms[firing]
+        )
+        for row, count, start, firing in zip(
+            rows.tolist(), counts.tolist(), starts.tolist(), config_of.tolist()
+        )
+    ]
+    return (
+        (sent.tolist(), lost.tolist(), bulk.drops_per_link, bulk._rng.bit_generator.state),
+        (
+            [s for s, _ in outcomes],
+            [l for _, l in outcomes],
+            scalar.drops_per_link,
+            scalar._rng.bit_generator.state,
+        ),
+    )
+
+
+def _mixed_scenario(paths):
+    """Random, gray, random, full -- in walk order -- on the four links of
+    paths[1], plus a gray and a full-loss link elsewhere; the links are shared,
+    so other paths cross other sub-mixes."""
+    walk = list(paths[1].link_ids)
+    gray = LossMode.DETERMINISTIC_PARTIAL
+    scenario = FailureScenario(description="bulk parity, mixed")
+    scenario.add(LinkFailure(walk[0], LossMode.RANDOM_PARTIAL, loss_rate=0.3))
+    scenario.add(LinkFailure(walk[1], gray, match_fraction=0.4, salt=7))
+    scenario.add(LinkFailure(walk[2], LossMode.RANDOM_PARTIAL, loss_rate=0.6))
+    scenario.add(LinkFailure(walk[3], LossMode.FULL))
+    others = sorted({link for path in paths for link in path.link_ids} - set(walk))
+    scenario.add(LinkFailure(others[0], gray, match_fraction=0.25, salt=3))
+    scenario.add(LinkFailure(others[1], LossMode.FULL))
+    return scenario
+
+
 class TestBulkProbeKernel:
     @pytest.mark.parametrize("mode", [LossMode.FULL, LossMode.RANDOM_PARTIAL,
                                       LossMode.DETERMINISTIC_PARTIAL])
@@ -122,34 +169,116 @@ class TestBulkProbeKernel:
                               match_fraction=0.25)
         scenario = FailureScenario(description="bulk parity")
         scenario.add(failure)
-        config = ProbeConfig(probes_per_path=4)
+        rows = list(range(min(20, len(paths))))
+        bulk, scalar = _bulk_and_scalar(
+            fattree4, paths, scenario, rows,
+            counts=[3 + (i % 4) for i in rows], starts=[10 * i for i in rows],
+            configs=[ProbeConfig(probes_per_path=4)], config_of=[0] * len(rows),
+            confirms=[2],
+        )
+        assert bulk == scalar
+        assert sum(bulk[1]) > 0  # the fault actually bit
 
-        def run(bulk: bool):
-            sim = ProbeSimulator(fattree4, scenario, np.random.default_rng(99))
-            rows = np.arange(min(20, len(paths)), dtype=np.int64)
-            counts = np.asarray([3 + (i % 4) for i in rows], dtype=np.int64)
-            starts = np.asarray([10 * i for i in rows], dtype=np.int64)
-            if bulk:
-                sim.prime_paths(paths)
-                return sim.probe_paths_bulk(
-                    rows, counts, starts, configs=[config],
-                    config_of=np.zeros(len(rows), dtype=np.int64), confirms=[2],
-                )
-            sent = np.zeros(len(rows), dtype=np.int64)
-            lost = np.zeros(len(rows), dtype=np.int64)
-            for i in rows:
-                s, l = sim.probe_path_batch(
-                    paths[int(i)], config, int(counts[i]), int(starts[i]),
-                    confirm_losses=2,
-                )
-                sent[i], lost[i] = s, l
-            return sent, lost
+    @pytest.mark.parametrize("reverse", [True, False])
+    @pytest.mark.parametrize("confirm", [0, 2, 3])
+    def test_bulk_matches_scalar_on_a_mixed_drain(
+        self, fattree4, fattree4_probe_matrix, reverse, confirm
+    ):
+        """Every path several times, counts of 1 and beyond ``port_range``
+        (slot wrap-around), two port-entropy signatures in one call."""
+        paths = fattree4_probe_matrix.paths
+        configs = [ProbeConfig(), ProbeConfig(port_range=5, base_port=40000)]
+        rows = [i % len(paths) for i in range(3 * len(paths))]
+        bulk, scalar = _bulk_and_scalar(
+            fattree4, paths, _mixed_scenario(paths), rows,
+            counts=[(1, 3, 16, 21, 40)[i % 5] for i in range(len(rows))],
+            starts=[(7 * i) % 50 for i in range(len(rows))],
+            configs=configs, config_of=[i % 2 for i in range(len(rows))],
+            confirms=[confirm, 1], reverse=reverse,
+        )
+        assert bulk == scalar
+        assert sum(bulk[1]) > 0
 
-        bulk_sent, bulk_lost = run(bulk=True)
-        scalar_sent, scalar_lost = run(bulk=False)
-        assert bulk_sent.tolist() == scalar_sent.tolist()
-        assert bulk_lost.tolist() == scalar_lost.tolist()
-        assert int(bulk_lost.sum()) > 0  # the fault actually bit
+    # -------------------------------------------------------- cache lifetime
+    def _probe_all(self, sim, paths, confirm=1):
+        rows = np.arange(len(paths), dtype=np.int64)
+        return sim.probe_paths_bulk(
+            rows, np.full(len(rows), 20, dtype=np.int64), np.zeros(len(rows), dtype=np.int64),
+            configs=[ProbeConfig()], config_of=np.zeros(len(rows), dtype=np.int64),
+            confirms=[confirm],
+        )
+
+    def test_refailed_link_never_reads_a_stale_table(self, fattree4, fattree4_probe_matrix):
+        paths = fattree4_probe_matrix.paths
+        link = sorted(paths[0].link_ids)[0]
+        crossing = [i for i, path in enumerate(paths) if link in path.link_ids]
+        scenario = FailureScenario()
+        sim = ProbeSimulator(fattree4, scenario, np.random.default_rng(5))
+        sim.prime_paths(paths)
+        assert self._probe_all(sim, paths)[1].sum() == 0
+        scenario.add(LinkFailure(link, LossMode.DETERMINISTIC_PARTIAL, match_fraction=0.5))
+        gray = self._probe_all(sim, paths)[1]
+        assert 0 < gray[crossing].sum() < 40 * len(crossing)
+        scenario.remove(link)
+        assert self._probe_all(sim, paths)[1].sum() == 0
+        # Same link, new mode: the plan must recompile on the version bump.
+        scenario.add(LinkFailure(link, LossMode.FULL))
+        full = self._probe_all(sim, paths)[1]
+        assert full[crossing].tolist() == [40] * len(crossing)
+        assert full.sum() == 40 * len(crossing)
+        assert sim.telemetry()["scenario_compiles"] == 4
+
+    def test_reprimed_simulator_drops_plan_and_memo(self, fattree4, fattree4_probe_matrix):
+        paths = fattree4_probe_matrix.paths
+        link = sorted(paths[0].link_ids)[0]
+        scenario = FailureScenario()
+        scenario.add(LinkFailure(link, LossMode.DETERMINISTIC_PARTIAL, match_fraction=0.5))
+        sim = ProbeSimulator(fattree4, scenario, np.random.default_rng(5))
+        sim.prime_paths(paths)
+        before = self._probe_all(sim, paths)[1]
+        assert sim._flow_memo and sim._plan_cache is not None
+        # A new cycle's table: other rows, same scenario version.
+        shifted = list(paths[1:]) + [paths[0]]
+        sim.prime_paths(shifted)
+        assert sim._flow_memo == {} and sim._plan_cache is None
+        after = self._probe_all(sim, shifted)[1]
+        assert after.tolist() == before.tolist()[1:] + before.tolist()[:1]
+
+    def test_memo_is_empty_after_a_rearm(self, fattree4):
+        engine = _build_engine(fattree4)
+        engine.run(70.0)  # the gray failure (t=5 s) has been probed
+        simulator = engine.system.simulator
+        assert simulator._flow_memo
+        engine._rearm()
+        assert simulator._flow_memo == {}
+        assert simulator._plan_cache is None
+
+    def test_storm_drain_never_dispatches_rows_to_the_scalar_kernel(
+        self, fattree4, monkeypatch
+    ):
+        """All three fault classes active on Fattree(4): the drains make no
+        ``probe_path_batch`` call and one kernel call per stochastic row."""
+        calls = {"scalar": 0, "stochastic": 0}
+        scalar, stochastic = ProbeSimulator.probe_path_batch, ProbeSimulator._probe_stochastic_row
+
+        def spy(name, function):
+            def wrapped(self, *args, **kwargs):
+                calls[name] += 1
+                return function(self, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(ProbeSimulator, "probe_path_batch", spy("scalar", scalar))
+        monkeypatch.setattr(
+            ProbeSimulator, "_probe_stochastic_row", spy("stochastic", stochastic)
+        )
+        engine = _build_engine(fattree4, episodes=_storm_episodes(), bulk_batch_threshold=0)
+        result = engine.run(60.0)
+        rows = engine.system.simulator.telemetry()
+        assert calls["scalar"] == 0
+        assert 0 < calls["stochastic"] == rows["rows_stochastic"]
+        assert rows["rows_deterministic"] > 0 and rows["rows_clean"] > 0
+        assert rows["random_draws"] > 0
+        assert result.probes_lost > 0
 
     def test_bulk_requires_primed_paths(self, fattree4):
         sim = ProbeSimulator(
@@ -254,12 +383,26 @@ class TestShardedAggregator:
 # end-to-end differential: batched == per-event, shards invariant, serve == run
 # ---------------------------------------------------------------------------
 
-def _build_engine(topology, seed=2017, **config_overrides):
+def _storm_episodes():
+    """The three fault classes on switch links of Fattree(4) that probe paths
+    cross, two of each, so single drains mix clean, deterministic and
+    stochastic rows (and some paths cross two faults)."""
+    return [
+        FlappingLink(link_id=3, half_life_up_seconds=25.0, half_life_down_seconds=10.0),
+        FlappingLink(link_id=34, half_life_up_seconds=15.0, half_life_down_seconds=15.0),
+        CongestionEpisode(link_id=9, start_time=2.0, duration_seconds=100.0, loss_rate=0.1),
+        CongestionEpisode(link_id=40, start_time=10.0, duration_seconds=100.0, loss_rate=0.4),
+        GrayFailure(link_id=11, start_time=5.0, match_fraction=0.25),
+        GrayFailure(link_id=17, start_time=1.0, match_fraction=0.5),
+    ]
+
+
+def _build_engine(topology, seed=2017, episodes=None, **config_overrides):
     streams = SeededStreams(seed)
     system = DetectorSystem(
         topology, streams.generator("probing"), ControllerConfig(alpha=2, beta=1)
     )
-    episodes = [
+    episodes = episodes or [
         FlappingLink(link_id=3, half_life_up_seconds=25.0, half_life_down_seconds=10.0),
         CongestionEpisode(link_id=7, start_time=20.0, duration_seconds=40.0,
                           loss_rate=0.1),
@@ -318,6 +461,25 @@ class TestBatchedSchedulingDifferential:
             _build_engine(fattree4, batched_scheduling=True).run(130.0)
         )
         assert coalesced == baseline
+
+    def test_batched_is_byte_identical_to_per_event_in_a_storm(self, fattree4):
+        """Random-loss links on probed paths: the coalesced regime must also
+        leave the probing generator and the drop attribution where the
+        per-event one leaves them."""
+        observed = []
+        for batched in (False, True):
+            engine = _build_engine(
+                fattree4, episodes=_storm_episodes(), batched_scheduling=batched,
+                bulk_batch_threshold=0,
+            )
+            result = engine.run(130.0)
+            simulator = engine.system.simulator
+            observed.append(
+                (_canonical(result), simulator.drops_per_link,
+                 simulator._rng.bit_generator.state)
+            )
+        assert observed[0] == observed[1]
+        assert simulator.telemetry()["rows_stochastic"] > 0
 
     @pytest.mark.parametrize("threshold", [0, 10**9])
     def test_bulk_threshold_extremes_change_nothing(self, fattree4, threshold):

@@ -534,6 +534,28 @@ class TestEngineObservability:
         assert "build_info{" in "".join(full["gauges"])
         assert all("build_info" not in name for name in snapshot["gauges"])
 
+    def test_bulk_kernel_row_classes_are_exported(self):
+        """One informational ``sim.bulk`` span per columnar drain, its row
+        classes summing to the registry's informational ``sim_bulk_*`` totals."""
+        engine, obs = _build_traced_engine()
+        engine.run(90.0)
+        spans = [span for span in obs.tracer.finished_spans() if span.name == "sim.bulk"]
+        assert spans and all(span.informational for span in spans)
+        counters = obs.registry.snapshot()["counters"]
+        for row_class in ("rows_clean", "rows_deterministic", "rows_stochastic"):
+            assert counters[f"sim_bulk_{row_class}"] == sum(
+                span.labels[row_class] for span in spans
+            )
+        # The congestion episode and the flapper both reached probed paths.
+        assert counters["sim_bulk_rows_stochastic"] > 0
+        assert counters["sim_bulk_rows_deterministic"] > 0
+        assert counters["sim_bulk_random_draws"] > 0
+        assert 0 < counters["sim_bulk_scenario_compiles"] <= len(spans)
+        # Regime-dependent, hence outside every deterministic export.
+        deterministic = obs.registry.snapshot(deterministic=True)["counters"]
+        assert not any(name.startswith("sim_bulk_") for name in deterministic)
+        assert "sim.bulk" not in obs.tracer.export_jsonl()
+
     def test_untraced_run_has_no_tracer_and_same_result(self):
         traced_engine, traced_obs = _build_traced_engine()
         traced = traced_engine.run(90.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from repro.localization import (
     evaluate_localization,
 )
 from repro.routing import Path
+from repro.simulation import FailureScenario, LinkFailure, LossMode, ProbeConfig, ProbeSimulator
 from repro.topology import Tier, TopologyBuilder
 
 # ---------------------------------------------------------------------------
@@ -323,3 +325,86 @@ def test_metric_identities(truth, predicted):
     assert 0.0 <= counts.accuracy <= 1.0
     assert 0.0 <= counts.false_positive_ratio <= 1.0
     assert counts.accuracy + counts.false_negative_ratio == 1.0 or len(truth) == 0
+
+
+# ---------------------------------------------------------------------------
+# bulk probing kernel == row-by-row scalar kernel
+# ---------------------------------------------------------------------------
+
+link_failures = st.builds(
+    LinkFailure,
+    link_id=st.integers(min_value=0, max_value=7),
+    mode=st.sampled_from(list(LossMode)),
+    loss_rate=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    match_fraction=st.sampled_from([0.1, 0.5, 1.0]),
+    salt=st.integers(min_value=0, max_value=3),
+)
+
+probe_configs = st.builds(
+    ProbeConfig,
+    port_range=st.integers(min_value=1, max_value=20),
+    base_port=st.sampled_from([33434, 40000]),
+    destination_port=st.sampled_from([53535, 999]),
+)
+
+
+@st.composite
+def probe_drains(draw):
+    """Two drains of ``(path, count, start, firing)`` rows over a path table
+    whose first path crosses every link, so any mix of failed links -- a
+    full-loss link before and after a random one included -- shares a path."""
+    link_sets = [frozenset(range(8))] + draw(
+        st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=5)
+    )
+    paths = [
+        Path(i, (f"s{i}", f"d{i}"), frozenset(links), f"s{i}", f"d{i}")
+        for i, links in enumerate(link_sets)
+    ]
+    row = st.tuples(
+        st.integers(0, len(paths) - 1), st.integers(0, 45), st.integers(0, 100), st.integers(0, 1)
+    )
+    drains = [draw(st.lists(row, min_size=1, max_size=25)) for _ in range(2)]
+    return paths, drains
+
+
+@given(
+    probe_drains(),
+    st.lists(link_failures, min_size=1, max_size=8, unique_by=lambda f: f.link_id),
+    link_failures,
+    st.tuples(probe_configs, probe_configs),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_bulk_probing_equals_row_by_row_scalar(
+    drains, failures, readded, configs, confirms, reverse, seed
+):
+    """``probe_paths_bulk`` == one ``probe_path_batch`` call per row on sent,
+    lost, ``drops_per_link`` and the generator state -- before and after a
+    failed link is re-``add``ed with another failure (only ``version`` tells
+    the compiled plan that the scenario object changed)."""
+    paths, (first, second) = drains
+    topology = line_topology(8)
+    scenario = FailureScenario()
+    for failure in failures:
+        scenario.add(failure)
+    bulk = ProbeSimulator(topology, scenario, np.random.default_rng(seed), reverse)
+    bulk.prime_paths(paths)
+    scalar = ProbeSimulator(topology, scenario, np.random.default_rng(seed), reverse)
+    for drain in (first, second):
+        rows, counts, starts, firings = (
+            np.asarray(column, dtype=np.int64) for column in zip(*drain)
+        )
+        sent, lost = bulk.probe_paths_bulk(rows, counts, starts, configs, firings, confirms)
+        expected = [
+            scalar.probe_path_batch(
+                paths[row], configs[firing], count, start, confirm_losses=confirms[firing]
+            )
+            for row, count, start, firing in drain
+        ]
+        assert list(zip(sent.tolist(), lost.tolist())) == expected
+        assert bulk.drops_per_link == scalar.drops_per_link
+        assert bulk._rng.bit_generator.state == scalar._rng.bit_generator.state
+        scenario.add(LinkFailure(failures[0].link_id, readded.mode, readded.loss_rate,
+                                 readded.match_fraction, readded.salt))
