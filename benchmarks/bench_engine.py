@@ -5,16 +5,16 @@ Drives the discrete-event engine over a flapping-link scenario and measures
 * **probe events/sec** -- probes simulated per *streaming-plane* wall-clock
   second (total wall minus the controller cycles' wall) while the full
   monitoring loop (coalesced probe streams, fault dynamics, sharded
-  sliding-window aggregation, per-window PLL diagnosis) is running, and
+  window aggregation, per-window PLL diagnosis) is running, and
 * **steady-state cycle latency** -- wall seconds per controller-cycle event
   (churn replay + incremental re-plan + scheduler/aggregator re-arm),
   reported separately so a slow re-plan cannot mask probe-path speed.
 
 The default configuration runs Fattree(16), the fabric of Table 5's scale
-discussion; the acceptance bar there is >= 2M probe events/sec with batched
-(coalesced) scheduling -- enforced in CI via ``--min-rate 2000000``, which
-exits non-zero below the floor.  The CI benchmark-smoke job runs quick mode
-(Fattree(8)); run the full gated configuration locally with::
+discussion; the acceptance bar there is >= 2M probe events/sec -- enforced in
+CI via ``--min-rate 2000000``, which exits non-zero below the floor.  The CI
+benchmark-smoke job runs quick mode (Fattree(8)); run the full gated
+configuration locally with::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --min-rate 2000000 [--out BENCH_engine.json]
 """
@@ -36,7 +36,7 @@ from repro.topology import build_fattree
 
 @informational_wall("Benchmark wall timings are informational by definition")
 def bench(
-    name: str, topology, duration: float, seed: int = 2017, batched: bool = True,
+    name: str, topology, duration: float, seed: int = 2017,
     shards: int = 16, obs: Observability | None = None,
 ) -> dict:
     streams = SeededStreams(seed)
@@ -60,7 +60,6 @@ def bench(
         cycle_seconds=60.0,
         probes_per_second=100.0,  # stress rate: 10x the paper's 10 pps
         probe_batch_seconds=1.0,
-        batched_scheduling=batched,
         aggregator_shards=shards,
     )
     schedule = ChurnSchedule.generate(
@@ -95,7 +94,6 @@ def bench(
         "probe_rate_per_pinger": config.probes_per_second,
         "pinger_streams": engine._scheduler.num_streams,
         "selected_paths": system.probe_matrix.num_paths,
-        "batched_scheduling": batched,
         "aggregator_shards": shards,
         "bootstrap_seconds": round(bootstrap_seconds, 4),
         "wall_seconds": summary["wall_seconds"],
@@ -128,10 +126,6 @@ def main() -> None:
         "--min-rate", type=float, default=None, metavar="EVENTS_PER_SECOND",
         help="hard gate: exit non-zero unless every instance reaches this "
         "streaming-plane probe throughput",
-    )
-    parser.add_argument(
-        "--no-batch", action="store_true",
-        help="per-event scheduling baseline (no coalescing)",
     )
     parser.add_argument("--shards", type=int, default=16, help="aggregator shards")
     parser.add_argument("--out", default="BENCH_engine.json")
@@ -166,14 +160,12 @@ def main() -> None:
             "window_seconds": 30.0,
             "cycle_seconds": 60.0,
             "probes_per_second": 100.0,
-            "batched_scheduling": not args.no_batch,
             "aggregator_shards": args.shards,
             "min_rate_gate": args.min_rate,
             "tracing": obs.tracer is not None,
         },
         rows=[
-            bench(name, topology, duration, batched=not args.no_batch,
-                  shards=args.shards, obs=obs)
+            bench(name, topology, duration, shards=args.shards, obs=obs)
             for name, topology in instances
         ],
     )

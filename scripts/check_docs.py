@@ -15,7 +15,10 @@ It also takes a **knob census**: every ``REPRO_*`` environment variable
 named by a string literal under ``src/`` (the resolvers read them through
 such constants) must have a row in ``docs/TUNING.md``, and every such row
 must still name a variable ``src/`` knows -- so the knob table can neither
-lag behind a new switch nor keep advertising a deleted one.
+lag behind a new switch nor keep advertising a deleted one.  The same holds,
+both ways, for the fields of ``repro.engine.EngineConfig``: each is the
+subject (the "Where" column) of exactly one ``docs/TUNING.md`` row, and every
+row whose subject is an ``EngineConfig`` attribute names a live field.
 
 Exits non-zero listing every broken reference, so CI fails when a refactor
 renames a module or class the docs still point at.  Run locally with::
@@ -26,9 +29,11 @@ renames a module or class the docs still point at.  Run locally with::
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import List, Set, Tuple
 
@@ -41,6 +46,9 @@ FILEPATH = re.compile(r"^(?:src|benchmarks|tests|scripts|examples|docs)/[\w./-]+
 KNOB = re.compile(r"^REPRO_[A-Z_]+$")
 KNOB_ROW = re.compile(r"^\| `(REPRO_[A-Z_]+)` \|", re.MULTILINE)
 KNOB_TABLE = "docs/TUNING.md"
+ENGINE_CONFIG_ROW = re.compile(
+    r"^\| [^|]+ \| `repro\.engine\.EngineConfig\.(\w+)`", re.MULTILINE
+)
 
 
 def check_dotted(ref: str) -> Tuple[bool, str]:
@@ -122,6 +130,27 @@ def check_knob_census() -> List[str]:
     return errors
 
 
+def check_engine_config_census() -> List[str]:
+    from repro.engine import EngineConfig
+
+    fields = {field.name for field in dataclasses.fields(EngineConfig)}
+    rows = Counter(
+        ENGINE_CONFIG_ROW.findall((REPO_ROOT / KNOB_TABLE).read_text(encoding="utf-8"))
+    )
+    errors = [
+        f"{KNOB_TABLE}: `repro.engine.EngineConfig.{name}` is a field but the "
+        f"subject of {rows[name]} rows in the knob tables (want exactly 1)"
+        for name in sorted(fields)
+        if rows[name] != 1
+    ]
+    errors += [
+        f"{KNOB_TABLE}: a row's subject is `repro.engine.EngineConfig.{name}`, "
+        "which is not a field"
+        for name in sorted(rows.keys() - fields)
+    ]
+    return errors
+
+
 def main(argv: List[str]) -> int:
     docs = argv[1:] or DEFAULT_DOCS
     errors: List[str] = []
@@ -134,6 +163,7 @@ def main(argv: List[str]) -> int:
         checked += 1
         errors.extend(check_document(path))
     errors.extend(check_knob_census())
+    errors.extend(check_engine_config_census())
     if errors:
         print(f"check_docs: {len(errors)} broken reference(s):", file=sys.stderr)
         for error in errors:
@@ -141,7 +171,7 @@ def main(argv: List[str]) -> int:
         return 1
     print(
         f"check_docs: all code references resolve ({checked} document(s) checked); "
-        f"REPRO_* knobs under src/ and the {KNOB_TABLE} rows agree"
+        f"REPRO_* knobs under src/, EngineConfig fields and the {KNOB_TABLE} rows agree"
     )
     return 0
 

@@ -240,20 +240,12 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         help="run full controller rebuilds instead of incremental cycles",
     )
     parser.add_argument(
-        "--no-batch", action="store_true",
-        help="disable coalesced (batched) probe-event scheduling",
-    )
-    parser.add_argument(
         "--shards", type=int, default=1,
         help="aggregator shard count (window reports are invariant in this)",
     )
     parser.add_argument(
         "--coalesce-horizon", type=float, default=10.0, metavar="SECONDS",
         help="max simulated time one coalesced drain may span",
-    )
-    parser.add_argument(
-        "--bulk-threshold", type=int, default=64, metavar="ROWS",
-        help="min probe-batch rows per drain before the columnar kernel engages",
     )
     parser.add_argument(
         "--shard-by-pods", action="store_true",
@@ -505,10 +497,8 @@ def _build_engine(args: argparse.Namespace):
         probes_per_second=args.probe_rate,
         jitter_fraction=args.jitter,
         incremental_cycles=not args.full_rebuilds,
-        batched_scheduling=not args.no_batch,
         aggregator_shards=args.shards,
         coalesce_horizon_seconds=args.coalesce_horizon,
-        bulk_batch_threshold=args.bulk_threshold,
     )
     churn_schedule = None
     if args.churn > 0:

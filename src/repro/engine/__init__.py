@@ -27,14 +27,13 @@ from .engine import (
     SnapshotWindow,
     TelemetryEngine,
 )
-from .loop import BatchEventSource, EventHandle, EventLoop, RecurringEvent, SimClock
+from .loop import BatchEventSource, EventHandle, EventLoop, SimClock
 from .probes import ProbeScheduler
 
 __all__ = [
     "SimClock",
     "EventLoop",
     "EventHandle",
-    "RecurringEvent",
     "BatchEventSource",
     "ProbeScheduler",
     "StreamAggregator",

@@ -1,4 +1,4 @@
-"""Sliding-window aggregation of probe outcome streams.
+"""Tumbling-window aggregation of probe outcome streams.
 
 The diagnoser of §3.1 consumes 30-second aggregation windows; under the
 discrete-event engine those windows are no longer "whatever one call to
@@ -19,10 +19,7 @@ Window semantics:
 * events timestamped at or past the open window's end are an engine ordering
   bug and raise: the engine closes windows before delivering later probes;
 * :meth:`close_window` emits a :class:`WindowReport` (observations plus
-  per-link counter snapshots) and opens the next window;
-* an optional ``history_windows``-deep deque of per-link lost counters
-  provides *sliding* multi-window loss counts
-  (:meth:`sliding_link_loss_counts`) for trend detectors.
+  per-link counter snapshots) and opens the next window.
 
 On a frozen clock with every event at the window start, one fold plus one
 :meth:`close_window` reproduces the merged observation set of the legacy
@@ -36,16 +33,16 @@ window closes.  Because the per-path counters are plain integer sums and
 the per-link kernels run exactly once on the *merged* arrays, every window
 report, observation set, and kernel-invocation counter is invariant in the
 shard count (tested in ``tests/test_engine_streaming.py``).
-:meth:`record_batch` folds whole columnar outcome batches from the
-coalescing probe tier with the same acceptance semantics and cost-counter
-totals as the equivalent sequence of :meth:`record` calls.
+:meth:`record_batch` folds the probe scheduler's columnar outcome batches
+with the acceptance semantics and cost-counter totals of the equivalent
+sequence of :meth:`record` calls, except that it validates the whole batch
+before it folds any of it: a batch that raises leaves no trace.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -107,15 +104,12 @@ class StreamAggregator:
         incidence: IncidenceIndex,
         window_seconds: float,
         start_time: float = 0.0,
-        history_windows: int = 0,
         cost: Optional[CostModel] = None,
         num_shards: int = 1,
         shard_of_path: Optional[Sequence[int]] = None,
     ):
         if window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        if history_windows < 0:
-            raise ValueError("history_windows must be non-negative")
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         # Deterministic work counters (events folded/rejected, windows
@@ -149,8 +143,6 @@ class StreamAggregator:
         self._probes_lost = 0
         self._rejected = 0
         self.total_rejected = 0
-        self._history: Deque[Sequence[int]] = deque(maxlen=history_windows or None)
-        self._history_windows = history_windows
 
     def _reset_counters(self) -> None:
         self._shard_sent = [
@@ -176,12 +168,6 @@ class StreamAggregator:
                 total[i] += value
         return total
 
-    def _merged_sent(self):
-        return self._merged(self._shard_sent)
-
-    def _merged_lost(self):
-        return self._merged(self._shard_lost)
-
     # ------------------------------------------------------------------ state
     @property
     def incidence(self) -> IncidenceIndex:
@@ -198,11 +184,6 @@ class StreamAggregator:
     @property
     def window_end(self) -> float:
         return self._window_start + self.window_seconds
-
-    @property
-    def open_probes_sent(self) -> int:
-        """Probes folded into the currently open window so far."""
-        return self._probes_sent
 
     # ----------------------------------------------------------------- folding
     def record(self, path_index: int, time: float, sent: int = 1, lost: int = 0) -> bool:
@@ -238,23 +219,17 @@ class StreamAggregator:
     def record_batch(self, path_indices, times, sent, lost) -> int:
         """Fold a columnar batch of probe outcomes; returns events accepted.
 
-        Semantically identical to calling :meth:`record` once per row (same
-        acceptance/rejection decisions, same raised errors, same cost-counter
-        totals), but the accepted rows fold into the shard counters as
-        ``bincount`` scatter-adds.  On the pure-python backend the batch
-        simply loops the scalar path.
+        The checks run in :meth:`record`'s order -- a future timestamp
+        raises, late rows are rejected and counted, and only the rows that
+        remain must have an in-range path and ``lost <= sent`` -- but over
+        the whole batch before anything is folded or counted, so a batch
+        that raises leaves the aggregator untouched on either backend.  The
+        accepted rows then fold into the shard counters as ``bincount``
+        scatter-adds (numpy) or through :meth:`record` row by row (python).
         """
         n = len(path_indices)
         if n == 0:
             return 0
-        if self._index.backend is not Backend.NUMPY:
-            accepted = 0
-            for i in range(n):
-                if self.record(
-                    int(path_indices[i]), float(times[i]), int(sent[i]), int(lost[i])
-                ):
-                    accepted += 1
-            return accepted
         path_indices = np.asarray(path_indices, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         sent = np.asarray(sent, dtype=np.int64)
@@ -266,22 +241,30 @@ class StreamAggregator:
                 f"event at t={bad} belongs to a later window than "
                 f"[{self._window_start}, {self.window_end}); close the window first"
             )
+        on_time = times >= self._window_start
         num_paths = self._index.num_paths
-        if ((path_indices < 0) | (path_indices >= num_paths)).any():
-            bad_path = int(path_indices[(path_indices < 0) | (path_indices >= num_paths)][0])
-            raise IndexError(f"path index {bad_path} outside the probe matrix")
-        if (lost > sent).any():
+        out_of_range = on_time & ((path_indices < 0) | (path_indices >= num_paths))
+        if out_of_range.any():
+            raise IndexError(
+                f"path index {int(path_indices[out_of_range][0])} outside the probe matrix"
+            )
+        if (on_time & (lost > sent)).any():
             raise ValueError("lost exceeds sent")
-        late = times < self._window_start
-        num_late = int(late.sum())
+        if self._index.backend is not Backend.NUMPY:
+            return sum(
+                self.record(*row)
+                for row in zip(
+                    path_indices.tolist(), times.tolist(), sent.tolist(), lost.tolist()
+                )
+            )
+        num_late = n - int(on_time.sum())
         if num_late:
             self._rejected += num_late
             self.total_rejected += num_late
             self.cost.add("aggregator_events_rejected", num_late)
-            keep = ~late
-            path_indices = path_indices[keep]
-            sent = sent[keep]
-            lost = lost[keep]
+            path_indices = path_indices[on_time]
+            sent = sent[on_time]
+            lost = lost[on_time]
         accepted = n - num_late
         if accepted == 0:
             return 0
@@ -319,38 +302,6 @@ class StreamAggregator:
                 accepted += 1
         return accepted
 
-    # ------------------------------------------------------------ link kernels
-    # Each kernel runs exactly once on the *merged* per-path arrays, so the
-    # kernel-invocation counters are invariant in the shard count.
-    def _lossy_mask(self):
-        lost = self._merged_lost()
-        if self._index.backend is Backend.NUMPY:
-            return lost > 0
-        return [count > 0 for count in lost]
-
-    def link_sent_counts(self):
-        """Per-link probes sent this window (positional over the universe)."""
-        return self._index.weighted_col_counts(self._merged_sent())
-
-    def link_loss_counts(self):
-        """Per-link probes lost this window (positional over the universe)."""
-        return self._index.weighted_col_counts(self._merged_lost())
-
-    def link_lossy_path_counts(self):
-        """Per-link count of distinct lossy paths this window."""
-        return self._index.masked_col_counts(self._lossy_mask())
-
-    def sliding_link_loss_counts(self):
-        """Per-link lost probes summed over the open window plus up to
-        ``history_windows`` previously closed ones (the sliding counter)."""
-        totals = self.link_loss_counts()
-        for past in self._history:
-            if self._index.backend is Backend.NUMPY:
-                totals = totals + past
-            else:
-                totals = [a + b for a, b in zip(totals, past)]
-        return totals
-
     # ---------------------------------------------------------------- rollover
     def close_window(self, end_time: Optional[float] = None) -> WindowReport:
         """Emit the open window's report and roll over to the next window.
@@ -368,9 +319,11 @@ class StreamAggregator:
             shards=self.num_shards,
             events=self.cost.get("aggregator_events_accepted"),
         ):
-            merged_sent = self._merged_sent()
-            merged_lost = self._merged_lost()
-            link_lost = self._index.weighted_col_counts(merged_lost)
+            # Each link kernel runs exactly once on the *merged* per-path
+            # arrays, so the kernel-invocation counters are invariant in the
+            # shard count.
+            merged_sent = self._merged(self._shard_sent)
+            merged_lost = self._merged(self._shard_lost)
             if self._index.backend is Backend.NUMPY:
                 lossy_mask = merged_lost > 0
             else:
@@ -385,11 +338,9 @@ class StreamAggregator:
                 rejected_events=self._rejected,
                 link_ids=self._index.link_ids,
                 link_sent=self._index.weighted_col_counts(merged_sent),
-                link_lost=link_lost,
+                link_lost=self._index.weighted_col_counts(merged_lost),
                 link_lossy_paths=self._index.masked_col_counts(lossy_mask),
             )
-        if self._history_windows:
-            self._history.append(link_lost)
         self._window_index += 1
         self._window_start = max(end, self.window_end)
         self._reset_counters()

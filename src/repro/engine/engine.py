@@ -3,8 +3,8 @@
 :class:`TelemetryEngine` wires a :class:`~repro.monitor.DetectorSystem` into
 the event loop:
 
-* a :class:`~repro.engine.probes.ProbeScheduler` fires per-pinger probe
-  batches at configurable rates with jitter,
+* a :class:`~repro.engine.probes.ProbeScheduler` drains per-pinger probe
+  firings (configurable rates, jittered) into columnar probe batches,
 * a :class:`~repro.engine.dynamics.DynamicFaultModel` evolves the live
   failure scenario (flaps, congestion, gray failures, switch outages),
 * a :class:`~repro.engine.aggregator.StreamAggregator` folds the outcome
@@ -19,6 +19,10 @@ What the paper's static evaluation cannot measure falls out of the timeline:
 **time-to-detection** (first window whose per-link loss counters show losses
 crossing the faulty link) and **time-to-localization** (first window whose
 diagnosis names it), per fault, per scenario.
+
+One driver advances time: :meth:`TelemetryEngine.serve` streams windows as
+they close, and :meth:`TelemetryEngine.run` is that stream drained to its
+horizon and snapshotted by :meth:`TelemetryEngine.build_result`.
 
 The legacy snapshot pipeline is the one-tick special case
 (:meth:`TelemetryEngine.run_snapshot_window`): a frozen clock, every pinger's
@@ -94,14 +98,6 @@ class EngineConfig:
         rebuilds at each cycle boundary.
     run_controller_cycles:
         Disable to keep one probe matrix for the whole run (no cycle events).
-    history_windows:
-        Depth of the aggregator's sliding per-link loss history.
-    batched_scheduling:
-        Coalesce probe firings: the scheduler becomes the loop's batch source
-        and drains every firing falling before the next regular event in one
-        vectorized pass.  Byte-identical to per-event scheduling in every
-        deterministic observable (tested differentially); off reproduces the
-        one-heap-event-per-firing behaviour.
     aggregator_shards:
         Number of :class:`~repro.engine.aggregator.StreamAggregator` shards;
         paths are keyed by the pod of their source node when the topology
@@ -109,10 +105,6 @@ class EngineConfig:
     coalesce_horizon_seconds:
         Cap on the simulated-time span one coalesced drain may cover (bounds
         the latency of serve-mode output against huge event-free gaps).
-    bulk_batch_threshold:
-        Minimum probe-batch rows in a drain before the columnar numpy
-        expansion engages; smaller drains take the scalar loop, which is
-        faster below roughly this many rows.
     """
 
     window_seconds: float = 30.0
@@ -122,11 +114,8 @@ class EngineConfig:
     jitter_fraction: float = 0.1
     incremental_cycles: bool = True
     run_controller_cycles: bool = True
-    history_windows: int = 4
-    batched_scheduling: bool = True
     aggregator_shards: int = 1
     coalesce_horizon_seconds: float = 10.0
-    bulk_batch_threshold: int = 64
 
     def __post_init__(self) -> None:
         if self.window_seconds <= 0:
@@ -141,14 +130,10 @@ class EngineConfig:
             )
         if self.probe_batch_seconds <= 0:
             raise ValueError("probe_batch_seconds must be positive")
-        if self.history_windows < 0:
-            raise ValueError("history_windows must be non-negative")
         if self.aggregator_shards < 1:
             raise ValueError("aggregator_shards must be at least 1")
         if self.coalesce_horizon_seconds <= 0:
             raise ValueError("coalesce_horizon_seconds must be positive")
-        if self.bulk_batch_threshold < 0:
-            raise ValueError("bulk_batch_threshold must be non-negative")
 
 
 @dataclass
@@ -223,12 +208,14 @@ class EngineResult:
     probes_sent: int
     probes_lost: int
     events_processed: int
+    #: Sum of the per-window walls (:attr:`ServedWindow.wall_seconds`): time
+    #: spent advancing the loop, bootstrap and re-arm set-up excluded.
     wall_seconds: float
     #: Deterministic work counters of the run (aggregation folds, window
     #: closes, probe batches): byte-identical across backends and machines
     #: for a fixed seed, unlike ``wall_seconds`` (informational only).
     counters: Dict[str, int] = field(default_factory=dict)
-    #: Wall-clock spent in the streaming plane: total run wall minus the
+    #: Wall-clock spent in the streaming plane: ``wall_seconds`` minus the
     #: controller cycles' wall.  Cycle latency is a control-plane metric
     #: reported separately (``cycles[*].wall_seconds``); dividing probes by
     #: total wall would let one slow re-plan mask the probe path's speed.
@@ -376,13 +363,9 @@ class TelemetryEngine:
             probes_per_second=self.config.probes_per_second,
             batch_seconds=self.config.probe_batch_seconds,
             jitter_fraction=self.config.jitter_fraction,
-            coalesce=self.config.batched_scheduling,
             coalesce_horizon=self.config.coalesce_horizon_seconds,
-            bulk_batch_threshold=self.config.bulk_batch_threshold,
         )
-        self._scheduler.sink = self._record_outcome
-        if self.config.batched_scheduling:
-            self._scheduler.sink_batch = self._record_outcome_batch
+        self._scheduler.sink = self._record_outcome_batch
         self._windows: List[EngineWindow] = []
         self._cycles: List[CycleRecord] = []
         self._records: Dict[int, DetectionRecord] = {}
@@ -403,8 +386,8 @@ class TelemetryEngine:
         registry.register_source(
             "scheduler_drains", self._scheduler.drain_telemetry, informational=True
         )
-        # Row classes of the bulk probing kernel: like the drains, they exist
-        # only in the coalesced regime, hence informational.
+        # Row classes of the bulk probing kernel: like the drains, they
+        # describe how the work was batched, hence informational.
         registry.register_source("sim_bulk", self._bulk_probe_source, informational=True)
         # Dispatch-plane visibility (informational: spawn/reuse balance and
         # payload bytes vary with jobs, pool persistence and shm settings,
@@ -452,9 +435,6 @@ class TelemetryEngine:
         )
 
     # --------------------------------------------------------------- plumbing
-    def _record_outcome(self, path_index: int, time: float, sent: int, lost: int) -> None:
-        self._aggregator.record(path_index, time, sent, lost)
-
     def _record_outcome_batch(self, paths, times, sent, lost) -> None:
         self._aggregator.record_batch(paths, times, sent, lost)
 
@@ -500,14 +480,12 @@ class TelemetryEngine:
             # counters; fold them into the run totals (identity-guarded so a
             # replayed probe matrix is never double-counted).
             self._kernel_totals.merge(self._aggregator.incidence.counters.cost)
-        if self.config.batched_scheduling:
-            # The bulk probing kernel needs the path table primed up front.
-            self.system.simulator.prime_paths(self.system.probe_matrix.paths)
+        # The bulk probing kernel needs the path table primed up front.
+        self.system.simulator.prime_paths(self.system.probe_matrix.paths)
         self._aggregator = StreamAggregator(
             self.system.probe_matrix.incidence,
             self.config.window_seconds,
             start_time=self.loop.clock.now,
-            history_windows=self.config.history_windows,
             cost=self.cost,  # counters accumulate across controller re-arms
             num_shards=self.config.aggregator_shards,
             shard_of_path=self._shard_assignment(),
@@ -610,50 +588,15 @@ class TelemetryEngine:
 
     # -------------------------------------------------------------------- run
     def run(self, duration: float) -> EngineResult:
-        """Simulate ``duration`` seconds of monitoring; returns the timeline."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        with tracing.activated(self.obs.tracer):
-            return self._run(duration)
+        """Simulate ``duration`` seconds of monitoring; returns the timeline.
 
-    @informational_wall("EngineResult wall fields are informational; gates use EngineResult.counters")
-    def _run(self, duration: float) -> EngineResult:
-        config = self.config
-        if self.system.cycle is None or self.system.diagnoser is None:
-            self.system.run_controller_cycle(incremental=config.incremental_cycles)
-        start = self.loop.clock.now
-        horizon = start + duration
-        self._rearm()
-        self.model.install(self.loop, horizon)
-
-        # Window closes on the fixed grid; a trailing partial window (when the
-        # horizon is not a multiple of the window) closes at the horizon.
-        num_windows = int(math.floor(duration / config.window_seconds + 1e-9))
-        for k in range(1, num_windows + 1):
-            self.loop.schedule_at(
-                start + k * config.window_seconds, self._close_window, PRIORITY_WINDOW
-            )
-        trailing = duration - num_windows * config.window_seconds
-        if trailing > 1e-9:
-            self.loop.schedule_at(
-                horizon, lambda: self._close_window(horizon), PRIORITY_WINDOW
-            )
-
-        if config.run_controller_cycles:
-            cycles = int(math.floor(duration / config.cycle_seconds + 1e-9))
-            for k in range(1, cycles + 1):
-                at = start + k * config.cycle_seconds
-                if at >= horizon:  # a cycle exactly at the horizon plans nothing
-                    break
-                self.loop.schedule_at(at, self._run_controller_cycle, PRIORITY_CYCLE)
-
-        control_before = self._control_wall
-        if self._profiler is not None:
-            self._profiler.arm()
-        wall_started = _wall.perf_counter()
-        self.loop.run_until(horizon)
-        wall = _wall.perf_counter() - wall_started
-        control = self._control_wall - control_before
+        The bounded :meth:`serve` stream drained to its horizon: one driver
+        places every window close and controller cycle on the timeline.
+        """
+        wall = control = 0.0
+        for served in self.serve(duration=duration):
+            wall += served.wall_seconds
+            control += served.control_wall_seconds
         return self.build_result(duration, wall, max(wall - control, 0.0))
 
     def build_result(
@@ -695,13 +638,14 @@ class TelemetryEngine:
 
         A generator of :class:`ServedWindow`: each ``next()`` advances
         simulated time to the next window boundary -- probes, fault
-        transitions, and controller cycles all fire on the way, exactly as in
-        :meth:`run` -- and yields that window plus its per-window
+        transitions, and controller cycles all fire on the way -- and yields
+        that window plus its per-window
         backpressure deltas (probes folded, events rejected as late, wall
         spent).  With neither bound the stream is indefinite: windows keep
         closing until the consumer stops iterating.  ``duration`` bounds the
-        simulated horizon (a trailing partial window closes there, matching
-        :meth:`run`); ``max_windows`` bounds the number of windows yielded.
+        simulated horizon (a trailing partial window closes there, and a
+        cycle exactly at the horizon plans nothing); ``max_windows`` bounds
+        the number of windows yielded.
         """
         if duration is not None and duration <= 0:
             raise ValueError("duration must be positive")
@@ -720,8 +664,7 @@ class TelemetryEngine:
             self.model.install(self.loop, math.inf if horizon is None else horizon)
 
             if config.run_controller_cycles:
-                # Cycles self-reschedule one ahead on the same fixed grid as
-                # run() (identical float arithmetic, so identical timestamps).
+                # Cycles self-reschedule one ahead on a fixed grid.
                 def schedule_cycle(k: int) -> None:
                     at = start + k * config.cycle_seconds
                     if horizon is not None and at >= horizon:

@@ -13,30 +13,23 @@ scheduled and run at the current instant but any attempt to advance time
 raises.  The legacy snapshot pipeline (``DetectorSystem.run_window``) runs as
 exactly that -- a one-tick engine run on a frozen clock.
 
-Two throughput features serve the streaming engine:
-
-* :meth:`EventLoop.schedule_every` installs a *recurring* event backed by one
-  persistent callable (no per-firing closure allocation); the callback stops
-  the recurrence by returning ``False`` and :meth:`RecurringEvent.cancel`
-  stops it from outside.
-* a *batch source* (:meth:`EventLoop.set_batch_source`) is a coalescing timer
-  tier for homogeneous high-rate events (the probe streams).  The loop asks
-  it for its next due time and, whenever that precedes every regular heap
-  event, lets it drain **all** firings due before the next regular event in
-  one vectorized pass instead of N heap pops + N callbacks.  Because every
-  regular engine event (fault transition, window close, controller cycle)
-  outranks probes at equal timestamps, draining strictly up to the next
-  regular event preserves the ``(time, priority, sequence)`` ordering
-  contract exactly.
+A *batch source* (:meth:`EventLoop.set_batch_source`) is a coalescing timer
+tier for homogeneous high-rate events (the probe streams).  The loop asks it
+for its next due time and, whenever that precedes every regular heap event,
+lets it drain **all** firings due before the next regular event in one
+vectorized pass instead of N heap pops + N callbacks.  Because every regular
+engine event (fault transition, window close, controller cycle) outranks
+probes at equal timestamps, draining strictly up to the next regular event
+preserves the ``(time, priority, sequence)`` ordering contract exactly.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Protocol, Union
+from typing import Callable, List, Optional, Protocol
 
-__all__ = ["SimClock", "EventHandle", "RecurringEvent", "BatchEventSource", "EventLoop"]
+__all__ = ["SimClock", "EventHandle", "BatchEventSource", "EventLoop"]
 
 
 class SimClock:
@@ -90,57 +83,6 @@ class EventHandle:
         self._cancelled = True
         if self._loop is not None:
             self._loop._note_cancelled()
-
-
-class RecurringEvent:
-    """Handle for a :meth:`EventLoop.schedule_every` recurrence.
-
-    One instance -- and one bound ``_fire`` callable -- serves every firing of
-    the recurrence; nothing is allocated per firing.  The recurrence ends when
-    the callback returns ``False`` or :meth:`cancel` is called.
-    """
-
-    __slots__ = ("_loop", "_interval", "_callback", "_priority", "_handle", "_stopped")
-
-    def __init__(
-        self,
-        loop: "EventLoop",
-        interval: Union[float, Callable[[], float]],
-        callback: Callable[[], object],
-        priority: int,
-    ):
-        self._loop = loop
-        self._interval = interval
-        self._callback = callback
-        self._priority = priority
-        self._handle: Optional[EventHandle] = None
-        self._stopped = False
-
-    @property
-    def active(self) -> bool:
-        return not self._stopped
-
-    def cancel(self) -> None:
-        """Stop the recurrence; the pending firing (if any) is dropped."""
-        self._stopped = True
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _next_delay(self) -> float:
-        interval = self._interval
-        return float(interval()) if callable(interval) else float(interval)
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        if self._callback() is False:
-            self._stopped = True
-            self._handle = None
-            return
-        self._handle = self._loop.schedule_at(
-            self._loop.clock.now + self._next_delay(), self._fire, self._priority
-        )
 
 
 class BatchEventSource(Protocol):
@@ -199,28 +141,6 @@ class EventLoop:
             raise ValueError("delay must be non-negative")
         return self.schedule_at(self.clock.now + delay, callback, priority)
 
-    def schedule_every(
-        self,
-        interval: Union[float, Callable[[], float]],
-        callback: Callable[[], object],
-        priority: int = 0,
-        first_delay: Optional[float] = None,
-    ) -> RecurringEvent:
-        """Schedule ``callback`` repeatedly, ``interval`` seconds apart.
-
-        ``interval`` may be a number or a zero-argument callable drawn after
-        each firing (jittered recurrences).  ``first_delay`` overrides the
-        delay to the first firing (default: one interval).  The callback stops
-        the recurrence by returning ``False``; one persistent callable backs
-        every firing, so recurring events allocate nothing per firing.
-        """
-        recurring = RecurringEvent(self, interval, callback, priority)
-        delay = first_delay if first_delay is not None else recurring._next_delay()
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        recurring._handle = self.schedule_at(self.clock.now + delay, recurring._fire, priority)
-        return recurring
-
     # ------------------------------------------------------------------ state
     @property
     def pending(self) -> int:
@@ -258,9 +178,9 @@ class EventLoop:
         self._batch_source = source
 
     def _note_cancelled(self) -> None:
-        # Eagerly compact once cancelled entries outnumber live ones: the
-        # generation-invalidated probe streams of each controller cycle must
-        # not linger in the heap until their (far-future) times surface.
+        # Eagerly compact once cancelled entries outnumber live ones, so a
+        # mass cancellation does not linger in the heap until the (possibly
+        # far-future) times of its entries surface.
         self._cancelled += 1
         if self._cancelled * 2 > len(self._heap):
             self._heap = [entry for entry in self._heap if not entry[3].cancelled]

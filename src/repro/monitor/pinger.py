@@ -98,10 +98,11 @@ class Pinger:
     ) -> Tuple[int, int]:
         """Send ``probes`` probes on one pinglist entry; returns ``(sent, lost)``.
 
-        The unit of work both window modes are built from: the snapshot path
-        sends each entry's whole per-window budget in one call, the telemetry
-        engine's :class:`~repro.engine.probes.ProbeScheduler` sends small
-        timed batches.  Counts include loss-confirmation resends.
+        The snapshot path's unit of work: each entry's whole per-window
+        budget goes out in one call.  (The telemetry engine's
+        :class:`~repro.engine.probes.ProbeScheduler` probes whole drains
+        through :meth:`~repro.simulation.ProbeSimulator.probe_paths_bulk`
+        instead.)  Counts include loss-confirmation resends.
         """
         config = config or self.probe_config(probes)
         path = self._paths_by_index[entry.path_index]
@@ -119,26 +120,6 @@ class Pinger:
                         confirmed_lost += 1
                 lost += confirmed_lost
         return sent, lost
-
-    def probe_entry_batched(
-        self,
-        entry,
-        probes: int,
-        start_sequence: int = 0,
-        config: Optional[ProbeConfig] = None,
-    ) -> Tuple[int, int]:
-        """Vectorized sibling of :meth:`probe_entry` (the engine's hot path).
-
-        Same counters and failure semantics, but whole failure-free paths cost
-        one scenario lookup and random draws are consumed in batch order (a
-        distinct, individually reproducible random regime -- see
-        :meth:`repro.simulation.ProbeSimulator.probe_path_batch`).
-        """
-        config = config or self.probe_config(probes)
-        path = self._paths_by_index[entry.path_index]
-        return self._simulator.probe_path_batch(
-            path, config, probes, start_sequence, confirm_losses=self._confirm_losses
-        )
 
     def run_window(self, window_seconds: Optional[float] = None) -> PingerReport:
         """Probe every owned path for one aggregation window."""

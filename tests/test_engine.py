@@ -152,17 +152,6 @@ class TestStreamAggregator:
             )
             assert report.link_sent[position] == expected_sent
 
-    def test_sliding_history_sums_recent_windows(self, fattree4_probe_matrix):
-        agg = self.make(fattree4_probe_matrix, history_windows=2)
-        agg.record(0, 1.0, sent=2, lost=2)
-        agg.close_window()
-        agg.record(0, 31.0, sent=2, lost=1)
-        position = fattree4_probe_matrix.incidence.position(
-            sorted(fattree4_probe_matrix.links_on(0))[0]
-        )
-        sliding = agg.sliding_link_loss_counts()
-        assert int(sliding[position]) == 3  # open window (1) + history (2)
-
     def test_event_exactly_at_window_start_accepted(self, fattree4_probe_matrix):
         """The window interval is [start, end): a timestamp equal to
         window_start belongs to the open window, not the closed one."""

@@ -1,16 +1,17 @@
-"""Tests for the streaming serve mode: batched event scheduling, sharded
+"""Tests for the streaming serve mode: coalesced event scheduling, sharded
 aggregation, and the long-running window stream.
 
 The load-bearing guarantees:
 
-* coalesced (batched) probe scheduling is **byte-identical** to per-event
-  scheduling in every deterministic observable -- window reports, detection
-  records, cost counters, random draws -- on both kernel backends;
+* the coalescing, columnar :class:`ProbeScheduler` is **byte-identical** to
+  the per-event oracle (``tests/per_event_oracle.py``) in every deterministic
+  observable -- window reports, detection records, cost counters, random
+  draws -- on both kernel backends and at any drain size;
 * window reports are **invariant in the aggregator shard count**;
 * :meth:`TelemetryEngine.serve` streams exactly the windows
-  :meth:`TelemetryEngine.run` would produce;
+  :meth:`TelemetryEngine.run` returns;
 * rapid re-arms (``set_pingers`` twice in a row) never double-fire a stale
-  probe stream in either scheduling regime.
+  probe stream.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from per_event_oracle import PerEventProbeScheduler
+from repro.core.incidence import Backend, IncidenceIndex
 from repro.engine import (
     CongestionEpisode,
     DynamicFaultModel,
@@ -42,7 +45,7 @@ from repro.simulation import (
 
 
 # ---------------------------------------------------------------------------
-# event-loop primitives: O(1) pending, compaction, recurring events
+# event-loop primitives: O(1) pending, compaction
 # ---------------------------------------------------------------------------
 
 class TestLoopPrimitives:
@@ -75,37 +78,6 @@ class TestLoopPrimitives:
         loop.run_until(3.0)
         assert fired == [1, 2]
         assert loop.pending == 0
-
-    def test_schedule_every_fires_on_the_interval(self):
-        loop = EventLoop()
-        times = []
-        loop.schedule_every(2.0, lambda: times.append(loop.clock.now))
-        loop.run_until(7.0)
-        assert times == [2.0, 4.0, 6.0]
-
-    def test_schedule_every_first_delay_and_callable_interval(self):
-        loop = EventLoop()
-        times = []
-        delays = iter([3.0, 1.0, 5.0])
-        loop.schedule_every(lambda: next(delays), lambda: times.append(loop.clock.now),
-                            first_delay=0.5)
-        loop.run_until(5.0)
-        assert times == [0.5, 3.5, 4.5]
-
-    def test_schedule_every_stops_on_false_and_on_cancel(self):
-        loop = EventLoop()
-        count = []
-        recurring = loop.schedule_every(1.0, lambda: count.append(1) or len(count) < 2)
-        loop.run_until(10.0)
-        assert len(count) == 2  # the second firing returned False
-        assert not recurring.active
-
-        other = loop.schedule_every(1.0, lambda: None)
-        other.cancel()
-        before = loop.events_processed
-        loop.run_until(20.0)
-        assert loop.events_processed == before
-        assert not other.active
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +243,7 @@ class TestBulkProbeKernel:
         monkeypatch.setattr(
             ProbeSimulator, "_probe_stochastic_row", spy("stochastic", stochastic)
         )
-        engine = _build_engine(fattree4, episodes=_storm_episodes(), bulk_batch_threshold=0)
+        engine = _build_engine(fattree4, episodes=_storm_episodes())
         result = engine.run(60.0)
         rows = engine.system.simulator.telemetry()
         assert calls["scalar"] == 0
@@ -364,6 +336,50 @@ class TestShardedAggregator:
                 np.asarray([0]), np.asarray([61.0]), np.asarray([1]), np.asarray([2])
             )
 
+    @pytest.mark.parametrize("backend", [Backend.NUMPY, Backend.PYTHON])
+    def test_record_batch_rejects_what_record_rejects(self, backend):
+        """One order on both backends: a late row is rejected before its path
+        or its counts are looked at, and a batch that raises folds nothing."""
+        def aggregator():
+            index = IncidenceIndex([{0, 1}, {1, 2}, {2, 3}], (0, 1, 2, 3), backend=backend)
+            return StreamAggregator(index, window_seconds=30.0, start_time=60.0, num_shards=2)
+
+        def state(agg):
+            report = agg.close_window()
+            return (
+                list(report.observations), report.probes_sent, report.probes_lost,
+                report.rejected_events, agg.total_rejected, agg.cost.as_dict(),
+            )
+
+        def columns(rows):
+            return [np.asarray(column) for column in zip(*rows)]
+
+        # Late *and* malformed (no such path, lost > sent), then valid rows.
+        rows = [(99, 10.0, 1, 5), (0, 61.0, 4, 1), (2, 75.0, 3, 0), (0, 89.9, 2, 2)]
+        scalar, batched = aggregator(), aggregator()
+        accepted = [scalar.record(*row) for row in rows]
+        assert accepted == [False, True, True, True]
+        assert batched.record_batch(*columns(rows)) == 3
+        assert state(batched) == state(scalar)
+
+        # A trailing future row: row-by-row folds the rows ahead of it, the
+        # batch is checked as a whole and leaves nothing behind.
+        rows = [(0, 61.0, 4, 1), (1, 10.0, 1, 0), (2, 95.0, 1, 0)]
+        scalar, batched = aggregator(), aggregator()
+        with pytest.raises(ValueError, match="later window"):
+            for row in rows:
+                scalar.record(*row)
+        with pytest.raises(ValueError, match="later window"):
+            batched.record_batch(*columns(rows))
+        assert state(batched) == state(aggregator())
+
+        # Likewise for a malformed on-time row behind a late one.
+        rows = [(0, 10.0, 1, 0), (1, 61.0, 3, 0), (99, 62.0, 1, 0)]
+        batched = aggregator()
+        with pytest.raises(IndexError):
+            batched.record_batch(*columns(rows))
+        assert state(batched) == state(aggregator())
+
     def test_shard_assignment_validation(self, fattree4_probe_matrix):
         incidence = fattree4_probe_matrix.incidence
         with pytest.raises(ValueError):
@@ -380,7 +396,7 @@ class TestShardedAggregator:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end differential: batched == per-event, shards invariant, serve == run
+# end-to-end differential: product == per-event oracle, shards invariant, serve == run
 # ---------------------------------------------------------------------------
 
 def _storm_episodes():
@@ -452,48 +468,79 @@ def _canonical(result):
     }
 
 
+def _observe(engine, duration=130.0):
+    """Everything a run leaves behind: the canonical result, the per-link drop
+    attribution and the probing generator's state."""
+    result = engine.run(duration)
+    simulator = engine.system.simulator
+    return _canonical(result), simulator.drops_per_link, simulator._rng.bit_generator.state
+
+
+def _build_oracle_engine(monkeypatch, topology, **kwargs):
+    """:func:`_build_engine`, with the per-event oracle as its scheduler."""
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.engine.engine.ProbeScheduler", PerEventProbeScheduler)
+        engine = _build_engine(topology, **kwargs)
+    assert isinstance(engine._scheduler, PerEventProbeScheduler)
+    return engine
+
+
 class TestBatchedSchedulingDifferential:
-    def test_batched_is_byte_identical_to_per_event(self, fattree4):
-        baseline = _canonical(
-            _build_engine(fattree4, batched_scheduling=False).run(130.0)
-        )
-        coalesced = _canonical(
-            _build_engine(fattree4, batched_scheduling=True).run(130.0)
-        )
-        assert coalesced == baseline
+    def test_batched_is_byte_identical_to_per_event(self, fattree4, monkeypatch):
+        baseline = _observe(_build_oracle_engine(monkeypatch, fattree4))
+        assert _observe(_build_engine(fattree4)) == baseline
 
-    def test_batched_is_byte_identical_to_per_event_in_a_storm(self, fattree4):
-        """Random-loss links on probed paths: the coalesced regime must also
-        leave the probing generator and the drop attribution where the
-        per-event one leaves them."""
-        observed = []
-        for batched in (False, True):
-            engine = _build_engine(
-                fattree4, episodes=_storm_episodes(), batched_scheduling=batched,
-                bulk_batch_threshold=0,
-            )
-            result = engine.run(130.0)
-            simulator = engine.system.simulator
-            observed.append(
-                (_canonical(result), simulator.drops_per_link,
-                 simulator._rng.bit_generator.state)
-            )
-        assert observed[0] == observed[1]
-        assert simulator.telemetry()["rows_stochastic"] > 0
+    def test_batched_is_byte_identical_to_per_event_in_a_storm(self, fattree4, monkeypatch):
+        """Random-loss links on probed paths: the product must also leave the
+        probing generator and the drop attribution where the oracle leaves
+        them."""
+        baseline = _observe(
+            _build_oracle_engine(monkeypatch, fattree4, episodes=_storm_episodes())
+        )
+        engine = _build_engine(fattree4, episodes=_storm_episodes())
+        assert _observe(engine) == baseline
+        assert engine.system.simulator.telemetry()["rows_stochastic"] > 0
 
-    @pytest.mark.parametrize("threshold", [0, 10**9])
-    def test_bulk_threshold_extremes_change_nothing(self, fattree4, threshold):
-        """threshold=0 forces the columnar kernel for every drain; a huge
-        threshold forces the scalar fallback for every drain."""
-        baseline = _canonical(
-            _build_engine(fattree4, batched_scheduling=False).run(130.0)
-        )
-        forced = _canonical(
-            _build_engine(
-                fattree4, batched_scheduling=True, bulk_batch_threshold=threshold
-            ).run(130.0)
-        )
-        assert forced == baseline
+    @pytest.mark.parametrize(
+        "timing, duration, chained",
+        [
+            # Default one-second batches cut into drains of a few firings.
+            ({}, 130.0, False),
+            # Every stream fires at least once per drain and spends two
+            # probes a firing: on pinglists of two or three entries the second
+            # firing continues an entry's sequence inside the same drain.
+            (
+                {"probe_batch_seconds": 0.04, "probes_per_second": 50.0,
+                 "window_seconds": 5.0, "cycle_seconds": 10.0},
+                22.0, True,
+            ),
+        ],
+    )
+    def test_small_drains_are_byte_identical_to_per_event(
+        self, fattree4, monkeypatch, timing, duration, chained
+    ):
+        """Drains of a handful of rows go through the same columnar expansion
+        as drains of thousands and must equal the oracle just the same."""
+        settings = dict(timing, episodes=_storm_episodes(), coalesce_horizon_seconds=0.05)
+        baseline = _observe(_build_oracle_engine(monkeypatch, fattree4, **settings), duration)
+        drains = []
+        emit = ProbeScheduler._emit
+
+        def spy(self, streams, times, bases, extras, cursors):
+            touched = [
+                (id(stream), (cursor + offset) % stream.num_entries)
+                for stream, base, extra, cursor in zip(streams, bases, extras, cursors)
+                for offset in range(stream.num_entries if base else extra)
+            ]
+            drains.append((len(touched), len(set(touched)) < len(touched)))
+            return emit(self, streams, times, bases, extras, cursors)
+
+        monkeypatch.setattr(ProbeScheduler, "_emit", spy)
+        assert _observe(_build_engine(fattree4, **settings), duration) == baseline
+        assert baseline[0]["probes_lost"] > 0 and len(baseline[0]["cycles"]) >= 2
+        assert max(rows for rows, _ in drains) < 64
+        assert min(rows for rows, _ in drains) <= 6
+        assert any(repeated for _, repeated in drains) == chained
 
     @pytest.mark.parametrize("shards", [2, 8])
     def test_engine_results_invariant_in_shard_count(self, fattree4, shards):
@@ -512,53 +559,57 @@ class TestBatchedSchedulingDifferential:
 
 
 class TestGenerationInvalidation:
-    @pytest.mark.parametrize("coalesce", [False, True])
-    def test_rapid_double_set_pingers_never_double_fires(self, fattree4, coalesce):
+    @staticmethod
+    def _outcomes(topology, scheduler_class, rearms: int) -> tuple:
+        streams = SeededStreams(7)
+        system = DetectorSystem(
+            topology, streams.generator("probing"), ControllerConfig(alpha=2, beta=1)
+        )
+        system.run_controller_cycle()
+        system.simulator.prime_paths(system.probe_matrix.paths)
+        loop = EventLoop()
+        scheduler = scheduler_class(
+            loop, streams.generator("probe-jitter"), probes_per_second=100.0
+        )
+        outcomes = []
+        scheduler.sink = lambda *columns: outcomes.extend(
+            zip(*(column.tolist() for column in columns))
+        )
+        for _ in range(rearms):
+            scheduler.set_pingers(system.build_pingers())
+        loop.run_until(10.0)
+        return scheduler.probes_sent, scheduler.probes_lost, outcomes
+
+    def test_rapid_double_set_pingers_never_double_fires(self, fattree4):
         """A stale stream from a superseded controller cycle must not fire:
         re-arming twice in a row yields the same stream as re-arming once."""
-        def run(rearms: int) -> tuple:
-            streams = SeededStreams(7)
-            system = DetectorSystem(
-                fattree4, streams.generator("probing"), ControllerConfig(alpha=2, beta=1)
-            )
-            system.run_controller_cycle()
-            system.simulator.prime_paths(system.probe_matrix.paths)
-            loop = EventLoop()
-            scheduler = ProbeScheduler(
-                loop, streams.generator("probe-jitter"), probes_per_second=100.0,
-                coalesce=coalesce,
-            )
-            outcomes = []
-            scheduler.sink = lambda p, t, s, l: outcomes.append((p, round(t, 9), s, l))
-            for _ in range(rearms):
-                scheduler.set_pingers(system.build_pingers())
-            loop.run_until(10.0)
-            return scheduler.probes_sent, scheduler.probes_lost, outcomes
-
-        once = run(1)
-        twice = run(2)
+        once = self._outcomes(fattree4, ProbeScheduler, 1)
+        twice = self._outcomes(fattree4, ProbeScheduler, 2)
         # The second re-arm replaces the first's streams wholesale: no stale
-        # stream fires, so the jitter draws differ but no probe is duplicated
-        # and the stream count stays the number of healthy pingers.
+        # stream fires, so the jitter draws differ but no probe is duplicated.
         assert twice[0] > 0
         assert len({(p, t) for (p, t, _, _) in twice[2]}) == len(twice[2])
         assert once[0] > 0
+        # The oracle cancels the superseded cycle's pending events instead of
+        # rebuilding a heap; row for row the stream is the same.
+        assert once == self._outcomes(fattree4, PerEventProbeScheduler, 1)
+        assert twice == self._outcomes(fattree4, PerEventProbeScheduler, 2)
 
     def test_rearm_retires_per_event_recurrences_from_the_heap(self, fattree4):
+        """The oracle must not leave a superseded stream's event to fire as a
+        no-op: ``events_processed`` would run ahead of the product's."""
         streams = SeededStreams(7)
         system = DetectorSystem(
             fattree4, streams.generator("probing"), ControllerConfig(alpha=2, beta=1)
         )
         system.run_controller_cycle()
         loop = EventLoop()
-        scheduler = ProbeScheduler(
+        scheduler = PerEventProbeScheduler(
             loop, streams.generator("probe-jitter"), probes_per_second=100.0
         )
         scheduler.set_pingers(system.build_pingers())
         first = loop.pending
         scheduler.set_pingers(system.build_pingers())
-        # The first generation's events were cancelled, not left to fire as
-        # no-ops: pending stays one event per live stream.
         assert loop.pending == first == scheduler.num_streams
 
 
@@ -626,23 +677,3 @@ class TestServeCLI:
         assert "window    0" in output
         assert "served 2 windows" in output
         assert "probe events/s" in output
-
-    def test_engine_serve_cli_no_batch_matches_batched(self, capsys):
-        from repro.cli import main
-
-        args = ["engine", "serve", "--k", "4", "--windows", "2",
-                "--window-seconds", "20", "--cycle-seconds", "60",
-                "--probe-rate", "100", "--seed", "3"]
-        main(args)
-        batched = capsys.readouterr().out
-        main(args + ["--no-batch"])
-        unbatched = capsys.readouterr().out
-
-        def stats(text):
-            # Strip wall-clock dependent fields: keep probes/lost/late columns.
-            return [
-                [f for f in line.split() if "=" in f and not f.startswith(("rate", "x"))]
-                for line in text.splitlines() if "window " in line
-            ]
-
-        assert stats(batched) == stats(unbatched)

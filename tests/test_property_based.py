@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,8 @@ from repro.localization import (
 )
 from repro.routing import Path
 from repro.simulation import FailureScenario, LinkFailure, LossMode, ProbeConfig, ProbeSimulator
-from repro.topology import Tier, TopologyBuilder
+from repro.topology import Tier, TopologyBuilder, build_fattree
+from test_engine_streaming import _build_engine, _observe, _storm_episodes
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -408,3 +411,23 @@ def test_bulk_probing_equals_row_by_row_scalar(
         assert bulk._rng.bit_generator.state == scalar._rng.bit_generator.state
         scenario.add(LinkFailure(failures[0].link_id, readded.mode, readded.loss_rate,
                                  readded.match_fraction, readded.salt))
+
+
+# ---------------------------------------------------------------------------
+# the coalescing horizon shapes the drains, never the run
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _storm_run(horizon: float):
+    engine = _build_engine(
+        build_fattree(4), episodes=_storm_episodes(), coalesce_horizon_seconds=horizon
+    )
+    return _observe(engine)
+
+
+@given(st.floats(min_value=0.02, max_value=30.0))
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_coalesce_horizon_never_changes_the_run(horizon):
+    """From one firing per drain to one drain per window: same windows,
+    counters, diagnoses, drop attribution and probing-generator state."""
+    assert _storm_run(horizon) == _storm_run(10.0)
