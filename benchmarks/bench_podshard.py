@@ -11,7 +11,11 @@ recorded but informational only, as PR 4 established for Table 2):
 * **Churn isolation** -- on a warmed sharded controller, failing one
   pod-owned link must re-solve exactly that pod's shard plus the residual
   shard; every other shard must replay from its warm bucket with a zero
-  kernel delta.
+  kernel delta.  A second link down then leaves the residual shard with an
+  unreachable identifiability goal (two orphaned links nobody can separate):
+  its ``greedy_evaluations`` and ``partition_gain_queries`` must stay within
+  1.25x of the one-link-down solve -- the solve stops at the finest reachable
+  partition instead of draining the heap.
 * **Dispatch-plane scaling** -- with the shared-memory incidence plane and
   persistent pools warm, a zero-churn cycle ships zero task payload and a
   one-pod churn cycle ships payload proportional to the churned shards (far
@@ -122,6 +126,31 @@ def bench_churn_isolation(name: str, topology) -> dict:
                 f"{name}: untouched shard {shard.pod} did kernel work {shard.kernel_cost}"
             )
 
+    # A second link down (owned by no pod): now two orphaned links share the
+    # residual shard's never-touched partition cell for ever, so its
+    # identifiability goal is unreachable.  The solve must stop at the finest
+    # reachable partition -- costing what the one-link-down solve cost --
+    # instead of popping, rescoring and discarding every remaining candidate.
+    second = next(l.link_id for l in topology.switch_links if pods[l.link_id] is None)
+    controller.watchdog.report_failed_link(second)
+    two_down = controller.run_incremental_cycle()
+    if two_down.touched_shards != (RESIDUAL_POD,):
+        raise SystemExit(
+            f"{name}: an unowned link's churn touched shards {two_down.touched_shards}"
+        )
+    gated = ("greedy_evaluations", "partition_gain_queries")
+    reported = gated + ("candidates_discarded",)
+    residual_one, residual_two = (
+        {key: c.pmc_result.shards[-1].cost_counters[key] for key in reported}
+        for c in (cycle, two_down)
+    )
+    for key in gated:
+        if residual_two[key] > 1.25 * residual_one[key]:
+            raise SystemExit(
+                f"{name}: residual shard {key} {residual_two[key]} with two links down "
+                f"against {residual_one[key]} with one: the unreachable goal drains the heap"
+            )
+
     total = len(cycle.pmc_result.shards)
     return {
         "topology": name,
@@ -129,6 +158,9 @@ def bench_churn_isolation(name: str, topology) -> dict:
         "touched_shards": list(cycle.touched_shards),
         "replayed_shards": total - len(cycle.touched_shards),
         "isolation_holds": True,
+        "residual_one_link_down": residual_one,
+        "residual_two_links_down": residual_two,
+        "unreachable_goal_costs_no_drain": True,
         "churn_cycle_wall_seconds": round(churn_seconds, 4),  # informational
     }
 
@@ -258,7 +290,9 @@ def main() -> None:
     print(
         f"{isolation['topology']:>10}: churn touched {isolation['touched_shards']} "
         f"of {isolation['num_shards']} shards "
-        f"({isolation['replayed_shards']} replayed)"
+        f"({isolation['replayed_shards']} replayed); residual gain queries "
+        f"{isolation['residual_one_link_down']['partition_gain_queries']} with one link "
+        f"down, {isolation['residual_two_links_down']['partition_gain_queries']} with two"
     )
     plane = report["dispatch_plane"]
     print(

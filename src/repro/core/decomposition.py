@@ -28,6 +28,14 @@ orphaned into the residual shard so they surface as uncoverable exactly like
 path-less singleton components do in the exact decomposition.  Shards are
 emitted in canonical order -- pods ascending, residual last -- which is what
 makes the parallel merge deterministic.
+
+Sharding runs in front of every sharded plan and cycle, over every candidate
+row.  On the numpy backend :func:`pod_shards_for_matrix` therefore hands the
+rule to an index kernel,
+:meth:`~repro.core.incidence.IncidenceIndex.pod_shards` (one array pass over
+the CSR buffers); the set-based row loop, :func:`_pod_shards`, is the python
+backend's implementation of the same kernel, :func:`decompose_by_link_sets`'s
+path, and the reference the array kernel is tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..contracts import pool_payload
-from .incidence import IncidenceIndex
+from .incidence import Backend, IncidenceIndex
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a routing<->core cycle
     from ..routing import RoutingMatrix
@@ -203,11 +211,24 @@ def pod_shards_for_matrix(
     do in a cold rebuild.  The link universe is always the full index
     universe, keeping uncoverable-link reporting identical between cold and
     masked sharded runs.
+
+    Both backends return the identical ``Subproblem`` list and tick the
+    ``pod_shards`` kernel counter once per considered row.
     """
     index = routing_matrix.incidence
     link_pods = link_pod_map(routing_matrix.topology, index.link_ids)
     considered = range(index.num_paths) if rows is None else rows
     index.counters.tick("pod_shards", len(considered))
+    if index.backend is Backend.NUMPY:
+        # The same sharding as one array pass over the CSR buffers.
+        col_pods = [
+            RESIDUAL_POD if pod is None else pod
+            for pod in map(link_pods.get, index.link_ids)
+        ]
+        return [
+            Subproblem(link_ids=links, path_indices=members, pod=pod)
+            for pod, links, members in index.pod_shards(col_pods, rows)
+        ]
     row_items = ((row, index.row_link_set(row)) for row in considered)
     return _pod_shards(row_items, index.link_ids, link_pods)
 

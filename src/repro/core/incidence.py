@@ -16,7 +16,8 @@ and 5.
 
 as flat integer arrays, plus the vectorized kernels the hot loops need
 (per-link coverage counters, Eq. 1 weight accumulation, hit-ratio counts,
-syndromes and connected-component decomposition).  Two interchangeable
+syndromes, connected-component and pod-shard decomposition, and the
+distinct-column-signature count that ends a PMC solve).  Two interchangeable
 backends produce *identical* results:
 
 * :attr:`Backend.NUMPY`  -- flat ``numpy`` arrays and vectorized kernels
@@ -248,6 +249,22 @@ class _NumpyKernels:
 
 def _kernels_for(backend: Backend):
     return _NumpyKernels if backend is Backend.NUMPY else _PythonKernels
+
+
+def _gather_segments(indptr, data, ids):
+    """Concatenated CSR/CSC segments of *ids*: ``(segment_of_entry, values)``.
+
+    Numpy only.  Entry ``k`` of segment ``s`` sits at
+    ``indptr[ids[s]] + (k - segment_start[s])``, so one ``repeat`` plus one
+    ``arange`` gathers every slice in a single fancy index.
+    """
+    starts = indptr[ids]
+    lengths = indptr[ids + 1] - starts
+    ends = _np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    flat_pos = _np.repeat(starts - (ends - lengths), lengths) + _np.arange(total)
+    segments = _np.repeat(_np.arange(len(ids), dtype=_np.int64), lengths)
+    return segments, data[flat_pos]
 
 
 # ---------------------------------------------------------------------------
@@ -1058,12 +1075,8 @@ class IncidenceIndex:
             flat_cols = self._row_cols
         else:
             considered = _np.asarray(rows, dtype=_np.int64)
-            starts = self._row_indptr[considered]
-            lengths = self._row_indptr[considered + 1] - starts
-            total = int(lengths.sum())
-            cum = _np.cumsum(lengths)
-            flat_pos = _np.repeat(starts - (cum - lengths), lengths) + _np.arange(total)
-            flat_cols = self._row_cols[flat_pos]
+            lengths = self._row_indptr[considered + 1] - self._row_indptr[considered]
+            _, flat_cols = _gather_segments(self._row_indptr, self._row_cols, considered)
 
         # Anchor col of every non-empty row = its first entry; empty rows have
         # no entries, so the per-entry arrays below stay aligned without any
@@ -1120,6 +1133,136 @@ class IncidenceIndex:
                     sorted_rows[row_bounds[i] : row_bounds[i + 1]].tolist()
                 )
         return list(zip(comp_links, comp_rows))
+
+    def pod_shards(
+        self, col_pods: Sequence[int], rows: Optional[Sequence[int]] = None
+    ) -> List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
+        """Group rows by the one pod that owns all their columns (numpy backend).
+
+        ``col_pods[c]`` is the pod owning column ``c``, or ``-1`` for a column
+        no single pod owns.  A considered row whose columns all carry the same
+        non-negative pod belongs to that pod's group; every other row belongs
+        to group ``-1``, and rows without columns are dropped.  Returns
+        ``(pod, link_ids, rows)`` triples, pods ascending and group ``-1``
+        last: a group's links are the columns its rows cross (sorted by id),
+        its rows keep the order of *rows*, and columns no considered row
+        crosses join group ``-1`` (which then exists even without rows).
+
+        This is the array form of the row loop
+        :func:`repro.core.decomposition.pod_shards_for_matrix` runs on the
+        python backend -- per-row min/max of the pod label by segmented
+        reduction, rows grouped by one stable sort -- and returns the same
+        groups.  The caller ticks the ``pod_shards`` counter.
+        """
+        if self._backend is not Backend.NUMPY:
+            raise RuntimeError("the pod_shards array kernel requires the numpy backend")
+        pods = _np.asarray(col_pods, dtype=_np.int64)
+        lengths = _np.diff(self._row_indptr)
+        crossing = _np.flatnonzero(lengths)  # rows with at least one column
+        # -2 marks the rows that are dropped: no columns, or not considered.
+        group_of_row = _np.full(self._num_paths, -2, dtype=_np.int64)
+        if crossing.size:
+            entry_pods = pods[self._row_cols]
+            starts = self._row_indptr[crossing]
+            low = _np.minimum.reduceat(entry_pods, starts)
+            high = _np.maximum.reduceat(entry_pods, starts)
+            group_of_row[crossing] = _np.where(low == high, low, -1)
+        if rows is None:
+            considered = crossing
+        else:
+            considered = _np.asarray(rows, dtype=_np.int64)
+            considered = considered[group_of_row[considered] != -2]
+            chosen = _np.zeros(self._num_paths, dtype=bool)
+            chosen[considered] = True
+            group_of_row[~chosen] = -2
+        groups = group_of_row[considered]
+        order = _np.argsort(groups, kind="stable")
+        sorted_rows, sorted_groups = considered[order], groups[order]
+
+        # A pod group's rows only cross that pod's columns, so its link set is
+        # "columns of the pod that some pod-group row crosses"; group -1 takes
+        # what its own rows cross plus every column nobody crosses.
+        entry_groups = _np.repeat(group_of_row, lengths)
+        in_pod_group = _np.zeros(self.num_links, dtype=bool)
+        in_pod_group[self._row_cols[entry_groups >= 0]] = True
+        in_residual = _np.zeros(self.num_links, dtype=bool)
+        in_residual[self._row_cols[entry_groups == -1]] = True
+        in_residual |= ~(in_pod_group | in_residual)
+
+        ids = _np.fromiter(self._link_ids, dtype=_np.int64, count=self.num_links)
+        present = [pod for pod in _np.unique(sorted_groups).tolist() if pod >= 0]
+        if in_residual.any():  # it has rows, or orphaned columns, or both
+            present.append(-1)
+        shards = []
+        for pod in present:
+            members = in_residual if pod == -1 else in_pod_group & (pods == pod)
+            lo, hi = _np.searchsorted(sorted_groups, [pod, pod + 1])
+            shards.append(
+                (
+                    pod,
+                    tuple(_np.sort(ids[members]).tolist()),
+                    tuple(sorted_rows[lo:hi].tolist()),
+                )
+            )
+        return shards
+
+    def distinct_column_signatures(
+        self, link_ids: Sequence[int], rows: Sequence[int]
+    ) -> int:
+        """How many distinct row sets the given links have within *rows*.
+
+        A link's *signature* is the set of the given rows that cross it; links
+        nobody crosses share the empty one.  Refining a partition of the links
+        by any subset of the rows can never separate two links with the same
+        signature, so this count is the number of cells of the finest
+        partition those rows can reach -- the PMC greedy's closed-form
+        termination target (see :func:`repro.core.pmc._solve_subproblem`).
+
+        The numpy path reads the CSC columns filtered by a row mask in one
+        array pass and tells columns apart by ``(count, first row, last row)``;
+        only columns that agree on all three are compared entry by entry.
+        """
+        self.counters.tick("column_signatures", len(link_ids))
+        pos = self._pos
+        if self._backend is not Backend.NUMPY:
+            in_rows = set(rows)
+            return len(
+                {
+                    tuple(r for r in self.col_rows(pos[link]) if r in in_rows)
+                    for link in link_ids
+                }
+            )
+        in_rows = _np.zeros(self._num_paths, dtype=bool)
+        in_rows[_np.asarray(rows, dtype=_np.int64)] = True
+        cols = _np.fromiter(
+            (pos[link] for link in link_ids), dtype=_np.int64, count=len(link_ids)
+        )
+        segments, col_rows = _gather_segments(self._col_indptr, self._col_rows, cols)
+        keep = in_rows[col_rows]
+        col_rows = col_rows[keep]
+        counts = _np.bincount(segments[keep], minlength=len(cols))
+        ends = _np.cumsum(counts)
+        crossed = _np.flatnonzero(counts)
+        begins = (ends - counts)[crossed]
+        ends = ends[crossed]
+        lookalikes: Dict[Tuple[int, int, int], List[int]] = {}
+        for i, key in enumerate(
+            zip(
+                counts[crossed].tolist(),
+                col_rows[begins].tolist(),
+                col_rows[ends - 1].tolist(),
+            )
+        ):
+            lookalikes.setdefault(key, []).append(i)
+        distinct = 1 if len(crossed) < len(cols) else 0
+        for members in lookalikes.values():
+            if len(members) == 1:
+                distinct += 1
+            else:
+                distinct += len(
+                    {col_rows[begins[i] : ends[i]].tobytes() for i in members}
+                )
+        return distinct
 
     def projection(self, link_ids: Sequence[int]) -> "RowProjection":
         """A row projector onto the dense local id space of a link subset.
@@ -1203,19 +1346,10 @@ class RowProjection:
         if self._index.backend is not Backend.NUMPY:
             raise RuntimeError("batch projection requires the numpy backend")
         rows = _np.asarray(rows, dtype=_np.int64)
-        indptr = self._index._row_indptr
-        starts = indptr[rows]
-        lengths = indptr[rows + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            empty = _np.zeros(0, dtype=_np.int64)
-            return empty, empty
-        # Gather the CSR slices of all rows in one shot: entry k of segment s
-        # sits at starts[s] + (k - segment_start[s]).
-        cum = _np.cumsum(lengths)
-        flat_pos = _np.repeat(starts - (cum - lengths), lengths) + _np.arange(total)
-        locals_ = self._gmap[self._index._row_cols[flat_pos]]
-        segments = _np.repeat(_np.arange(rows.size, dtype=_np.int64), lengths)
+        segments, cols = _gather_segments(
+            self._index._row_indptr, self._index._row_cols, rows
+        )
+        locals_ = self._gmap[cols]
         keep = locals_ >= 0
         if not keep.all():
             locals_, segments = locals_[keep], segments[keep]

@@ -33,6 +33,16 @@ submodularity its marginal gain can only shrink, so it will never become
 useful.  This keeps the selection minimal when the requested identifiability
 is unachievable (e.g. ``beta = 2`` in a 4-ary Fattree, §6.3).
 
+The loop's stop condition is closed-form rather than "until fully refined or
+out of candidates": for ``beta = 1`` the finest partition a subproblem's
+candidates can reach has one cell per distinct column signature (the set of
+candidate rows crossing a link; all never-crossed links share one), so the
+greedy stops as soon as the partition has that many cells and no coverable
+link is under-covered -- with the selection an exhaustive drain of the heap
+would return, since from there on every candidate is a zero-gain discard (see
+:func:`_solve_subproblem`).  That is what keeps a cycle with links down, whose
+orphaned links can never be separated, as cheap as a healthy one.
+
 Both public entry points -- :func:`construct_probe_matrix` (cold: every
 candidate row) and :func:`construct_probe_matrix_masked` (incremental: the
 active rows of a link-masked index, warm-startable) -- are thin wrappers over
@@ -194,6 +204,22 @@ class PMCStats:
     and ``subproblems`` they form :meth:`cost_counters`, the machine-
     independent work profile the benchmark gates assert on (wall-clock
     ``elapsed_seconds`` is informational only).
+
+    The three verdicts mean the same thing on every path to a solve -- exact
+    or pod-sharded decomposition, cold, masked, or replayed from the warm
+    cache -- and merge by conjunction / union over subproblems:
+
+    * ``uncoverable_links``: the links no candidate row crosses (dead links,
+      orphans of a pod sharding).  Nothing else reports them.
+    * ``coverage_satisfied``: every *coverable* link lies on ``alpha``
+      selected paths of its subproblem.
+    * ``fully_refined``: the requested identifiability holds over the whole
+      link universe -- every pair of (extended) links is separated by the
+      selection *and* no link is uncoverable, because an uncovered link's
+      failure is indistinguishable from no failure
+      (:func:`~repro.core.properties.check_identifiability` rejects an empty
+      syndrome for the same reason).  ``beta = 0`` requests nothing and
+      reports ``True``.
     """
 
     iterations: int = 0
@@ -793,6 +819,12 @@ def _solve_subproblem(
     surviving candidates only -- the same vector a from-scratch rebuild on
     the post-delta topology would compute.  ``orbits`` is only consulted
     under ``options.use_symmetry``, which always solves inline.
+
+    The loop ends when ``goals_met``: the partition has ``reachable_cells``
+    cells (identifiability requested) and no coverable link is under-covered.
+    One rule for every heap flavour, backend and dispatch mode; see the
+    comment at ``reachable_cells`` for why stopping there returns the
+    selection an exhaustive drain of the heap returns.
     """
     stats = PMCStats()
     link_ids = sorted(subproblem.link_ids)
@@ -801,9 +833,9 @@ def _solve_subproblem(
 
     if not link_ids or not path_indices:
         # Links that no candidate path can probe are reported as uncoverable;
-        # coverage is vacuously satisfied among coverable links, but the
-        # identifiability target cannot be met for them.
-        stats.fully_refined = not link_ids
+        # coverage is vacuously satisfied among coverable links, but a
+        # requested identifiability target cannot be met for them.
+        stats.fully_refined = options.beta == 0 or not link_ids
         stats.coverage_satisfied = True
         stats.uncoverable_links = tuple(link_ids)
         return [], stats
@@ -882,15 +914,33 @@ def _solve_subproblem(
     identifiability_needed = options.beta > 0
     iteration = 0
 
+    # The cell count at which refinement is over.  Selections only ever group
+    # links by which selected rows cross them, so no selection can separate
+    # two links crossed by the same candidate rows: the finest reachable
+    # partition has one cell per distinct column signature.  A partition with
+    # that many cells *is* that partition, hence no candidate can split it, and
+    # zero gain is absorbing (later refinements keep a path all-or-nothing on
+    # every cell; ``under_covered`` only shrinks) -- every candidate still in
+    # the heap would be popped, rescored and discarded, so stopping here
+    # returns the selection the exhaustive drain returns.  That argument needs
+    # the zero-gain discard, so without ``skip_zero_gain`` (the textbook
+    # greedy, which selects such candidates) the target stays the trivial
+    # bound "every id alone"; so it does in the virtual-link space of
+    # ``beta >= 2``, where counting distinct unions of signatures costs more
+    # than the drain it would save at the scales that space is usable at.
+    reachable_cells = extended.num_extended
+    if options.beta == 1 and options.skip_zero_gain:
+        reachable_cells = index.distinct_column_signatures(link_ids, path_indices)
+
     def goals_met() -> bool:
-        refinement_done = partition.fully_refined if identifiability_needed else True
-        return refinement_done and under_count == 0
+        refined = not identifiability_needed or partition.num_cells == reachable_cells
+        return refined and under_count == 0
 
     def marginal_gain(path_index: int) -> Tuple[int, int]:
         """(new cells the path would split off, under-covered links it crosses)."""
         covers = kernels.count_true_at(under_covered, proj.row(path_index))
         splits = 0
-        if identifiability_needed and not partition.fully_refined:
+        if identifiability_needed and partition.num_cells < reachable_cells:
             splits = partition.splits_gained(ext_row(path_index))
         return splits, covers
 
@@ -947,7 +997,9 @@ def _solve_subproblem(
                 stats,
             )
 
-    stats.fully_refined = partition.fully_refined or not identifiability_needed
+    stats.fully_refined = not identifiability_needed or (
+        partition.fully_refined and not stats.uncoverable_links
+    )
     stats.coverage_satisfied = under_count == 0
     stats.greedy_evaluations = heap.evaluations
     stats.lazy_skips = heap.lazy_skips

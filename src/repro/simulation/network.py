@@ -12,14 +12,15 @@ just a number of probes per path.  All randomness flows through an explicit
 ``numpy.random.Generator``.
 
 Two probing kernels share one semantics.  :meth:`ProbeSimulator.probe_path_batch`
-answers one ``(path, count)`` row per call and is the per-event path and the
-reference; :meth:`ProbeSimulator.probe_paths_bulk` answers a whole drain of
-rows from a plan compiled once per scenario version -- clean rows by a mask,
-rows crossing only full-loss / deterministic-partial links closed-form from a
-per-port "first link that drops it" table, rows crossing a random-partial
-link with exactly the reference's ``Generator.random(n)`` sequence.  The two
-agree on ``(sent, lost)``, ``drops_per_link`` and the generator state after
-every call (``docs/INVARIANTS.md``).
+answers one ``(path, count)`` row per call and is the reference: the per-event
+oracle scheduler of ``tests/per_event_oracle.py`` probes with it, and no engine
+code path calls it.  :meth:`ProbeSimulator.probe_paths_bulk` answers a whole
+drain of rows from a plan compiled once per scenario version -- clean rows by
+a mask, rows crossing only full-loss / deterministic-partial links closed-form
+from a per-port "first link that drops it" table, rows crossing a
+random-partial link with exactly the reference's ``Generator.random(n)``
+sequence.  The two agree on ``(sent, lost)``, ``drops_per_link`` and the
+generator state after every call (``docs/INVARIANTS.md``).
 """
 
 from __future__ import annotations
@@ -211,9 +212,10 @@ class ProbeSimulator:
 
         Rows answered per class (clean / deterministic / stochastic), plans
         compiled (one per scenario version the kernel met) and uniform
-        variates drawn.  Only :meth:`probe_paths_bulk` ticks them, so they
-        describe the coalesced scheduling regime and read zero in the
-        per-event one -- informational, like the scheduler's drain statistics.
+        variates drawn.  Only :meth:`probe_paths_bulk` ticks them: they
+        describe what the engine's scheduler drained and read zero for rows
+        probed through the reference kernel (:meth:`probe_path_batch`, the
+        tests' oracle) -- informational, like the scheduler's drain statistics.
         """
         return dict(self._bulk_totals)
 

@@ -173,6 +173,54 @@ class TestComponents:
                 assert py.components(rows) == np_.components(rows)
 
 
+class TestColumnSignatures:
+    """``distinct_column_signatures``: the PMC greedy's termination target."""
+
+    def test_fixed_instance(self, index):
+        # Within all rows every crossed link is crossed by a different row set.
+        assert index.distinct_column_signatures(LINKS, range(len(PATHS))) == 6
+        # Rows 0 and 1 only: 3 -> {0}, 7 -> {0, 1}, 10 -> {1}; 11, 20 and 21
+        # are crossed by neither and share the empty signature.
+        assert index.distinct_column_signatures(LINKS, [0, 1]) == 4
+        assert index.distinct_column_signatures([11, 20, 21], [0, 1]) == 1
+        assert index.distinct_column_signatures(LINKS, []) == 1
+        assert index.counters.calls("column_signatures") == 4
+        assert index.counters.elements("column_signatures") == 6 + 6 + 3 + 6
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
+    def test_lookalike_columns_are_compared_entry_by_entry(self, backend):
+        # Links 1 and 2 agree on (count, first row, last row) = (3, 0, 3) but
+        # not on the row in between; links 3 and 4 are true twins.
+        paths = [{1, 2, 3, 4}, {1}, {2}, {1, 2, 3, 4}, {5}]
+        idx = IncidenceIndex(paths, [1, 2, 3, 4, 5, 6], backend=backend)
+        assert idx.distinct_column_signatures([1, 2, 3, 4, 5, 6], range(5)) == 5
+        assert idx.distinct_column_signatures([1, 2], [0, 3]) == 1
+        assert idx.distinct_column_signatures([2, 1], [0, 1, 3]) == 2
+
+    def test_differential_backends_and_brute_force(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n_links = int(rng.integers(1, 12))
+            universe = sorted(rng.choice(100, size=n_links, replace=False).tolist())
+            m = int(rng.integers(0, 16))
+            link_sets = [
+                frozenset(
+                    rng.choice(
+                        universe, size=int(rng.integers(0, n_links + 1)), replace=False
+                    ).tolist()
+                )
+                for _ in range(m)
+            ]
+            rows = sorted(rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False).tolist())
+            links = rng.permutation(universe)[: int(rng.integers(1, n_links + 1))].tolist()
+            expected = len(
+                {frozenset(r for r in rows if link in link_sets[r]) for link in links}
+            )
+            for backend in BACKENDS:
+                idx = IncidenceIndex(link_sets, universe, backend=backend)
+                assert idx.distinct_column_signatures(links, rows) == expected
+
+
 class TestScipyExport:
     def test_matches_dense_incidence(self, index):
         dense = index.to_scipy_csr().toarray()

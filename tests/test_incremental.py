@@ -521,3 +521,170 @@ class TestShardedIncrementalIsolation:
         assert steady.touched_shards == ()
         assert all(shard.reused for shard in steady.pmc_result.shards)
         assert steady.pmc_result.stats.candidates_scored == 0
+
+
+# ---------------------------------------------------------------------------
+# the unreachable goal: with links down the sharded residual shard holds
+# orphaned links nobody can separate, so "fully refined" never comes -- the
+# greedy must stop at the finest reachable partition instead of draining the
+# heap, with the drain's selection
+# ---------------------------------------------------------------------------
+
+def _tier_links(topology):
+    """Switch links per tier pair, sorted: [0] aggregation-core, [-1] aggregation-edge."""
+    groups = {
+        tiers: [link.link_id for link in links]
+        for tiers, links in topology.links_by_tier_pair().items()
+        if "server" not in tiers
+    }
+    return [groups[tiers] for tiers in sorted(groups)]
+
+
+def _health_states(topology):
+    core, *_, edge = _tier_links(topology)
+    switch = next(s.name for s in topology.switches if s.name.endswith("agg1"))
+    return {
+        "two-links": TopologyDelta.of_failures(links=[core[0], edge[0]]),
+        "three-links": TopologyDelta.of_failures(links=[core[0], edge[0], core[-1]]),
+        "switch": TopologyDelta.of_failures(switches=[switch]),
+    }
+
+
+class TestUnreachableGoal:
+    FABRICS = {"fattree4": 4, "fattree8": 8}
+
+    @staticmethod
+    def _config(jobs=1, **overrides):
+        return ControllerConfig(
+            alpha=2, beta=1, shard_by_pods=True, intrapod_paths=True, jobs=jobs, **overrides
+        )
+
+    @pytest.mark.parametrize("state", ["two-links", "three-links", "switch", "cold-fallback"])
+    @pytest.mark.parametrize("name", list(FABRICS))
+    def test_same_cover_on_every_backend_and_jobs(self, name, state, monkeypatch):
+        topology = build_fattree(self.FABRICS[name])
+        overrides = {}
+        if state == "cold-fallback":
+            # Two links of churn against a threshold of one: the incremental
+            # controller itself takes the cold path with links down.
+            state, overrides = "two-links", {"churn_rebuild_threshold": 1}
+        delta = _health_states(topology)[state]
+
+        runs = []
+        for backend in BACKENDS:
+            monkeypatch.setenv("REPRO_BACKEND", backend.value)
+            for jobs in (1, 2):
+                watchdog = Watchdog(topology)
+                controller = Controller(topology, self._config(jobs, **overrides), watchdog=watchdog)
+                controller.run_incremental_cycle()
+                controller.run_incremental_cycle()  # fills the warm cache
+                watchdog.apply_delta(delta)
+                cycle = controller.run_incremental_cycle()
+                assert cycle.mode == ("full" if overrides else "incremental")
+                index = controller._full_routing_matrix().incidence
+                assert index.backend is backend
+                runs.append((cycle, index.counters.as_dict()))
+                controller.close()
+
+        # The drain's selection: a cold cycle against the same health state.
+        monkeypatch.delenv("REPRO_BACKEND")
+        cold = Controller(
+            topology, self._config(**overrides), watchdog=_clone_watchdog(topology, watchdog)
+        )
+        cold._version = runs[0][0].version - 1
+        cold_cycle = cold.run_cycle()
+        first, first_kernels = runs[0]
+        assert not first.pmc_result.stats.fully_refined
+        assert first.pmc_result.stats.uncoverable_links == tuple(
+            sorted(watchdog.failed_probe_link_ids() & set(index.link_ids))
+        )
+        for cycle, kernel_totals in runs:
+            _assert_cycles_identical(cycle, cold_cycle)
+            stats = cycle.pmc_result.stats
+            assert stats.cost_counters() == first.pmc_result.stats.cost_counters()
+            assert (stats.fully_refined, stats.coverage_satisfied, stats.uncoverable_links) == (
+                cold_cycle.pmc_result.stats.fully_refined,
+                cold_cycle.pmc_result.stats.coverage_satisfied,
+                cold_cycle.pmc_result.stats.uncoverable_links,
+            )
+            assert [
+                (s.pod, s.digest, s.reused, s.cost_counters, s.kernel_cost)
+                for s in cycle.pmc_result.shards
+            ] == [
+                (s.pod, s.digest, s.reused, s.cost_counters, s.kernel_cost)
+                for s in first.pmc_result.shards
+            ]
+            assert kernel_totals == first_kernels
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
+    @pytest.mark.parametrize("name", list(FABRICS))
+    def test_second_link_down_costs_what_the_first_did(self, name, backend, monkeypatch):
+        # The counter gate that replaces a stopwatch: one link down leaves one
+        # orphan (a singleton cell, goal reachable); a second one makes two
+        # orphans share a cell for ever.  An exhaustive drain pays for every
+        # remaining candidate there (7x the scoring and 53x the gain queries on
+        # Fattree(8)); the early stop pays what the first link's cycle paid.
+        from repro.core import RESIDUAL_POD
+
+        monkeypatch.setenv("REPRO_BACKEND", backend.value)
+        topology = build_fattree(self.FABRICS[name])
+        core, *_, edge = _tier_links(topology)
+        watchdog = Watchdog(topology)
+        controller = Controller(topology, self._config(), watchdog=watchdog)
+        controller.run_incremental_cycle()
+        costs = []
+        for link in (core[0], edge[0]):
+            watchdog.report_failed_link(link)
+            cycle = controller.run_incremental_cycle()
+            assert cycle.mode == "incremental" and RESIDUAL_POD in cycle.touched_shards
+            residual = cycle.pmc_result.shards[-1]
+            assert residual.pod == RESIDUAL_POD and not residual.reused
+            costs.append(
+                (
+                    cycle.pmc_result.stats.candidates_scored,
+                    residual.cost_counters["partition_gain_queries"],
+                )
+            )
+        (scored_one, queries_one), (scored_two, queries_two) = costs
+        assert scored_two <= 1.25 * scored_one
+        assert queries_two <= 1.25 * queries_one
+
+
+class TestFullyRefinedVerdict:
+    """``PMCStats.fully_refined`` means one thing on every path to a solve."""
+
+    @pytest.mark.parametrize("beta", [1, 0])
+    def test_links_down_by_decomposition(self, fattree6, beta):
+        # Fattree(6) is the smallest fat-tree whose pod shards can separate
+        # their own links with intra-pod paths alone.
+        core, *_, edge = _tier_links(fattree6)
+        verdicts = {}
+        for sharded in (False, True):
+            config = ControllerConfig(
+                alpha=1, beta=beta, shard_by_pods=sharded, intrapod_paths=True
+            )
+            watchdog = Watchdog(fattree6)
+            controller = Controller(fattree6, config, watchdog=watchdog)
+            controller.run_incremental_cycle()
+            down = []
+            for link in (None, core[0], edge[0]):
+                if link is not None:
+                    watchdog.report_failed_link(link)
+                    down.append(link)
+                masked = controller.run_incremental_cycle()
+                cached = controller.run_incremental_cycle()  # zero churn: all replays
+                assert masked.mode == cached.mode == "incremental"
+                assert cached.pmc_result.stats.reused_subproblems == cached.pmc_result.stats.subproblems
+                cold = Controller(
+                    fattree6, config, watchdog=_clone_watchdog(fattree6, watchdog)
+                ).run_cycle()
+                for cycle in (masked, cached, cold):
+                    stats = cycle.pmc_result.stats
+                    assert stats.uncoverable_links == tuple(sorted(down))
+                    assert stats.coverage_satisfied
+                    verdicts[sharded, len(down), cycle is cold] = stats.fully_refined
+        # Every pair of links separated and every link crossed: any
+        # uncoverable link defeats a requested identifiability target (its
+        # failure looks like "no failure"), and beta = 0 requests none.
+        for (sharded, links_down, _), fully_refined in verdicts.items():
+            assert fully_refined == (beta == 0 or links_down == 0), (sharded, links_down)

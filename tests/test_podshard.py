@@ -171,6 +171,128 @@ class TestPodShardsForMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Array sharding == row loop: IncidenceIndex.pod_shards (numpy, one array
+# pass over the CSR buffers) against the set-based _pod_shards reference
+# ---------------------------------------------------------------------------
+
+_SHARDING_FABRICS = {
+    "fattree4": lambda: (build_fattree(4), {"include_intrapod_agg": True}),
+    "fattree8": lambda: (build_fattree(8), {"include_intrapod_agg": True}),
+    "vl2": lambda: (build_vl2(4, 4, 2), {}),
+    "bcube": lambda: (build_bcube(4, 1), {}),
+}
+
+
+def _row_loop_shards(matrix, rows=None):
+    """The reference: ``_pod_shards`` over raw link sets, through its public door.
+
+    Rows outside *rows* are blanked instead of removed (an empty link set is
+    dropped by the row loop), so positions stay the matrix's row indices.
+    """
+    index = matrix.incidence
+    considered = set(range(index.num_paths) if rows is None else rows)
+    link_sets = [
+        index.row_link_set(row) if row in considered else frozenset()
+        for row in range(index.num_paths)
+    ]
+    return decompose_by_link_sets(
+        link_sets, index.link_ids, link_pods=link_pod_map(matrix.topology, index.link_ids)
+    )
+
+
+class TestArrayShardingEqualsRowLoop:
+    @pytest.mark.parametrize("name", list(_SHARDING_FABRICS))
+    def test_cold_subsets_and_random_masks(self, name):
+        import random
+
+        topology, kwargs = _SHARDING_FABRICS[name]()
+        paths = enumerate_candidate_paths(topology, ordered=False, **kwargs)
+        arrays = RoutingMatrix(topology, paths, backend=Backend.NUMPY)
+        loops = RoutingMatrix(topology, paths, backend=Backend.PYTHON)
+        cold = pod_shards_for_matrix(arrays)
+        if name.startswith("fattree"):
+            assert [s.pod for s in cold] == list(range(len(cold) - 1)) + [RESIDUAL_POD]
+        else:  # no pods: everything is residual
+            assert [s.pod for s in cold] == [RESIDUAL_POD]
+
+        rng = random.Random(2017)
+        links = list(arrays.incidence.link_ids)
+        row_subsets = [None, [], list(cold[0].path_indices)]
+        for _ in range(6):
+            arrays.incidence.clear_link_mask()
+            arrays.incidence.apply_link_mask(rng.sample(links, rng.randint(1, 6)))
+            row_subsets.append(arrays.incidence.active_rows())
+        arrays.incidence.clear_link_mask()
+        for rows in row_subsets:
+            considered = arrays.num_paths if rows is None else len(rows)
+            ticks = []
+            for matrix in (arrays, loops):
+                counters = matrix.incidence.counters
+                before = counters.calls("pod_shards"), counters.elements("pod_shards")
+                shards = pod_shards_for_matrix(matrix, rows=rows)
+                # Subproblem for Subproblem: pod, link_ids, path_indices order,
+                # shard order.
+                assert shards == _row_loop_shards(matrix, rows)
+                ticks.append(
+                    (
+                        counters.calls("pod_shards") - before[0],
+                        counters.elements("pod_shards") - before[1],
+                    )
+                )
+            assert ticks == [(1, considered)] * 2  # one tick per considered row
+
+    def test_rows_keep_the_callers_order(self, fattree4):
+        paths = enumerate_candidate_paths(fattree4, ordered=False, include_intrapod_agg=True)
+        arrays = RoutingMatrix(fattree4, paths, backend=Backend.NUMPY)
+        loops = RoutingMatrix(fattree4, paths, backend=Backend.PYTHON)
+        rows = list(range(arrays.num_paths))[::-3]
+        shards = pod_shards_for_matrix(arrays, rows=rows)
+        assert shards == pod_shards_for_matrix(loops, rows=rows)
+        for shard in shards:
+            assert list(shard.path_indices) == sorted(shard.path_indices, reverse=True)
+
+    def test_empty_rows_orphans_and_empty_universes(self, fattree4):
+        paths = enumerate_candidate_paths(fattree4, ordered=False, include_intrapod_agg=True)
+        pods = link_pod_map(fattree4)
+        universe = [link.link_id for link in fattree4.switch_links]
+        pod0 = [link for link in universe if pods[link] == 0]
+        unowned = [link for link in universe if pods[link] is None]
+        for link_ids, candidates in (
+            # Universe = pod 0 + one core link: most rows cross no universe
+            # link at all (zero-length rows), some only the core link.
+            (pod0 + unowned[:1], paths),
+            # One candidate: every link off it is orphaned into the residual.
+            (universe, paths[:1]),
+            # A single intra-pod candidate: a pod shard plus an all-orphan,
+            # row-less residual.
+            (universe, [p for p in paths if all(pods[l] == 1 for l in p.link_ids)][:1]),
+            # No row at all, then no link either.
+            (universe, []),
+            ([], paths[:3]),
+        ):
+            arrays = RoutingMatrix(fattree4, candidates, link_ids=link_ids, backend=Backend.NUMPY)
+            shards = pod_shards_for_matrix(arrays)
+            assert shards == _row_loop_shards(arrays)
+            assert sorted({l for s in shards for l in s.link_ids}) == sorted(link_ids)
+        assert shards == []
+
+    def test_attached_index_shards_like_its_owner(self, fattree4):
+        from repro.core.incidence import IncidenceIndex
+
+        paths = enumerate_candidate_paths(fattree4, ordered=False, include_intrapod_agg=True)
+        index = RoutingMatrix(fattree4, paths, backend=Backend.NUMPY).incidence
+        pods = link_pod_map(fattree4, index.link_ids)
+        col_pods = [RESIDUAL_POD if pods[link] is None else pods[link] for link in index.link_ids]
+        with index.share() as share:
+            attached = IncidenceIndex.attach(share.handle)
+            try:
+                for rows in (None, list(range(0, index.num_paths, 2))):
+                    assert attached.pod_shards(col_pods, rows) == index.pod_shards(col_pods, rows)
+            finally:
+                attached.detach()
+
+
+# ---------------------------------------------------------------------------
 # Differential: parallel == serial, byte for byte (tentpole)
 # ---------------------------------------------------------------------------
 

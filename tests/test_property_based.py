@@ -14,6 +14,7 @@ from repro.core import (
     PMCOptions,
     ProbeMatrix,
     RESIDUAL_POD,
+    Subproblem,
     check_identifiability,
     construct_probe_matrix,
     decompose_by_link_sets,
@@ -199,6 +200,31 @@ def test_pod_sharding_is_a_partition_with_residual(data):
         assert pods_emitted[-1] == RESIDUAL_POD
 
 
+@given(pod_sharding_inputs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_array_pod_sharding_equals_the_row_loop(data, extra):
+    from repro.core.incidence import Backend, IncidenceIndex
+
+    universe, subsets, link_pods, _ = data
+    rows = extra.draw(
+        st.one_of(st.none(), st.lists(st.integers(0, len(subsets) - 1), unique=True))
+    )
+    considered = range(len(subsets)) if rows is None else rows
+    blanked = [s if i in considered else frozenset() for i, s in enumerate(subsets)]
+    reference = decompose_by_link_sets(blanked, universe, link_pods=link_pods)
+    if rows is not None:  # the row loop keeps the caller's order; so must the kernel
+        rank = {row: position for position, row in enumerate(rows)}
+        reference = [
+            Subproblem(s.link_ids, tuple(sorted(s.path_indices, key=rank.get)), s.pod)
+            for s in reference
+        ]
+    index = IncidenceIndex(subsets, universe, backend=Backend.NUMPY)
+    col_pods = [RESIDUAL_POD if link_pods[l] is None else link_pods[l] for l in universe]
+    assert [
+        Subproblem(links, members, pod) for pod, links, members in index.pod_shards(col_pods, rows)
+    ] == reference
+
+
 # ---------------------------------------------------------------------------
 # Shard-merge invariance: covers and counters do not depend on jobs, on
 # random Fattree/VL2/BCube instances
@@ -248,6 +274,88 @@ def test_sharded_cover_invariant_to_jobs(family, seed, alpha):
         assert [s.kernel_cost for s in parallel.shards] == [
             s.kernel_cost for s in baseline.shards
         ]
+
+
+# ---------------------------------------------------------------------------
+# Maximality: wherever the greedy stops, no candidate it left behind can still
+# gain anything -- judged against a partition and a coverage vector rebuilt
+# from the selection alone, never from the solver's own state
+# ---------------------------------------------------------------------------
+
+
+@given(
+    st.sampled_from(_TOPOLOGY_FAMILIES),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from(["components", "pods", "whole"]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_no_candidate_left_behind_can_gain(family, seed, alpha, beta, decomposition, lazy, data):
+    from repro.core import (
+        construct_probe_matrix_masked,
+        decompose_routing_matrix,
+        link_pod_map,
+        pod_shards_for_matrix,
+    )
+
+    topology, matrix = _random_instance(family, seed)
+    if beta == 2 and matrix.num_links > 32:
+        beta = 1  # the virtual-link space is quadratic in the links
+    index = matrix.incidence
+    links = list(index.link_ids)
+    pods = link_pod_map(topology, links)
+    masked = set(data.draw(st.sets(st.sampled_from(links), max_size=4)))
+    if data.draw(st.booleans()) and any(pod is not None for pod in pods.values()):
+        pod = data.draw(st.sampled_from(sorted({p for p in pods.values() if p is not None})))
+        masked |= {link for link in links if pods[link] == pod}  # a whole pod dark
+    index.apply_link_mask(sorted(masked))
+    options = PMCOptions(
+        alpha=alpha,
+        beta=beta,
+        use_lazy_update=lazy,
+        use_decomposition=decomposition == "components",
+        shard_by_pods=decomposition == "pods",
+    )
+    assert options.skip_zero_gain
+    result = construct_probe_matrix_masked(matrix, options)
+    rows = index.active_rows()
+    if decomposition == "pods":
+        subproblems = pod_shards_for_matrix(matrix, rows=rows)
+    elif decomposition == "components":
+        subproblems = decompose_routing_matrix(matrix, rows=rows)
+    else:
+        subproblems = [Subproblem(link_ids=tuple(links), path_indices=tuple(rows))]
+    assert len(subproblems) == result.stats.subproblems
+    chosen = set(result.selected_indices)
+    candidates_anywhere = {link for row in rows for link in matrix.links_on(row)}
+
+    for sub in subproblems:
+        space = ExtendedLinkSpace(sub.link_ids, beta)
+        universe = set(sub.link_ids)
+        partition = LinkSetPartition(space.num_extended)
+        weight = dict.fromkeys(sub.link_ids, 0)
+        for row in sub.path_indices:
+            if row in chosen:
+                on_path = matrix.links_on(row) & universe
+                partition.split(space.extended_links_on_path(on_path))
+                for link in on_path:
+                    weight[link] += 1
+        wanting = {
+            link for link in sub.link_ids
+            if link in candidates_anywhere and weight[link] < alpha
+        }
+        for row in sub.path_indices:
+            if row in chosen:
+                continue
+            on_path = matrix.links_on(row) & universe
+            assert not (on_path & wanting), (sub.pod, row, "could still cover")
+            if beta:
+                assert partition.splits_gained(space.extended_links_on_path(on_path)) == 0, (
+                    sub.pod, row, "could still split"
+                )
 
 
 # ---------------------------------------------------------------------------
