@@ -53,7 +53,7 @@ class TestPMCVariants:
         assert check_coverage(result.probe_matrix, ALPHA)
 
     def test_symmetry(self, benchmark, fattree6, fattree6_routing):
-        orbits = PathOrbits.from_walks(fattree6, [p.nodes for p in fattree6_routing.paths])
+        orbits = PathOrbits.from_walks(fattree6, fattree6_routing.paths.walks())
         options = _options(use_decomposition=True, use_lazy_update=True, use_symmetry=True)
         result = benchmark.pedantic(
             construct_probe_matrix,

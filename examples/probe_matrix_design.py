@@ -45,7 +45,7 @@ def describe(topology, alpha_beta_targets) -> None:
 def show_optimizations(topology) -> None:
     paths = enumerate_candidate_paths(topology, ordered=False)
     routing_matrix = RoutingMatrix(topology, paths)
-    orbits = PathOrbits.from_walks(topology, [p.nodes for p in paths])
+    orbits = PathOrbits.from_walks(topology, paths.walks())
     print(f"\n=== PMC speed-ups on {topology.name} "
           f"({routing_matrix.num_paths} candidate paths) ===")
     variants = [

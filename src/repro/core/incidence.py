@@ -55,7 +55,7 @@ try:  # numpy is the default backend but never a hard requirement
 except ImportError:  # pragma: no cover - the CI image always has numpy
     _np = None
 
-from ..contracts import pool_payload, trace_span
+from ..contracts import pool_payload, trace_record, trace_span
 from .costmodel import KernelCounters
 
 __all__ = [
@@ -523,6 +523,33 @@ class IncidenceIndex:
         backend: Optional[Union[str, Backend]] = None,
         counters: Optional[KernelCounters] = None,
     ):
+        row_indptr: List[int] = [0]
+        row_links: List[int] = []
+        for links in path_link_sets:
+            row_links.extend(links)
+            row_indptr.append(len(row_links))
+        self._build(row_indptr, row_links, link_universe, backend, counters)
+
+    @classmethod
+    def from_rows(
+        cls,
+        row_indptr,
+        row_links,
+        link_universe: Sequence[int],
+        backend: Optional[Union[str, Backend]] = None,
+        counters: Optional[KernelCounters] = None,
+    ) -> "IncidenceIndex":
+        """Build from flat rows: row ``r`` crosses ``row_links[row_indptr[r]:row_indptr[r+1]]``.
+
+        Link ids may repeat within a row and may fall outside the universe
+        (both are dropped); the arrays may be lists or numpy arrays whatever
+        the backend.  This is what a :class:`~repro.routing.PathTable` feeds.
+        """
+        self = cls.__new__(cls)
+        self._build(row_indptr, row_links, link_universe, backend, counters)
+        return self
+
+    def _build(self, row_indptr, row_links, link_universe, backend, counters) -> None:
         self._backend = resolve_backend(backend)
         self.kernels = _kernels_for(self._backend)
         # Semantic kernel-invocation counters (see repro.core.costmodel):
@@ -531,34 +558,18 @@ class IncidenceIndex:
         self.counters = counters if counters is not None else KernelCounters()
         self._link_ids: Tuple[int, ...] = tuple(link_universe)
         self._pos: Dict[int, int] = {link: col for col, link in enumerate(self._link_ids)}
-
-        # CSR build: one pass over the paths, columns sorted within each row
-        # so that both backends traverse entries in the same order.
-        pos = self._pos
-        row_indptr: List[int] = [0]
-        row_cols: List[int] = []
-        for links in path_link_sets:
-            cols = sorted(pos[l] for l in links if l in pos)
-            row_cols.extend(cols)
-            row_indptr.append(len(row_cols))
         self._num_paths = len(row_indptr) - 1
-        n = len(self._link_ids)
-
-        # CSC build by counting sort: rows within each column come out sorted
-        # because rows are visited in ascending order.
-        counts = [0] * n
-        for col in row_cols:
-            counts[col] += 1
-        col_indptr: List[int] = [0] * (n + 1)
-        for col in range(n):
-            col_indptr[col + 1] = col_indptr[col] + counts[col]
-        fill = list(col_indptr[:n])
-        col_rows: List[int] = [0] * len(row_cols)
-        for row in range(self._num_paths):
-            for e in range(row_indptr[row], row_indptr[row + 1]):
-                col = row_cols[e]
-                col_rows[fill[col]] = row
-                fill[col] += 1
+        build = self._csr_csc_numpy if self._backend is Backend.NUMPY else self._csr_csc_python
+        row_indptr, row_cols, col_indptr, col_rows = build(row_indptr, row_links)
+        trace_record(
+            "incidence.build",
+            # Informational: matrices are also built inside pool workers, which
+            # never trace, so whether this span exists depends on ``jobs``.
+            informational=True,
+            rows=self._num_paths,
+            links=len(self._link_ids),
+            nnz=len(row_cols),
+        )
 
         k = self.kernels
         self._row_indptr = k.int_array(row_indptr)
@@ -583,6 +594,63 @@ class IncidenceIndex:
         self._coverage_cache = None
         self._active_counts_cache = None
         self._uid = next(_INDEX_UIDS)
+
+    def _csr_csc_python(self, indptr, links):
+        """CSR with sorted, de-duplicated in-universe columns per row, and its CSC."""
+        pos = self._pos
+        if not isinstance(links, list):
+            indptr, links = list(map(int, indptr)), list(map(int, links))
+        row_indptr: List[int] = [0]
+        row_cols: List[int] = []
+        rows_of: List[List[int]] = [[] for _ in self._link_ids]
+        for row in range(self._num_paths):
+            cols = sorted({pos[l] for l in links[indptr[row] : indptr[row + 1]] if l in pos})
+            row_cols.extend(cols)
+            row_indptr.append(len(row_cols))
+            for col in cols:  # rows arrive ascending, so each column comes out sorted
+                rows_of[col].append(row)
+        col_indptr: List[int] = [0]
+        col_rows: List[int] = []
+        for rows in rows_of:
+            col_rows.extend(rows)
+            col_indptr.append(len(col_rows))
+        return row_indptr, row_cols, col_indptr, col_rows
+
+    def _csr_csc_numpy(self, indptr, links):
+        """The same four arrays as :meth:`_csr_csc_python`, in array passes."""
+        m, n = self._num_paths, len(self._link_ids)
+        indptr = _np.asarray(indptr, dtype=_np.int64)
+        links = _np.asarray(links, dtype=_np.int64)
+        keys = _np.repeat(_np.arange(m, dtype=_np.int64), _np.diff(indptr))  # each hop's row
+        if n and len(links):
+            universe = _np.fromiter(self._link_ids, dtype=_np.int64, count=n)
+            by_id = _np.argsort(universe, kind="stable")
+            ordered = universe[by_id]
+            # The last of equal ids, like the ``link -> column`` dict.
+            slot = _np.maximum(_np.searchsorted(ordered, links, side="right") - 1, 0)
+            known = ordered[slot] == links
+            cols = by_id[slot]
+            if not known.all():
+                keys, cols = keys[known], cols[known]
+            # One sort of ``row << bits | column`` keys orders the columns
+            # within each row and makes a row's repeated hops adjacent.
+            bits = n.bit_length()
+            keys <<= bits
+            keys |= cols
+            keys.sort(kind="stable")
+            first = _np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            if not first.all():
+                keys = keys[first]
+            rows, cols = keys >> bits, keys & ((1 << bits) - 1)
+        else:
+            rows = cols = _np.zeros(0, dtype=_np.int64)
+        row_indptr = _np.concatenate(([0], _np.cumsum(_np.bincount(rows, minlength=m))))
+        col_indptr = _np.concatenate(([0], _np.cumsum(_np.bincount(cols, minlength=n))))
+        # Stable, so rows stay ascending within a column: a counting sort, and
+        # literally one (radix) when the column positions fit 16 bits.
+        by_col = _np.argsort(cols.astype(_np.min_scalar_type(max(n - 1, 0))), kind="stable")
+        return row_indptr, cols, col_indptr, rows[by_col]
 
     # ------------------------------------------------------------------ sizes
     @property

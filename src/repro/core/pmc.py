@@ -351,9 +351,7 @@ def construct_probe_matrix(
     """
     options = options or PMCOptions()
     if options.use_symmetry and orbits is None:
-        orbits = PathOrbits.from_walks(
-            routing_matrix.topology, [p.nodes for p in routing_matrix.paths]
-        )
+        orbits = PathOrbits.from_walks(routing_matrix.topology, routing_matrix.paths.walks())
     return _construct(
         routing_matrix,
         options,

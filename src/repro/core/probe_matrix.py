@@ -48,10 +48,9 @@ class ProbeMatrix:
         cls, routing_matrix: "RoutingMatrix", selected_indices: Sequence[int]
     ) -> "ProbeMatrix":
         """Build a probe matrix from selected rows of a routing matrix."""
-        paths = [routing_matrix.path(i) for i in selected_indices]
         return cls(
             routing_matrix.topology,
-            paths,
+            routing_matrix.paths.take(selected_indices),
             link_ids=routing_matrix.link_ids,
             backend=routing_matrix.backend,
         )

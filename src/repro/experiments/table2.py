@@ -123,7 +123,7 @@ def run(
         topology = instance.build()
         paths = enumerate_candidate_paths(topology, ordered=False)
         routing_matrix = RoutingMatrix(topology, paths)
-        orbits = PathOrbits.from_walks(topology, [p.nodes for p in paths])
+        orbits = PathOrbits.from_walks(topology, paths.walks())
         row: Dict[str, object] = {
             "dcn": instance.label,
             "nodes": len(topology.nodes),

@@ -39,7 +39,7 @@ from ..core import (
     construct_probe_matrix,
     construct_probe_matrix_masked,
 )
-from ..routing import Path, RoutingMatrix, enumerate_candidate_paths
+from ..routing import PathTable, RoutingMatrix, enumerate_candidate_paths
 from ..topology import FatTreeTopology, HealthSnapshot, PathOrbits, Topology, TopologyDelta
 from .pinglist import Pinglist, PinglistEntry
 from .watchdog import Watchdog
@@ -184,7 +184,7 @@ class Controller:
         # computed once and shared by every subsequent cycle; the warm cache
         # memoizes solved CELF subproblems by content digest, one bucket per
         # pod so churn in one pod cannot evict another pod's cached solution.
-        self._candidate_paths: Optional[List[Path]] = None
+        self._candidate_paths: Optional[PathTable] = None
         self._full_matrix: Optional[RoutingMatrix] = None
         self._warm = ShardedSolutionCache()
         self._planned_snapshot: Optional[HealthSnapshot] = None
@@ -203,8 +203,8 @@ class Controller:
             jobs=config.jobs,
         )
 
-    def candidate_paths(self) -> List[Path]:
-        """The pristine topology's candidate paths (computed once, cached)."""
+    def candidate_paths(self) -> PathTable:
+        """The pristine topology's candidate table (computed once, cached)."""
         if self._candidate_paths is None:
             kwargs = {}
             if self.config.intrapod_paths and isinstance(self.topology, FatTreeTopology):
@@ -248,7 +248,7 @@ class Controller:
         """
         failed = self.watchdog.failed_probe_link_ids()
         if failed:
-            paths = [p for p in self.candidate_paths() if not (p.link_ids & failed)]
+            paths = self.candidate_paths().without_links(failed)
             routing_matrix = RoutingMatrix(self.topology, paths)
         else:
             paths = self.candidate_paths()
@@ -258,7 +258,7 @@ class Controller:
         if self.config.use_symmetry:
             # Orbit signatures always come from the original topology (§4.3),
             # computed over the surviving walks.
-            orbits = PathOrbits.from_walks(self.topology, [p.nodes for p in paths])
+            orbits = PathOrbits.from_walks(self.topology, paths.walks())
         return construct_probe_matrix(routing_matrix, options, orbits=orbits)
 
     # ----------------------------------------------------------- pinger step

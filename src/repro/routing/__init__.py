@@ -3,6 +3,7 @@
 from .ecmp import ECMPRouter, FlowKey
 from .paths import (
     Path,
+    PathTable,
     enumerate_bcube_paths,
     enumerate_candidate_paths,
     enumerate_fattree_paths,
@@ -16,6 +17,7 @@ from .source_routing import EncapsulatedProbe, ProbePacket, SourceRouter
 
 __all__ = [
     "Path",
+    "PathTable",
     "walk_to_link_ids",
     "walk_link_sequence",
     "enumerate_fattree_paths",

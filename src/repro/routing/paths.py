@@ -24,20 +24,22 @@ column of Table 2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..contracts import trace_record
+from ..core.incidence import Backend, resolve_backend
 from ..topology import (
     BCubeTopology,
     FatTreeTopology,
-    Tier,
     Topology,
     TopologyError,
     VL2Topology,
 )
+from .path_table import Path, PathTable, _np
 
 __all__ = [
     "Path",
+    "PathTable",
     "walk_to_link_ids",
     "walk_link_sequence",
     "enumerate_fattree_paths",
@@ -47,60 +49,13 @@ __all__ = [
     "enumerate_shortest_paths",
 ]
 
-
-@dataclass(frozen=True)
-class Path:
-    """A pinned probe path between two endpoints.
-
-    Attributes
-    ----------
-    path_id:
-        Dense index inside the owning candidate set / routing matrix.
-    nodes:
-        The switch-level node walk, source first.  A node may appear twice
-        (an intra-pod path bounced off a core switch revisits its aggregation
-        switch), which is why ``link_ids`` is a set, not a sequence.
-    link_ids:
-        Frozen set of inter-switch link ids traversed (in either direction).
-    src, dst:
-        Endpoints (ToR switches for Fattree/VL2, servers for BCube).
-    via:
-        The pinned waypoint that disambiguates ECMP choices (core switch,
-        intermediate switch, or the digit-permutation label for BCube).
-    """
-
-    path_id: int
-    nodes: Tuple[str, ...]
-    link_ids: frozenset
-    src: str
-    dst: str
-    via: str = ""
-
-    def __len__(self) -> int:
-        return len(self.link_ids)
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.nodes) - 1
-
-    def reversed(self, new_id: Optional[int] = None) -> "Path":
-        """The same physical walk traversed in the opposite direction."""
-        return Path(
-            path_id=self.path_id if new_id is None else new_id,
-            nodes=tuple(reversed(self.nodes)),
-            link_ids=self.link_ids,
-            src=self.dst,
-            dst=self.src,
-            via=self.via,
-        )
+#: A walker yields ``(node walk, via label)`` per candidate, in row order.
+Walks = Iterator[Tuple[Tuple[str, ...], str]]
 
 
 def walk_to_link_ids(topology: Topology, nodes: Sequence[str]) -> frozenset:
     """Translate a node walk into the set of link ids it traverses."""
-    ids = set()
-    for a, b in zip(nodes, nodes[1:]):
-        ids.add(topology.link_between(a, b).link_id)
-    return frozenset(ids)
+    return frozenset(set(walk_link_sequence(topology, nodes)))
 
 
 def walk_link_sequence(topology: Topology, nodes: Sequence[str]) -> List[int]:
@@ -114,6 +69,43 @@ def walk_link_sequence(topology: Topology, nodes: Sequence[str]) -> List[int]:
     ]
 
 
+def _pairs(count: int, ordered: bool) -> Iterator[Tuple[int, int]]:
+    """Endpoint index pairs in row order: ``i``-major, ``i < j`` when unordered."""
+    for i in range(count):
+        for j in range(count):
+            if i != j and (ordered or i < j):
+                yield i, j
+
+
+def _pair_arrays(count: int, ordered: bool):
+    """:func:`_pairs` as two index arrays (pairs are few; their rows are many)."""
+    return _np.array(list(_pairs(count, ordered)), dtype=_np.int64).reshape(-1, 2).T
+
+
+def _produce(topology: Topology, closed_form, walker, *args) -> PathTable:
+    """Fill a table with the resolved backend's producer.
+
+    The numpy backend computes the columns in closed form; the python backend
+    runs the walker, which is also the reference the closed form is tested
+    against.  Both yield the same rows in the same order.
+    """
+    if resolve_backend() is Backend.NUMPY:
+        table, producer = closed_form(topology, *args), "closed_form"
+    else:
+        table, producer = PathTable.from_walks(topology, walker(topology, *args)), "walker"
+    hops = len(table.link_rows()[1])
+    # Informational: the producer differs between backends.
+    trace_record("routing.enumerate", informational=True, rows=len(table), hops=hops, producer=producer)
+    return table
+
+
+def _codes(topology: Topology):
+    """``(node names, name -> code, (a, b) -> link id)`` of a topology."""
+    names = tuple(topology.nodes)
+    code = {name: index for index, name in enumerate(names)}
+    return names, code, lambda a, b: topology.link_between(a, b).link_id
+
+
 # --------------------------------------------------------------------------
 # Fattree
 # --------------------------------------------------------------------------
@@ -122,8 +114,12 @@ def enumerate_fattree_paths(
     topology: FatTreeTopology,
     ordered: bool = True,
     include_intrapod_agg: bool = False,
-) -> List[Path]:
+) -> PathTable:
     """Candidate probe paths between every pair of ToR (edge) switches.
+
+    Rows are pair-major; within a pair one row per core switch (core group
+    major), then -- for a same-pod pair, when asked -- one per aggregation
+    switch of the pod.
 
     Parameters
     ----------
@@ -137,131 +133,149 @@ def enumerate_fattree_paths(
         core switch, but the short paths are how production ECMP would route
         intra-pod traffic, so they are available as an option.
     """
-    paths: List[Path] = []
-    tors = [n.name for n in topology.tor_switches]
-    core_names = topology.core_switch_names()
+    return _produce(topology, _fattree_table, _fattree_walks, ordered, include_intrapod_agg)
 
-    def pair_iter() -> Iterator[Tuple[str, str]]:
-        for i, src in enumerate(tors):
-            for j, dst in enumerate(tors):
-                if i == j:
-                    continue
-                if not ordered and i > j:
-                    continue
-                yield src, dst
 
-    for src, dst in pair_iter():
-        src_pod = topology.node(src).pod
-        dst_pod = topology.node(dst).pod
-        for core in core_names:
-            src_agg = topology.agg_for_core(src_pod, core)
-            dst_agg = topology.agg_for_core(dst_pod, core)
-            if src_pod == dst_pod:
-                walk = (src, src_agg, core, dst_agg, dst)
-            else:
-                walk = (src, src_agg, core, dst_agg, dst)
-            paths.append(
-                Path(
-                    path_id=len(paths),
-                    nodes=walk,
-                    link_ids=walk_to_link_ids(topology, walk),
-                    src=src,
-                    dst=dst,
-                    via=core,
-                )
-            )
-        if include_intrapod_agg and src_pod == dst_pod:
-            for agg in topology.aggregation_switches_in_pod(src_pod):
-                walk = (src, agg, dst)
-                paths.append(
-                    Path(
-                        path_id=len(paths),
-                        nodes=walk,
-                        link_ids=walk_to_link_ids(topology, walk),
-                        src=src,
-                        dst=dst,
-                        via=agg,
-                    )
-                )
-    return paths
+def _fattree_walks(topology: FatTreeTopology, ordered: bool, include_intrapod_agg: bool) -> Walks:
+    tors = topology.tor_switches
+    groups = topology.core_groups
+    pod_aggs = [topology.aggregation_switches_in_pod(pod) for pod in range(topology.k)]
+    for i, j in _pairs(len(tors), ordered):
+        src, dst = tors[i].name, tors[j].name
+        src_aggs, dst_aggs = pod_aggs[tors[i].pod], pod_aggs[tors[j].pod]
+        for group, cores in enumerate(groups):
+            for core in cores:
+                yield (src, src_aggs[group], core, dst_aggs[group], dst), core
+        if include_intrapod_agg and tors[i].pod == tors[j].pod:
+            for agg in src_aggs:
+                yield (src, agg, dst), agg
+
+
+def _fattree_table(topology: FatTreeTopology, ordered: bool, include_intrapod_agg: bool) -> PathTable:
+    names, code, link = _codes(topology)
+    tors = topology.tor_switches
+    groups = topology.core_groups
+    pod_aggs = [topology.aggregation_switches_in_pod(pod) for pod in range(topology.k)]
+    # Per-tier lookup tables: node codes, and the link under each hop.
+    tor = _np.array([code[node.name] for node in tors])
+    pod = _np.array([node.pod for node in tors])
+    agg = _np.array([[code[name] for name in row] for row in pod_aggs])  # [pod, group]
+    core = _np.array([code[name] for row in groups for name in row])
+    group = _np.repeat(_np.arange(len(groups)), [len(row) for row in groups])  # core -> group
+    uplink = _np.array([[link(node.name, a) for a in pod_aggs[node.pod]] for node in tors])  # [tor, group]
+    spine = _np.array(
+        [[link(row[g], c) for g, cores in enumerate(groups) for c in cores] for row in pod_aggs]
+    )  # [pod, core]
+
+    i, j = (index[:, None] for index in _pair_arrays(len(tors), ordered))
+    pod_i, pod_j = pod[i], pod[j]
+    cores, extra = len(core), agg.shape[1] if include_intrapod_agg else 0
+    nodes = _np.full((len(i), cores + extra, 5), -1, dtype=_np.int32)
+    links = _np.full((len(i), cores + extra, 4), -1, dtype=_np.int32)
+    via = _np.empty((len(i), cores + extra), dtype=_np.int32)
+    for hop, column in enumerate((tor[i], agg[pod_i, group], core, agg[pod_j, group], tor[j])):
+        nodes[:, :cores, hop] = column
+    every_core = _np.arange(cores)
+    for hop, column in enumerate(
+        (uplink[i, group], spine[pod_i, every_core], spine[pod_j, every_core], uplink[j, group])
+    ):
+        links[:, :cores, hop] = column
+    via[:, :cores] = core
+    if extra:
+        every_agg = _np.arange(extra)
+        nodes[:, cores:, 0] = _np.where(pod_i == pod_j, tor[i], -1)  # same-pod pairs only
+        nodes[:, cores:, 1] = agg[pod_i, every_agg]
+        nodes[:, cores:, 2] = tor[j]
+        links[:, cores:, 0] = uplink[i, every_agg]
+        links[:, cores:, 1] = uplink[j, every_agg]
+        via[:, cores:] = agg[pod_i, every_agg]
+    return PathTable.from_padded(
+        names, names, nodes.reshape(-1, 5), links.reshape(-1, 4), via.ravel()
+    )
 
 
 # --------------------------------------------------------------------------
 # VL2
 # --------------------------------------------------------------------------
 
-def enumerate_vl2_paths(topology: VL2Topology, ordered: bool = True) -> List[Path]:
+def enumerate_vl2_paths(topology: VL2Topology, ordered: bool = True) -> PathTable:
     """Candidate probe paths between every pair of VL2 ToR switches.
 
     Each path is ``ToR -> agg -> intermediate -> agg' -> ToR'`` pinned by the
     triple (source aggregation switch, intermediate switch, destination
-    aggregation switch).
+    aggregation switch); rows are pair-major, then in that triple's order.
     """
-    paths: List[Path] = []
+    return _produce(topology, _vl2_table, _vl2_walks, ordered)
+
+
+def _vl2_walks(topology: VL2Topology, ordered: bool) -> Walks:
     tors = topology.tor_switch_names
     intermediates = topology.intermediate_switch_names
+    tor_aggs = [topology.aggs_of_tor(tor) for tor in tors]
+    for i, j in _pairs(len(tors), ordered):
+        for src_agg in tor_aggs[i]:
+            for inter in intermediates:
+                for dst_agg in tor_aggs[j]:
+                    yield (tors[i], src_agg, inter, dst_agg, tors[j]), f"{src_agg}|{inter}|{dst_agg}"
 
-    for i, src in enumerate(tors):
-        src_aggs = topology.aggs_of_tor(src)
-        for j, dst in enumerate(tors):
-            if i == j:
-                continue
-            if not ordered and i > j:
-                continue
-            dst_aggs = topology.aggs_of_tor(dst)
-            for src_agg in src_aggs:
-                for inter in intermediates:
-                    for dst_agg in dst_aggs:
-                        walk = (src, src_agg, inter, dst_agg, dst)
-                        paths.append(
-                            Path(
-                                path_id=len(paths),
-                                nodes=walk,
-                                link_ids=walk_to_link_ids(topology, walk),
-                                src=src,
-                                dst=dst,
-                                via=f"{src_agg}|{inter}|{dst_agg}",
-                            )
-                        )
-    return paths
+
+def _vl2_table(topology: VL2Topology, ordered: bool) -> PathTable:
+    names, code, link = _codes(topology)
+    tors = topology.tor_switch_names
+    intermediates = topology.intermediate_switch_names
+    aggs = topology.aggregation_switch_names
+    tor_aggs = [topology.aggs_of_tor(tor) for tor in tors]
+    tor = _np.array([code[name] for name in tors])
+    inter = _np.array([code[name] for name in intermediates])
+    agg = _np.array([code[name] for name in aggs])
+    homes = _np.array([[aggs.index(name) for name in row] for row in tor_aggs])  # [tor, side] -> agg
+    uplink = _np.array([[link(t, a) for a in row] for t, row in zip(tors, tor_aggs)])  # [tor, side]
+    spine = _np.array([[link(a, m) for m in intermediates] for a in aggs])  # [agg, intermediate]
+
+    i, j = _pair_arrays(len(tors), ordered)
+    # Axes: pair, source side, intermediate, destination side.
+    src_agg = homes[i][:, :, None, None]
+    dst_agg = homes[j][:, None, None, :]
+    mid = _np.arange(len(inter))[None, None, :, None]
+    shape = _np.broadcast_shapes(src_agg.shape, mid.shape, dst_agg.shape)
+    nodes = _np.empty(shape + (5,), dtype=_np.int32)
+    links = _np.empty(shape + (4,), dtype=_np.int32)
+    tor_i, tor_j = tor[i][:, None, None, None], tor[j][:, None, None, None]
+    for hop, column in enumerate((tor_i, agg[src_agg], inter[mid], agg[dst_agg], tor_j)):
+        nodes[..., hop] = column
+    up_i, up_j = uplink[i][:, :, None, None], uplink[j][:, None, None, :]
+    for hop, column in enumerate((up_i, spine[src_agg, mid], spine[dst_agg, mid], up_j)):
+        links[..., hop] = column
+    via = _np.broadcast_to((src_agg * len(inter) + mid) * len(aggs) + dst_agg, shape)
+    labels = tuple(f"{a}|{m}|{b}" for a in aggs for m in intermediates for b in aggs)
+    return PathTable.from_padded(
+        names, labels, nodes.reshape(-1, 5), links.reshape(-1, 4), via.ravel().astype(_np.int32)
+    )
 
 
 # --------------------------------------------------------------------------
 # BCube
 # --------------------------------------------------------------------------
 
-def enumerate_bcube_paths(topology: BCubeTopology, ordered: bool = True) -> List[Path]:
+def enumerate_bcube_paths(topology: BCubeTopology, ordered: bool = True) -> PathTable:
     """The ``k+1`` parallel paths between every pair of BCube servers.
 
     Implements ``BuildPathSet`` from the BCube paper: path ``i`` corrects the
     address digits in the cyclic order ``i, i-1, ..., 0, k, ..., i+1``.  When
     source and destination already agree on digit ``i``, the altered variant
     detours through a level-``i`` neighbor of the source so that the path set
-    keeps ``k+1`` members (and stays parallel).
+    keeps ``k+1`` members (and stays parallel).  Rows are pair-major, then
+    start level ``k`` down to ``0``.
     """
-    paths: List[Path] = []
-    servers = topology.server_node_names()
-    k = topology.k
+    return _produce(topology, _bcube_table, _bcube_walks, ordered)
 
-    for i, src in enumerate(servers):
-        for j, dst in enumerate(servers):
-            if i == j:
-                continue
-            if not ordered and i > j:
-                continue
-            for start_level in range(k, -1, -1):
-                walk = _bcube_path_walk(topology, src, dst, start_level)
-                paths.append(
-                    Path(
-                        path_id=len(paths),
-                        nodes=tuple(walk),
-                        link_ids=walk_to_link_ids(topology, walk),
-                        src=src,
-                        dst=dst,
-                        via=f"level{start_level}",
-                    )
-                )
-    return paths
+
+def _bcube_walks(topology: BCubeTopology, ordered: bool) -> Walks:
+    servers = topology.server_node_names()
+    for i, j in _pairs(len(servers), ordered):
+        for start_level in range(topology.k, -1, -1):
+            walk = _bcube_path_walk(topology, servers[i], servers[j], start_level)
+            yield tuple(walk), f"level{start_level}"
 
 
 def _bcube_path_walk(
@@ -289,16 +303,12 @@ def _bcube_path_walk(
 
     first_level = order[0]
     first_position = k - first_level
-    detour_digit: Optional[int] = None
     if src_addr[first_position] == dst_addr[first_position]:
         # Altered path: detour through a level-``first_level`` neighbor so this
         # path stays link-disjoint from the ones that correct other digits
-        # first (AltDCRouting in the BCube paper).
-        detour_digit = (src_addr[first_position] + 1) % topology.n
-        if detour_digit == dst_addr[first_position]:
-            detour_digit = (detour_digit + 1) % topology.n
-        if detour_digit != src_addr[first_position]:
-            hop(first_level, detour_digit)
+        # first (AltDCRouting in the BCube paper).  ``n >= 2``, so the next
+        # digit differs from the shared one.
+        hop(first_level, (src_addr[first_position] + 1) % topology.n)
     else:
         hop(first_level, dst_addr[first_position])
 
@@ -310,11 +320,54 @@ def _bcube_path_walk(
     return walk
 
 
+def _bcube_table(topology: BCubeTopology, ordered: bool) -> PathTable:
+    """Per-level digit arithmetic on server indices (``sum(digit[l] * n**l)``).
+
+    A walk is at most ``k + 2`` steps -- the start level (a correction, or the
+    detour when the digits already agree), the other levels in cyclic order,
+    and the start level again (undoing a detour) -- and a step that would not
+    change the address does not happen, which the ``-1`` padding expresses.
+    """
+    names, code, link = _codes(topology)
+    n, levels = topology.n, topology.k + 1
+    servers = topology.server_node_names()
+    switches = [
+        [topology.switch_for(topology.server_address(name), level) for name in servers]
+        for level in range(levels)
+    ]
+    server = _np.array([code[name] for name in servers])
+    switch = _np.array([[code[name] for name in row] for row in switches])  # [level, server]
+    wire = _np.array([[link(s, w) for s, w in zip(servers, row)] for row in switches])  # [level, server]
+    weight = n ** _np.arange(levels)
+
+    i, j = _pair_arrays(len(servers), ordered)
+    src, dst = _np.repeat(i, levels), _np.repeat(j, levels)
+    start = _np.tile(_np.arange(levels - 1, -1, -1), len(i))
+    nodes = _np.full((len(src), 2 * levels + 3), -1, dtype=_np.int32)
+    links = _np.full((len(src), 2 * levels + 2), -1, dtype=_np.int32)
+    nodes[:, 0] = server[src]
+    here = src
+    for step in range(levels + 1):
+        level = (start - step) % levels
+        digit, goal = here // weight[level] % n, dst // weight[level] % n
+        if step == 0:  # n >= 2, so the detour digit differs from both
+            goal = _np.where(digit == goal, (digit + 1) % n, goal)
+        there = here + (goal - digit) * weight[level]
+        moved = there != here
+        nodes[:, 2 * step + 1] = _np.where(moved, switch[level, here], -1)
+        nodes[:, 2 * step + 2] = _np.where(moved, server[there], -1)
+        links[:, 2 * step] = _np.where(moved, wire[level, here], -1)
+        links[:, 2 * step + 1] = _np.where(moved, wire[level, there], -1)
+        here = there
+    labels = tuple(f"level{level}" for level in range(levels))
+    return PathTable.from_padded(names, labels, nodes, links, start.astype(_np.int32))
+
+
 # --------------------------------------------------------------------------
 # Generic
 # --------------------------------------------------------------------------
 
-def enumerate_candidate_paths(topology: Topology, ordered: bool = True, **kwargs) -> List[Path]:
+def enumerate_candidate_paths(topology: Topology, ordered: bool = True, **kwargs) -> PathTable:
     """Dispatch to the topology-specific enumerator.
 
     Falls back to ECMP shortest paths between ToR switches for topologies
@@ -331,46 +384,32 @@ def enumerate_candidate_paths(topology: Topology, ordered: bool = True, **kwargs
         raise TopologyError(
             f"no specialised path enumerator for {topology.name!r} and no ToR switches found"
         )
-    pairs = []
-    for i, src in enumerate(tors):
-        for j, dst in enumerate(tors):
-            if i == j:
-                continue
-            if not ordered and i > j:
-                continue
-            pairs.append((src, dst))
-    return enumerate_shortest_paths(topology, pairs)
+    return enumerate_shortest_paths(
+        topology, [(tors[i], tors[j]) for i, j in _pairs(len(tors), ordered)]
+    )
 
 
 def enumerate_shortest_paths(
     topology: Topology,
     pairs: Iterable[Tuple[str, str]],
     max_paths_per_pair: Optional[int] = None,
-) -> List[Path]:
+) -> PathTable:
     """All shortest switch-level paths for the given endpoint pairs.
 
     Used for arbitrary topologies (and in tests as an oracle for the
     specialised enumerators).  Paths are discovered with
     :func:`networkx.all_shortest_paths` on the switches-only graph.
     """
+    import itertools
+
     import networkx as nx
 
     graph = topology.to_networkx(switches_only=True)
-    paths: List[Path] = []
-    for src, dst in pairs:
-        found = 0
-        for walk in nx.all_shortest_paths(graph, src, dst):
-            paths.append(
-                Path(
-                    path_id=len(paths),
-                    nodes=tuple(walk),
-                    link_ids=walk_to_link_ids(topology, walk),
-                    src=src,
-                    dst=dst,
-                    via=walk[len(walk) // 2] if len(walk) > 2 else "",
-                )
-            )
-            found += 1
-            if max_paths_per_pair is not None and found >= max_paths_per_pair:
-                break
-    return paths
+
+    def walks() -> Walks:
+        for src, dst in pairs:
+            found = nx.all_shortest_paths(graph, src, dst)
+            for walk in itertools.islice(found, max_paths_per_pair):
+                yield tuple(walk), walk[len(walk) // 2] if len(walk) > 2 else ""
+
+    return PathTable.from_walks(topology, walks())

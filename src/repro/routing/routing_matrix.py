@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from ..core.incidence import Backend, IncidenceIndex
 from ..topology import Topology
-from .paths import Path
+from .path_table import Path, PathTable
 
 __all__ = ["RoutingMatrix"]
 
@@ -34,9 +34,10 @@ class RoutingMatrix:
     topology:
         The topology the paths live in.
     paths:
-        Candidate :class:`~repro.routing.paths.Path` objects.  Their
-        ``path_id`` fields are ignored; the position in this sequence is the
-        canonical path index.
+        The candidates: a :class:`~repro.routing.PathTable`, or any sequence
+        of :class:`~repro.routing.Path` objects (wrapped into one; their
+        ``path_id`` fields are ignored).  The position in the sequence is the
+        canonical path index, and ``path(i).path_id == i``.
     link_ids:
         The link universe.  Defaults to all inter-switch links of the
         topology, which is what deTector's probe matrix targets (§3.1).
@@ -53,13 +54,13 @@ class RoutingMatrix:
         backend: Optional[Backend] = None,
     ):
         self._topology = topology
-        self._paths: Tuple[Path, ...] = tuple(paths)
+        self._paths = paths if isinstance(paths, PathTable) else PathTable.from_paths(paths)
         if link_ids is None:
             universe = [link.link_id for link in topology.switch_links]
         else:
             universe = sorted(set(link_ids))
-        self._index = IncidenceIndex(
-            [path.link_ids for path in self._paths], universe, backend=backend
+        self._index = IncidenceIndex.from_rows(
+            *self._paths.link_rows(), universe, backend=backend
         )
 
     # ------------------------------------------------------------------ views
@@ -77,7 +78,8 @@ class RoutingMatrix:
         return self._index.backend
 
     @property
-    def paths(self) -> Tuple[Path, ...]:
+    def paths(self) -> PathTable:
+        """The candidate table; indexing it materialises that row's :class:`Path`."""
         return self._paths
 
     @property
@@ -150,7 +152,9 @@ class RoutingMatrix:
 
     def subset(self, path_indices: Sequence[int]) -> "RoutingMatrix":
         """A new routing matrix restricted to the given paths (same universe)."""
-        selected = [self._paths[i] for i in path_indices]
         return RoutingMatrix(
-            self._topology, selected, link_ids=self.link_ids, backend=self.backend
+            self._topology,
+            self._paths.take(path_indices),
+            link_ids=self.link_ids,
+            backend=self.backend,
         )

@@ -210,6 +210,15 @@ class TestProbeSimulator:
         observation = simulator.probe_path(path, ProbeConfig(probes_per_path=7))
         assert observation.sent == 7 and observation.lost == 0
 
+    def test_probe_path_reports_the_probe_matrix_row(self, fattree4, fattree4_probe_matrix, rng):
+        # ``path_id`` is the row in the owning matrix, not in the enumeration
+        # the matrix was cut from -- so the observation lands on the right row.
+        simulator = ProbeSimulator(fattree4, FailureScenario(), rng)
+        config = ProbeConfig(probes_per_path=1)
+        for row in range(fattree4_probe_matrix.num_paths):
+            path = fattree4_probe_matrix.path(row)
+            assert simulator.probe_path(path, config).path_index == row
+
     def test_ecmp_probing_dilutes_single_path_failure(self, fattree4, rng):
         # A full-loss failure on one of the 4 parallel paths: pinned probing on
         # that path loses everything, ECMP probing between the pair loses only
