@@ -101,8 +101,8 @@ class TestPMCAblations:
 
         sizes = benchmark.pedantic(run_both, rounds=1, iterations=1)
         # §4.4: the number of selected paths with symmetry reduction is very
-        # similar to that without.
-        assert sizes["symmetry"] <= 1.3 * sizes["plain"]
+        # similar to that without -- here equal, a replay selects what a solve would.
+        assert sizes["symmetry"] == sizes["plain"]
 
 
 class TestPLLThresholdAblation:

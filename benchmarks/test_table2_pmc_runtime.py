@@ -11,11 +11,13 @@ benchmarks, which the tier-1 gate job excludes.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core import PMCOptions, check_coverage, check_identifiability, construct_probe_matrix
 from repro.experiments import table2
-from repro.topology import PathOrbits
+from repro.routing import RoutingMatrix, enumerate_candidate_paths
 
 ALPHA, BETA = 2, 1
 
@@ -52,15 +54,10 @@ class TestPMCVariants:
         )
         assert check_coverage(result.probe_matrix, ALPHA)
 
-    def test_symmetry(self, benchmark, fattree6, fattree6_routing):
-        orbits = PathOrbits.from_walks(fattree6, fattree6_routing.paths.walks())
+    def test_symmetry(self, benchmark, fattree6_routing):
         options = _options(use_decomposition=True, use_lazy_update=True, use_symmetry=True)
         result = benchmark.pedantic(
-            construct_probe_matrix,
-            args=(fattree6_routing, options),
-            kwargs={"orbits": orbits},
-            rounds=3,
-            iterations=1,
+            construct_probe_matrix, args=(fattree6_routing, options), rounds=3, iterations=1
         )
         assert check_coverage(result.probe_matrix, ALPHA)
         assert check_identifiability(result.probe_matrix, BETA)
@@ -84,6 +81,11 @@ class TestTable2Harness:
                 assert row["decomposition_evals"] <= row["strawman_evals"]
                 # Lazy (CELF) updates only ever skip rescores.
                 assert row["lazy_update_evals"] <= row["decomposition_evals"]
+            # Symmetry solves one of a fat-tree's k/2 isomorphic components
+            # and replays the rest; a single-component fabric has no twin.
+            fattree = re.fullmatch(r"Fattree\((\d+)\)", row["dcn"])
+            components = int(fattree.group(1)) // 2 if fattree else 1
+            assert row["symmetry_evals"] * components == row["lazy_update_evals"]
             # The informational wall-clock cells ride along for every level
             # whose counter cell is populated (never asserted on).
             for column in EVAL_COLUMNS:
@@ -92,6 +94,18 @@ class TestTable2Harness:
                 if row[level] is not None:
                     assert row[level] >= 0.0
             assert row["selected_paths"] is not None and row["selected_paths"] > 0
+
+    def test_symmetry_column_selects_the_lazy_columns_paths(self):
+        """§4.4's "very similar" is exact: a replay selects what a solve would."""
+        for instance in table2.default_instances():
+            topology = instance.build()
+            matrix = RoutingMatrix(topology, enumerate_candidate_paths(topology, ordered=False))
+            lazy, symmetry = (
+                construct_probe_matrix(matrix, _options(use_symmetry=flag))
+                for flag in (False, True)
+            )
+            assert symmetry.selected_indices == lazy.selected_indices, instance.label
+            assert symmetry.probe_matrix.to_json() == lazy.probe_matrix.to_json()
 
     def test_sweep_counters_are_deterministic(self):
         """Two back-to-back sweeps agree byte-for-byte on the counter view."""

@@ -21,7 +21,6 @@ from repro.core import (
     identifiability_level,
 )
 from repro.routing import RoutingMatrix, enumerate_candidate_paths
-from repro.topology import PathOrbits
 
 
 def describe(topology, alpha_beta_targets) -> None:
@@ -45,7 +44,6 @@ def describe(topology, alpha_beta_targets) -> None:
 def show_optimizations(topology) -> None:
     paths = enumerate_candidate_paths(topology, ordered=False)
     routing_matrix = RoutingMatrix(topology, paths)
-    orbits = PathOrbits.from_walks(topology, paths.walks())
     print(f"\n=== PMC speed-ups on {topology.name} "
           f"({routing_matrix.num_paths} candidate paths) ===")
     variants = [
@@ -57,9 +55,7 @@ def show_optimizations(topology) -> None:
     for label, flags in variants:
         options = PMCOptions(alpha=2, beta=1, **flags)
         start = time.perf_counter()
-        result = construct_probe_matrix(
-            routing_matrix, options, orbits=orbits if flags["use_symmetry"] else None
-        )
+        result = construct_probe_matrix(routing_matrix, options)
         elapsed = time.perf_counter() - start
         print(f"  {label:16s}: {elapsed * 1000:8.1f} ms, {result.num_paths} paths selected")
 

@@ -4,7 +4,7 @@ deTector is a topology-aware monitoring system for data center networks that
 detects and localizes packet-loss failures in near real time with minimal
 probing overhead.  The library is organised as:
 
-* :mod:`repro.topology`     -- Fattree / VL2 / BCube generators and symmetry,
+* :mod:`repro.topology`     -- Fattree / VL2 / BCube generators,
 * :mod:`repro.routing`      -- candidate path enumeration, routing matrix, ECMP,
 * :mod:`repro.core`         -- the PMC probe-matrix construction algorithm,
 * :mod:`repro.localization` -- the PLL loss-localization algorithm and baselines,

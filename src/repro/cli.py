@@ -3,7 +3,7 @@
 Usage (after ``pip install -e .``)::
 
     python -m repro topology fattree --k 4
-    python -m repro pmc fattree --k 6 --alpha 2 --beta 1 --symmetry
+    python -m repro pmc fattree --k 6 --alpha 2 --beta 1 --no-symmetry
     python -m repro monitor --k 4 --windows 5 --failures 1 --seed 7
     python -m repro experiment table2
 
@@ -46,7 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_arguments(pmc)
     pmc.add_argument("--alpha", type=int, default=3, help="coverage target (default 3)")
     pmc.add_argument("--beta", type=int, default=1, help="identifiability target (default 1)")
-    pmc.add_argument("--symmetry", action="store_true", help="enable symmetry reduction")
+    pmc.add_argument(
+        "--no-symmetry", action="store_true", help="solve isomorphic subproblems again"
+    )
     pmc.add_argument(
         "--no-lazy", action="store_true", help="disable lazy (CELF) score updates"
     )
@@ -328,7 +330,7 @@ def _cmd_pmc(args: argparse.Namespace) -> int:
         topology,
         alpha=args.alpha,
         beta=args.beta,
-        use_symmetry=args.symmetry,
+        use_symmetry=not args.no_symmetry,
         use_lazy_update=not args.no_lazy,
         use_decomposition=not args.no_decomposition,
         shard_by_pods=args.shard_by_pods,

@@ -11,7 +11,6 @@ from .decomposition import (
 )
 from .incidence import Backend, IncidenceIndex, RefinablePartition, RowProjection, resolve_backend
 from .lazy_greedy import BatchCELFHeap, LazyMinHeap, ShardedSolutionCache
-from .link_partition import LinkSetPartition
 from .pmc import (
     PMCOptions,
     PMCResult,
@@ -50,7 +49,6 @@ __all__ = [
     "LazyMinHeap",
     "ShardedSolutionCache",
     "ShardOutcome",
-    "LinkSetPartition",
     "ExtendedLinkSpace",
     "RESIDUAL_POD",
     "Subproblem",

@@ -4,8 +4,8 @@ Wall-clock timings of sub-second micro-runs measure the scheduler of the CI
 box more than the algorithm, so every gate the benchmark harnesses enforce is
 expressed over *work counters* instead: exact integer counts of the algorithmic
 operations the paper's complexity claims are about (greedy candidate
-evaluations, lazy-update skips, partition refinements, symmetry batch
-selections, aggregation-window folds).  Two invariants make them gateable:
+evaluations, lazy-update skips, partition refinements, replayed
+subproblems, aggregation-window folds).  Two invariants make them gateable:
 
 * **backend invariance** -- a counter has the same value under
   ``REPRO_BACKEND=numpy`` and ``REPRO_BACKEND=python``.  Counters therefore

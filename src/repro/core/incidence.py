@@ -1431,8 +1431,8 @@ class RowProjection:
 class RefinablePartition:
     """Array-backed refinement partition over dense ids ``0..n-1`` (§4.2).
 
-    The vectorized sibling of
-    :class:`~repro.core.link_partition.LinkSetPartition`: the greedy's three
+    The vectorized sibling of the set-based seed class the tests keep as its
+    oracle (``tests/link_set_oracle.py``): the greedy's three
     partition queries (``cells_touched``, ``splits_gained``, ``split``) on
     flat label arrays instead of dict-of-set cells.  Which side of a split
     keeps the old cell id differs from the seed class, but the *partition*

@@ -344,13 +344,12 @@ class ShardedSolutionCache:
 
     The incremental controller re-runs the lazy greedy after every churn
     delta, but a CELF run is a pure function of its inputs: the candidate
-    rows, their link sets and the options.  Whenever a decomposition
-    subproblem survives a delta untouched (same links, same surviving rows),
-    its previous selection can be replayed verbatim instead of rebuilding the
-    heap -- that is the "reuse the previous selection, only re-run CELF on
-    rows the delta touched" half of the warm start.  Keys are caller-supplied
-    digests (the PMC layer hashes the packed row/link arrays), so entries
-    stay tiny even when a subproblem spans half a million candidate rows.
+    rows, their link sets and the options.  A decomposition subproblem an
+    earlier cycle solved -- untouched by the delta, or isomorphic to one that
+    was -- replays that selection instead of rebuilding the heap.  Keys are
+    caller-supplied digests and values the selected *ranks* (see
+    :func:`repro.core.pmc._subproblem_digest`), so entries stay tiny even when
+    a subproblem spans half a million candidate rows.
 
     Buckets are keyed by ``Subproblem.pod`` and created on first use: every
     unsharded subproblem shares the ``None`` bucket, a pod-sharded controller

@@ -22,10 +22,11 @@ Three optional optimisations reproduce §4.3:
 * **decomposition** -- split into independent subproblems (connected
   components of the path/link bipartite graph) and solve each separately,
 * **lazy update** -- CELF-style deferred re-scoring via a min-heap,
-* **symmetry** -- when a path is selected, also select link-disjoint
-  topologically isomorphic images of it that still provide gain (the
-  green/purple path example of Observation 3), which slashes the number of
-  greedy iterations on symmetric fabrics.
+* **symmetry** -- isomorphic subproblems (the same incidence in *rank
+  coordinates*: rows by position, links by rank among the subproblem's link
+  ids) are one greedy run, so the first occurrence solves and the others
+  replay its selection through their own rows -- Observation 3 where it is
+  exact: the ``k/2`` components of a healthy Fattree(k) are one subproblem.
 
 Independent of the score, a popped candidate that can no longer refine any
 link set nor cover an under-covered link is discarded permanently: by
@@ -47,17 +48,18 @@ Both public entry points -- :func:`construct_probe_matrix` (cold: every
 candidate row) and :func:`construct_probe_matrix_masked` (incremental: the
 active rows of a link-masked index, warm-startable) -- are thin wrappers over
 one pipeline, :func:`_construct`: decompose, digest each subproblem, replay
-the digests a warm cache still holds, solve the misses (inline at
-``jobs == 1``, over a worker pool otherwise) and merge in canonical
-subproblem order.  Which wrapper or ``jobs`` value ran is invisible in the
-selection, the cost counters, the kernel totals and the per-subproblem
-:class:`ShardOutcome` records.
+the digests already solved (earlier in this call, or in a warm cache), solve
+the first occurrence of every other one (inline at ``jobs == 1``, over a
+worker pool otherwise) and merge in canonical subproblem order.  Which wrapper
+or ``jobs`` value ran is invisible in the selection, the cost counters, the
+kernel totals and the per-subproblem :class:`ShardOutcome` records.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from array import array
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
@@ -80,10 +82,10 @@ from ..parallel import (
     pool_map,
     resolve_jobs,
 )
-from ..topology import PathOrbits, Topology
+from ..topology import Topology
 from .costmodel import CostModel
 from .decomposition import Subproblem, decompose_routing_matrix, pod_shards_for_matrix
-from .incidence import Backend, IncidenceHandle, IncidenceIndex, RefinablePartition
+from .incidence import Backend, IncidenceHandle, IncidenceIndex, RefinablePartition, RowProjection
 from .lazy_greedy import BatchCELFHeap, LazyMinHeap, ShardedSolutionCache
 from .probe_matrix import ProbeMatrix
 from .virtual_links import ExtendedLinkSpace
@@ -116,7 +118,10 @@ class PMCOptions:
         Identifiability target; ``beta = 0`` requests pure coverage.
     use_decomposition / use_lazy_update / use_symmetry:
         The three speed-ups of §4.3.  All disabled reproduces the strawman
-        column of Table 2.
+        column of Table 2.  ``use_symmetry`` replays isomorphic subproblems
+        inside a call (:func:`_subproblem_digest`); off, a call without a warm
+        cache solves them all -- the oracle the replay is tested against.  Same
+        selection either way; only the replayed subproblems' counters differ.
     skip_zero_gain:
         Discard popped candidates with no marginal gain (default).  Turning
         this off reproduces the textbook greedy exactly but may select
@@ -130,22 +135,20 @@ class PMCOptions:
         one subproblem per pod plus a residual shard for cross-pod paths.
         Shards are solved independently (identifiability is refined per
         shard, not jointly across shards) and merged in canonical shard
-        order, which is what makes the solve parallelisable.  Incompatible
-        with ``use_symmetry`` (orbit batching couples shards).
+        order, which is what makes the solve parallelisable.
     jobs:
         Worker processes for solving subproblems; ``None`` resolves through
         the ``REPRO_JOBS`` environment variable (default 1, serial).  Any
         value produces byte-identical selections, stats and cost counters --
         only wall-clock time changes.  ``max_paths`` forces an inline solve
-        (its early-stop crosses subproblem boundaries), and so does
-        ``use_symmetry`` (orbits never cross the pool boundary).
+        (its early-stop crosses subproblem boundaries).
     """
 
     alpha: int = 1
     beta: int = 1
     use_decomposition: bool = True
     use_lazy_update: bool = True
-    use_symmetry: bool = False
+    use_symmetry: bool = True
     skip_zero_gain: bool = True
     max_paths: Optional[int] = None
     shard_by_pods: bool = False
@@ -158,11 +161,6 @@ class PMCOptions:
             raise ValueError("beta must be non-negative")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.shard_by_pods and self.use_symmetry:
-            raise ValueError(
-                "shard_by_pods is incompatible with use_symmetry: orbit "
-                "batching selects images across shard boundaries"
-            )
 
     def resolved_jobs(self) -> int:
         """The effective worker count (explicit ``jobs`` > ``REPRO_JOBS`` > 1)."""
@@ -200,14 +198,14 @@ class PMCStats:
     cached earlier in the same iteration (the CELF saving),
     ``partition_splits`` / ``partition_cells_created`` /
     ``partition_gain_queries`` the §4.2 refinement work.  Together with
-    ``iterations``, ``candidates_discarded``, ``symmetry_batch_selections``
-    and ``subproblems`` they form :meth:`cost_counters`, the machine-
+    ``iterations``, ``candidates_discarded``, ``subproblems`` and
+    ``reused_subproblems`` they form :meth:`cost_counters`, the machine-
     independent work profile the benchmark gates assert on (wall-clock
     ``elapsed_seconds`` is informational only).
 
     The three verdicts mean the same thing on every path to a solve -- exact
-    or pod-sharded decomposition, cold, masked, or replayed from the warm
-    cache -- and merge by conjunction / union over subproblems:
+    or pod-sharded decomposition, cold, masked, or replayed from another
+    solve -- and merge by conjunction / union over subproblems:
 
     * ``uncoverable_links``: the links no candidate row crosses (dead links,
       orphans of a pod sharding).  Nothing else reports them.
@@ -225,7 +223,6 @@ class PMCStats:
     iterations: int = 0
     candidates_scored: int = 0
     candidates_discarded: int = 0
-    symmetry_batch_selections: int = 0
     subproblems: int = 1
     reused_subproblems: int = 0
     greedy_evaluations: int = 0
@@ -242,7 +239,6 @@ class PMCStats:
         self.iterations += other.iterations
         self.candidates_scored += other.candidates_scored
         self.candidates_discarded += other.candidates_discarded
-        self.symmetry_batch_selections += other.symmetry_batch_selections
         self.reused_subproblems += other.reused_subproblems
         self.greedy_evaluations += other.greedy_evaluations
         self.lazy_skips += other.lazy_skips
@@ -270,7 +266,6 @@ class PMCStats:
         model.add("partition_splits", self.partition_splits)
         model.add("partition_cells_created", self.partition_cells_created)
         model.add("partition_gain_queries", self.partition_gain_queries)
-        model.add("symmetry_batch_selections", self.symmetry_batch_selections)
         model.add("subproblems", self.subproblems)
         model.add("reused_subproblems", self.reused_subproblems)
         return model.as_dict()
@@ -282,13 +277,13 @@ class ShardOutcome:
 
     One record per :class:`~repro.core.decomposition.Subproblem`, in the
     canonical merge order (pods ascending, residual last; plain components in
-    component order).  ``digest`` is the content digest keying the warm
-    :class:`~repro.core.lazy_greedy.ShardedSolutionCache` -- two cycles solved
-    the same shard iff their digests match, which is what the incremental
-    shard-isolation gates compare.  ``kernel_cost`` is the shard's
+    component order).  ``digest`` is the canonical :func:`_subproblem_digest`
+    -- two subproblems, of one call or of two cycles, are the same greedy run
+    iff their digests match, which is what the replay keys on and the
+    incremental shard-isolation gates compare.  ``kernel_cost`` is the shard's
     :class:`~repro.core.costmodel.KernelCounters` delta (exact integers,
     byte-identical across backends and across ``jobs`` settings; empty for
-    warm-cache replays, which perform no kernel work).
+    replays, which perform no kernel work).
     """
 
     pod: Optional[int]
@@ -329,7 +324,6 @@ class PMCResult:
 def construct_probe_matrix(
     routing_matrix: RoutingMatrix,
     options: Optional[PMCOptions] = None,
-    orbits: Optional[PathOrbits] = None,
 ) -> PMCResult:
     """Run PMC over a routing matrix and return the constructed probe matrix.
 
@@ -342,22 +336,15 @@ def construct_probe_matrix(
     routing_matrix:
         The candidate paths and the link universe.
     options:
-        :class:`PMCOptions`; defaults to ``alpha=1, beta=1`` with
-        decomposition and lazy updates enabled.
-    orbits:
-        Precomputed :class:`~repro.topology.PathOrbits` over the routing
-        matrix's paths, consulted when ``options.use_symmetry`` is set
-        (computed here from the paths' walks when not given).
+        :class:`PMCOptions`; defaults to ``alpha=1, beta=1`` with all three
+        §4.3 speed-ups enabled.
     """
     options = options or PMCOptions()
-    if options.use_symmetry and orbits is None:
-        orbits = PathOrbits.from_walks(routing_matrix.topology, routing_matrix.paths.walks())
     return _construct(
         routing_matrix,
         options,
         rows=None,
         coverage_counts=routing_matrix.incidence.coverage_counts(),
-        orbits=orbits,
     )
 
 
@@ -389,24 +376,16 @@ def construct_probe_matrix_masked(
       have.
 
     ``warm`` is an optional :class:`ShardedSolutionCache` (one bucket per
-    ``Subproblem.pod``; unsharded subproblems share the ``None`` bucket):
-    subproblems whose digest (links, surviving rows, options) matches a
-    previously solved one replay the cached selection without touching a
-    heap, so steady-state cycles with little or no churn skip CELF almost
-    entirely.  With ``options.shard_by_pods`` churn confined to one pod
-    re-solves only that pod's shard plus the shared residual shard; every
-    other shard keeps its digest and replays.
-
-    Symmetry batching is not supported here (orbit indices are only
-    meaningful on the matrix the orbits were computed for); callers that need
-    ``use_symmetry`` must take the full-rebuild path.
+    ``Subproblem.pod``; unsharded subproblems share the ``None`` bucket) that
+    carries solves from call to call: a subproblem an earlier cycle solved --
+    the same links and surviving rows, or an isomorphic image of them --
+    replays the cached selection without touching a heap, so steady-state
+    cycles with little or no churn skip CELF almost entirely.  The cache must
+    only ever see this routing matrix.  With ``options.shard_by_pods`` churn
+    confined to one pod re-solves only that pod's shard plus the shared
+    residual shard; every other shard keeps its digest and replays.
     """
     options = options or PMCOptions()
-    if options.use_symmetry:
-        raise ValueError(
-            "construct_probe_matrix_masked does not support use_symmetry; "
-            "fall back to a full rebuild for symmetry-enabled configurations"
-        )
     index = routing_matrix.incidence
     return _construct(
         routing_matrix,
@@ -466,26 +445,32 @@ def _construct(
     rows: Optional[Sequence[int]],
     coverage_counts,
     warm: Optional[ShardedSolutionCache] = None,
-    orbits: Optional[PathOrbits] = None,
 ) -> PMCResult:
     """The one PMC driver behind both public entry points.
 
     ``rows`` (``None`` = every candidate) and ``coverage_counts`` (per-column
     candidate counts over those rows) are the only things the cold and masked
-    flavours disagree on.  Subproblems whose digest survives in ``warm``
-    replay; the misses go through :func:`_solve_many`; everything merges in
-    canonical subproblem order (pods ascending, residual last; components in
-    component order), keeping each subproblem's greedy selection order --
-    should two subproblems ever nominate the same candidate row, the first
-    occurrence wins.  The order depends only on the subproblem list, so warm,
-    cold, inline and pooled runs all agree byte for byte on the same inputs.
+    flavours disagree on.  A subproblem whose canonical digest
+    (:func:`_subproblem_digest`) this call already met, or ``warm`` still
+    holds, replays (:func:`_replay`); the first occurrence of every other
+    digest goes through :func:`_solve_many`; everything merges in canonical
+    subproblem order (pods ascending, residual last; components in component
+    order), keeping each subproblem's greedy selection order -- should two
+    subproblems ever nominate the same candidate row, the first occurrence
+    wins.  The order depends only on the subproblem list, so warm, cold,
+    inline and pooled runs all agree byte for byte on the same inputs.
+
+    A call replays when it was handed a warm cache or ``use_symmetry`` is on;
+    with neither, every subproblem is solved.  A cold call's memo is its own,
+    so a cold rebuild stays an independent oracle for the incremental cycle.
+    ``warm`` is asked by :func:`_identity_key` first: an untouched subproblem
+    of a churn cycle never pays the canonical gather again.
 
     The path cap stops early across subproblem boundaries, so a capped run
     resolves one subproblem at a time (nothing past the stop is looked up or
     solved, and :attr:`PMCResult.shards` ends there); every other run
     resolves the whole list as one batch, which is what lets the misses share
-    a worker pool.  Orbit batching solves inline: orbits never cross the pool
-    boundary.
+    a worker pool.
     """
     start = time.perf_counter()
     index = routing_matrix.incidence
@@ -494,8 +479,10 @@ def _construct(
         subproblems=len(subproblems), fully_refined=True, coverage_satisfied=True
     )
     capped = options.max_paths is not None
-    jobs = 1 if capped or options.use_symmetry else options.resolved_jobs()
+    jobs = 1 if capped else options.resolved_jobs()
     step = 1 if capped else max(1, len(subproblems))
+    replaying = warm is not None or options.use_symmetry
+    memo: Dict[bytes, _Solution] = {}  # by canonical digest: solved, or read from ``warm``
 
     selected: List[int] = []
     seen: Set[int] = set()
@@ -509,27 +496,42 @@ def _construct(
     ):
         for lo in range(0, len(subproblems), step):
             batch = subproblems[lo : lo + step]
-            digests = [
-                _subproblem_digest(index, sub.link_ids, sub.path_indices, options)
-                for sub in batch
-            ]
-            results: List[Optional[Tuple[List[int], PMCStats, WorkerTelemetry]]] = [
-                _replay(warm.get(sub.pod, digest)) if warm is not None else None
-                for sub, digest in zip(batch, digests)
-            ]
-            replayed = [result is not None for result in results]
-            misses = [i for i, hit in enumerate(replayed) if not hit]
-            solved = _solve_many(
-                index, [batch[i] for i in misses], options, jobs, coverage_counts, orbits
-            )
-            for i, result in zip(misses, solved):
-                results[i] = result
+            # plan: (subproblem, digest, identity key, slot in ``tasks`` or None = replay)
+            plan: List[Tuple[Subproblem, bytes, Optional[bytes], Optional[int]]] = []
+            tasks: List[Tuple[Subproblem, Tuple[int, ...]]] = []
+            claimed: Set[bytes] = set()  # digests a task of this batch will solve
+            for sub in batch:
+                identity = solution = shard_counts = None
                 if warm is not None:
-                    warm.put(batch[i].pod, digests[i], _cache_entry(result))
+                    identity = _identity_key(sub, options)
+                    solution = warm.get(sub.pod, identity)
+                if solution is not None:
+                    digest = solution.digest
+                else:
+                    shard_counts = _shard_counts(index, sub, coverage_counts)
+                    digest = _subproblem_digest(index, sub, shard_counts, options)
+                    if warm is not None:
+                        solution = warm.get(sub.pod, digest)
+                if solution is not None:
+                    memo.setdefault(digest, solution)
+                slot = None
+                if not replaying or (digest not in memo and digest not in claimed):
+                    slot = len(tasks)
+                    tasks.append((sub, shard_counts))
+                    claimed.add(digest)
+                plan.append((sub, digest, identity, slot))
 
-            for sub, digest, reused, (sub_selected, sub_stats, telemetry) in zip(
-                batch, digests, replayed, results
-            ):
+            solved = _solve_many(index, tasks, options, jobs)
+            # In subproblem order, so the solve a replay reads is in ``memo`` by then.
+            for sub, digest, identity, slot in plan:
+                reused = slot is None
+                result = _replay(memo[digest], sub) if reused else solved[slot]
+                if replaying and not reused:
+                    memo[digest] = _cache_entry(digest, sub, result)
+                if warm is not None:
+                    warm.put(sub.pod, digest, memo[digest])
+                    warm.put(sub.pod, identity, memo[digest])
+                sub_selected, sub_stats, telemetry = result
                 for row in sub_selected:
                     if row not in seen:
                         seen.add(row)
@@ -537,7 +539,7 @@ def _construct(
                 stats.merge(sub_stats)
                 # Parent-side span emission in canonical order: workers never
                 # trace themselves, so the span tree is invariant to ``jobs``.
-                _record_shard_span(sub, len(sub_selected), reused, telemetry)
+                _record_shard_span(sub, digest, len(sub_selected), reused, telemetry)
                 outcomes.append(
                     ShardOutcome(
                         pod=sub.pod,
@@ -565,41 +567,66 @@ def _construct(
     )
 
 
-def _cache_entry(result: Tuple[List[int], PMCStats, WorkerTelemetry]):
-    """What the warm cache keeps of a solve: the selection and its verdicts."""
+@dataclass(frozen=True, slots=True)
+class _Solution:
+    """What a replay keeps of a solve, in the digest's rank coordinates.
+
+    ``selected`` are positions in ``Subproblem.path_indices``, ``uncoverable``
+    ranks in ``sorted(Subproblem.link_ids)``: a subproblem with this digest
+    reads them back through its *own* rows and links (:func:`_replay`), where
+    global ids would hand one component the rows and links of another.
+    """
+
+    digest: bytes
+    selected: Tuple[int, ...]
+    fully_refined: bool
+    coverage_satisfied: bool
+    uncoverable: Tuple[int, ...]
+
+
+def _cache_entry(digest: bytes, subproblem: Subproblem, result) -> _Solution:
+    """A solve result of *subproblem* in rank coordinates."""
     sub_selected, sub_stats, _telemetry = result
-    return (
-        tuple(sub_selected),
-        dict(
-            fully_refined=sub_stats.fully_refined,
-            coverage_satisfied=sub_stats.coverage_satisfied,
-            uncoverable_links=sub_stats.uncoverable_links,
+    wanted = set(sub_selected)
+    rank_of = {row: rank for rank, row in enumerate(subproblem.path_indices) if row in wanted}
+    dead = set(sub_stats.uncoverable_links)
+    return _Solution(
+        digest=digest,
+        selected=tuple(rank_of[row] for row in sub_selected),
+        fully_refined=sub_stats.fully_refined,
+        coverage_satisfied=sub_stats.coverage_satisfied,
+        uncoverable=tuple(
+            rank for rank, link in enumerate(sorted(subproblem.link_ids)) if link in dead
         ),
     )
 
 
-def _replay(cached) -> Optional[Tuple[List[int], PMCStats, WorkerTelemetry]]:
-    """A :func:`_cache_entry` as a solve result that cost no work this cycle."""
-    if cached is None:
-        return None
-    cached_selected, cached_stats = cached
-    # Scoring and kernel counters stay zero: a replay touches no heap.
-    return (
-        list(cached_selected),
-        PMCStats(reused_subproblems=1, **cached_stats),
-        WorkerTelemetry(),
+def _replay(solution: _Solution, subproblem: Subproblem):
+    """*solution* as a solve result of *subproblem* that touched no heap: zero counters."""
+    rows, link_ids = subproblem.path_indices, sorted(subproblem.link_ids)
+    stats = PMCStats(
+        reused_subproblems=1,
+        fully_refined=solution.fully_refined,
+        coverage_satisfied=solution.coverage_satisfied,
+        uncoverable_links=tuple(link_ids[rank] for rank in solution.uncoverable),
     )
+    return [rows[rank] for rank in solution.selected], stats, WorkerTelemetry()
 
 
 def _record_shard_span(
-    subproblem: Subproblem, num_selected: int, reused: bool, telemetry: WorkerTelemetry
+    subproblem: Subproblem, digest: bytes, num_selected: int, reused: bool, telemetry: WorkerTelemetry
 ) -> None:
-    """One ``pmc.solve`` span per shard, emitted by the dispatching parent."""
+    """One ``pmc.solve`` span per shard, emitted by the dispatching parent.
+
+    The ``digest`` label makes "which component was new this cycle" a query
+    on one run's export: the digest no earlier span of the run carries.
+    """
     labels: Dict[str, object] = {
         "paths": subproblem.num_paths,
         "links": subproblem.num_links,
         "selected": num_selected,
         "reused": reused,
+        "digest": digest.hex()[:12],
     }
     if subproblem.pod is not None:
         labels["pod"] = subproblem.pod
@@ -619,26 +646,60 @@ def _options_key(options: PMCOptions) -> str:
     )
 
 
-def _subproblem_digest(index, link_ids: Sequence[int], rows: Sequence[int], options: PMCOptions) -> bytes:
-    """Compact content digest of a decomposition subproblem.
+def _packed(values) -> bytes:
+    """*values* as native int64 bytes, the same on both backends."""
+    if _np is not None:
+        return _np.asarray(values, dtype=_np.int64).tobytes()
+    return array("q", values).tobytes()
 
-    Two subproblems with the same digest have the same link universe, the same
-    surviving candidate rows and the same solver options, hence the same CELF
-    selection -- the digest keys :class:`ShardedSolutionCache` without
-    retaining multi-hundred-thousand-entry row tuples per cache slot.
+
+def _subproblem_digest(
+    index: IncidenceIndex,
+    subproblem: Subproblem,
+    shard_counts: Sequence[int],
+    options: PMCOptions,
+) -> bytes:
+    """Canonical content digest of a decomposition subproblem.
+
+    Hashes what a solve reads and nothing else: the subproblem's CSR in *rank
+    coordinates* (rows in ``path_indices`` order, each as the ranks of its
+    links in ``sorted(link_ids)``; :func:`_decompose` emits closed
+    subproblems, so these are the whole rows), which links are coverable (all
+    the greedy reads of the :func:`_shard_counts` slice) and
+    :func:`_options_key`.  Candidates enter the heap in ``path_indices`` order
+    and ties break by that order, so equal digests are the same greedy run
+    selecting the same *ranks* -- the ``k/2`` components of a healthy
+    Fattree(k), or two path-less singleton links.  Byte-identical across
+    backends, and ticks no kernel counter: a replayed shard's delta is zero.
     """
-    hasher = hashlib.sha256()
+    rows = subproblem.path_indices
+    projection = RowProjection(index, sorted(subproblem.link_ids))
     if index.backend is Backend.NUMPY:
-        hasher.update(_np.asarray(link_ids, dtype=_np.int64).tobytes())
-        hasher.update(b"|")
-        hasher.update(_np.asarray(rows, dtype=_np.int64).tobytes())
+        segments, ranks = projection.batch(rows)
+        lengths = _np.bincount(segments, minlength=len(rows))
     else:
-        import array
+        projected = [projection.row(row) for row in rows]
+        lengths = [len(row) for row in projected]
+        ranks = [rank for row in projected for rank in row]
+    hasher = hashlib.sha256(
+        f"{len(rows)}|{subproblem.num_links}|{_options_key(options)}|".encode()
+    )
+    hasher.update(_packed(lengths))
+    hasher.update(_packed(ranks))
+    hasher.update(bytes(map(bool, shard_counts)))
+    return hasher.digest()
 
-        hasher.update(array.array("q", link_ids).tobytes())
-        hasher.update(b"|")
-        hasher.update(array.array("q", rows).tobytes())
-    hasher.update(f"|{_options_key(options)}".encode())
+
+def _identity_key(subproblem: Subproblem, options: PMCOptions) -> bytes:
+    """Shortcut to a subproblem's :class:`_Solution` inside one warm cache.
+
+    A warm cache serves one routing matrix, where the same links, surviving
+    rows and options are the same subproblem: this hash of the ids as they
+    stand costs a tenth of the canonical gather.  Never leaves :func:`_construct`.
+    """
+    hasher = hashlib.sha256(f"ids|{subproblem.num_links}|{_options_key(options)}|".encode())
+    hasher.update(_packed(subproblem.link_ids))
+    hasher.update(_packed(subproblem.path_indices))
     return hasher.digest()
 
 
@@ -676,7 +737,6 @@ def _solve_shard(
     subproblem: Subproblem,
     options: PMCOptions,
     shard_counts,
-    orbits: Optional[PathOrbits] = None,
 ):
     """Solve one shard and capture the kernel-counter delta it caused.
 
@@ -695,7 +755,7 @@ def _solve_shard(
     counters = index.counters
     before = counters.as_dict()
     started = time.perf_counter()
-    selected, sub_stats = _solve_subproblem(index, subproblem, options, shard_counts, orbits)
+    selected, sub_stats = _solve_subproblem(index, subproblem, options, shard_counts)
     wall = time.perf_counter() - started
     kernel_cost = counters.cost.delta_since(before)
     return selected, sub_stats, WorkerTelemetry(wall_seconds=wall, counters=kernel_cost)
@@ -740,15 +800,13 @@ def _shard_dispatch_context(index: IncidenceIndex):
 
 def _solve_many(
     index: IncidenceIndex,
-    subproblems: Sequence[Subproblem],
+    tasks: Sequence[Tuple[Subproblem, Sequence[int]]],
     options: PMCOptions,
     jobs: int,
-    coverage_counts,
-    orbits: Optional[PathOrbits] = None,
 ) -> List[Tuple[List[int], PMCStats, WorkerTelemetry]]:
-    """Solve a batch of subproblems inline (``jobs == 1``) or over a pool.
+    """Solve a batch of ``(subproblem, shard_counts)`` tasks inline or over a pool.
 
-    Either way the returned list is ordered like *subproblems* and every
+    Either way the returned list is ordered like *tasks* and every
     entry is ``(selection, stats, telemetry)`` -- byte-identical at any
     ``jobs`` setting (telemetry wall seconds aside), because workers run the
     exact same :func:`_solve_shard` against the same incidence structure (a
@@ -766,10 +824,6 @@ def _solve_many(
     counters directly -- while the broken pool is left for
     :func:`~repro.parallel.pool_map` to respawn on the next dispatch.
     """
-    tasks = [
-        (subproblem, _shard_counts(index, subproblem, coverage_counts))
-        for subproblem in subproblems
-    ]
     if jobs > 1 and len(tasks) > 1:
         source, context_id = _shard_dispatch_context(index)
         try:
@@ -790,7 +844,7 @@ def _solve_many(
             )
             return results
     return [
-        _solve_shard(index, subproblem, options, shard_counts, orbits)
+        _solve_shard(index, subproblem, options, shard_counts)
         for subproblem, shard_counts in tasks
     ]
 
@@ -804,7 +858,6 @@ def _solve_subproblem(
     subproblem: Subproblem,
     options: PMCOptions,
     shard_counts: Sequence[int],
-    orbits: Optional[PathOrbits] = None,
 ) -> Tuple[List[int], PMCStats]:
     """Greedy-solve one subproblem against an incidence index.
 
@@ -815,8 +868,7 @@ def _solve_subproblem(
     be covered, even if this subproblem has paths); masked (incremental) runs
     slice the active-row counts, so coverability is judged against the
     surviving candidates only -- the same vector a from-scratch rebuild on
-    the post-delta topology would compute.  ``orbits`` is only consulted
-    under ``options.use_symmetry``, which always solves inline.
+    the post-delta topology would compute.
 
     The loop ends when ``goals_met``: the partition has ``reachable_cells``
     cells (identifiability requested) and no coverable link is under-covered.
@@ -827,7 +879,6 @@ def _solve_subproblem(
     stats = PMCStats()
     link_ids = sorted(subproblem.link_ids)
     path_indices = list(subproblem.path_indices)
-    path_index_set = set(path_indices)
 
     if not link_ids or not path_indices:
         # Links that no candidate path can probe are reported as uncoverable;
@@ -982,19 +1033,6 @@ def _solve_subproblem(
         apply_selection(path_index)
         stats.iterations += 1
 
-        if options.use_symmetry and orbits is not None:
-            _select_orbit_mates(
-                path_index,
-                orbits,
-                path_index_set,
-                selected_set,
-                index.row_link_set,
-                marginal_gain,
-                apply_selection,
-                options,
-                stats,
-            )
-
     stats.fully_refined = not identifiability_needed or (
         partition.fully_refined and not stats.uncoverable_links
     )
@@ -1005,40 +1043,3 @@ def _solve_subproblem(
     stats.partition_cells_created = partition.cells_created
     stats.partition_gain_queries = partition.gain_queries
     return selected, stats
-
-
-def _select_orbit_mates(
-    seed_path: int,
-    orbits: PathOrbits,
-    path_index_set: Set[int],
-    selected_set: Set[int],
-    links_on,
-    marginal_gain,
-    apply_selection,
-    options: PMCOptions,
-    stats: PMCStats,
-) -> None:
-    """Batch-select topologically isomorphic images of a just-selected path.
-
-    Only images that (a) belong to the same subproblem, (b) are link-disjoint
-    from every path selected in this batch, and (c) still provide marginal
-    gain are taken.  Disjointness mirrors the paper's example (a path spanning
-    pods 1-2 is followed by its image spanning pods 3-4) and bounds the batch
-    size by ``#links / path-length``.
-    """
-    batch_links: Set[int] = set(links_on(seed_path))
-    orbit = orbits.orbit_of(seed_path)
-    for mate in orbits.orbit_members(orbit):
-        if mate == seed_path or mate in selected_set or mate not in path_index_set:
-            continue
-        mate_links = links_on(mate)
-        if batch_links & mate_links:
-            continue
-        if options.max_paths is not None and len(selected_set) >= options.max_paths:
-            break
-        splits, covers = marginal_gain(mate)
-        if splits == 0 and covers == 0:
-            continue
-        apply_selection(mate)
-        batch_links.update(mate_links)
-        stats.symmetry_batch_selections += 1

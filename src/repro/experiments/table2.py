@@ -4,7 +4,9 @@ The paper measures the construction time of a (2-coverage, 1-identifiability)
 probe matrix on Fattree(12/24/72), VL2(20,12,20)/(40,24,40)/(140,120,100) and
 BCube(4,2)/(8,2)/(8,4), comparing the strawman greedy against the greedy with
 problem decomposition, lazy score updates and symmetry reduction added
-cumulatively.
+cumulatively.  Symmetry is the exact replay of isomorphic subproblems: a
+Fattree(k) solves one of its ``k/2`` components and selects the lazy column's
+paths; single-component fabrics (VL2, BCube) gain and lose nothing.
 
 Paper-scale instances have up to 8.7e9 candidate paths, so the harness runs
 the same sweep on scaled-down instances (the ratios between optimisation
@@ -23,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import PMCOptions, construct_probe_matrix
 from ..routing import RoutingMatrix, enumerate_candidate_paths
-from ..topology import PathOrbits, Topology, build_bcube, build_fattree, build_vl2
+from ..topology import Topology, build_bcube, build_fattree, build_vl2
 from .common import ExperimentTable
 
 __all__ = ["Table2Instance", "default_instances", "run", "paper_reference", "main"]
@@ -123,7 +125,6 @@ def run(
         topology = instance.build()
         paths = enumerate_candidate_paths(topology, ordered=False)
         routing_matrix = RoutingMatrix(topology, paths)
-        orbits = PathOrbits.from_walks(topology, paths.walks())
         row: Dict[str, object] = {
             "dcn": instance.label,
             "nodes": len(topology.nodes),
@@ -143,9 +144,7 @@ def run(
                 continue
             options = PMCOptions(alpha=alpha, beta=beta, **flags)
             start = time.perf_counter()
-            result = construct_probe_matrix(
-                routing_matrix, options, orbits=orbits if flags["use_symmetry"] else None
-            )
+            result = construct_probe_matrix(routing_matrix, options)
             row[level_name] = time.perf_counter() - start
             row[f"{level_name}_evals"] = result.stats.greedy_evaluations
             selected_paths = result.num_paths

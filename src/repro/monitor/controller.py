@@ -21,9 +21,8 @@ Two cycle flavours exist:
   re-runs only over surviving candidate rows (with per-subproblem warm-start
   through a :class:`~repro.core.lazy_greedy.ShardedSolutionCache`), and the
   result is byte-identical to a cold rebuild on the same post-delta state.
-  When churn exceeds ``ControllerConfig.churn_rebuild_threshold`` (or
-  symmetry batching is enabled, whose orbit indices are tied to a concrete
-  candidate matrix), the method transparently falls back to a full rebuild.
+  When churn exceeds ``ControllerConfig.churn_rebuild_threshold`` the method
+  transparently falls back to a full rebuild.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from ..core import (
     construct_probe_matrix_masked,
 )
 from ..routing import PathTable, RoutingMatrix, enumerate_candidate_paths
-from ..topology import FatTreeTopology, HealthSnapshot, PathOrbits, Topology, TopologyDelta
+from ..topology import FatTreeTopology, HealthSnapshot, Topology, TopologyDelta
 from .pinglist import Pinglist, PinglistEntry
 from .watchdog import Watchdog
 
@@ -68,8 +67,6 @@ class ControllerConfig:
         experiment needs an exact probe budget.
     cycle_seconds / report_interval_seconds:
         Probe-matrix recomputation period and result aggregation window.
-    use_symmetry / use_lazy_update / use_decomposition:
-        PMC speed-ups to enable.
     ordered_pairs:
         Enumerate candidate paths for ordered ToR pairs (paper counting) or
         unordered (default; both directions of a path probe the same links).
@@ -106,9 +103,6 @@ class ControllerConfig:
     loss_confirmation_probes: int = 2
     cycle_seconds: float = 600.0
     report_interval_seconds: float = 30.0
-    use_symmetry: bool = False
-    use_lazy_update: bool = True
-    use_decomposition: bool = True
     ordered_pairs: bool = False
     churn_rebuild_threshold: int = 8
     shard_by_pods: bool = False
@@ -118,8 +112,6 @@ class ControllerConfig:
     def __post_init__(self) -> None:
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.shard_by_pods and self.use_symmetry:
-            raise ValueError("shard_by_pods is incompatible with use_symmetry")
         if self.pingers_per_tor < 1:
             raise ValueError("pingers_per_tor must be >= 1")
         if self.path_replication < 1:
@@ -196,9 +188,6 @@ class Controller:
         return PMCOptions(
             alpha=config.alpha,
             beta=config.beta,
-            use_decomposition=config.use_decomposition,
-            use_lazy_update=config.use_lazy_update,
-            use_symmetry=config.use_symmetry,
             shard_by_pods=config.shard_by_pods,
             jobs=config.jobs,
         )
@@ -251,15 +240,8 @@ class Controller:
             paths = self.candidate_paths().without_links(failed)
             routing_matrix = RoutingMatrix(self.topology, paths)
         else:
-            paths = self.candidate_paths()
             routing_matrix = self._full_routing_matrix()
-        options = self._pmc_options()
-        orbits = None
-        if self.config.use_symmetry:
-            # Orbit signatures always come from the original topology (§4.3),
-            # computed over the surviving walks.
-            orbits = PathOrbits.from_walks(self.topology, paths.walks())
-        return construct_probe_matrix(routing_matrix, options, orbits=orbits)
+        return construct_probe_matrix(routing_matrix, self._pmc_options())
 
     # ----------------------------------------------------------- pinger step
     def select_pingers(self) -> Dict[str, List[str]]:
@@ -401,8 +383,7 @@ class Controller:
         the cached incidence index and PMC re-runs only over the surviving
         candidate rows (warm-started per decomposition subproblem), which is
         byte-identical to -- and much cheaper than -- a cold rebuild.  Falls
-        back to :meth:`run_cycle` for the first cycle, when symmetry batching
-        is enabled, or when churn exceeds
+        back to :meth:`run_cycle` for the first cycle or when churn exceeds
         ``ControllerConfig.churn_rebuild_threshold``.
         """
         snapshot = self.watchdog.snapshot()
@@ -411,11 +392,7 @@ class Controller:
             if self._planned_snapshot is not None
             else None
         )
-        if (
-            delta is None
-            or self.config.use_symmetry
-            or delta.churn > self.config.churn_rebuild_threshold
-        ):
+        if delta is None or delta.churn > self.config.churn_rebuild_threshold:
             return self._finish_cycle(self.compute_probe_matrix(), mode="full", delta=delta)
 
         matrix = self._full_routing_matrix()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.incidence import _gather_segments, _np  # _np is None without numpy
 
@@ -235,10 +235,6 @@ class PathTable(_SequenceABC):
     def _walk(self, row: int) -> Tuple[str, ...]:
         names = self._node_names
         return tuple(names[code] for code in self._row(self._node_indptr, self._nodes, row))
-
-    def walks(self) -> Iterator[Tuple[str, ...]]:
-        """Every row's node walk as names, without materialising a path."""
-        return map(self._walk, range(len(self)))
 
     # ------------------------------------------------------------ sub-tables
     def take(self, rows: Sequence[int]) -> "PathTable":

@@ -5,8 +5,8 @@ A *path* is the unit of probing in deTector: a walk between two ToR switches
 the paper, explicit path objects here).  The link universe of the probe matrix
 is the set of inter-switch links; the path keeps
 
-* the full node walk (needed for symmetry signatures, pinger placement and
-  the latency model), and
+* the full node walk (needed for pinger placement and the latency model),
+  and
 * the *set* of switch-link ids it traverses (needed by PMC and PLL -- both
   reason about paths purely as link sets).
 

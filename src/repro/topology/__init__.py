@@ -4,7 +4,6 @@ from .base import Link, Node, Tier, Topology, TopologyBuilder, TopologyError
 from .bcube import BCubeTopology, bcube_counts, build_bcube
 from .delta import HealthSnapshot, TopologyDelta
 from .fattree import FatTreeTopology, build_fattree, fattree_counts
-from .symmetry import PathOrbits, link_orbits, link_role, node_role, path_signature
 from .vl2 import VL2Topology, build_vl2, vl2_counts
 
 __all__ = [
@@ -25,9 +24,4 @@ __all__ = [
     "BCubeTopology",
     "build_bcube",
     "bcube_counts",
-    "PathOrbits",
-    "link_orbits",
-    "link_role",
-    "node_role",
-    "path_signature",
 ]

@@ -1,4 +1,9 @@
-"""Link-set partition maintained by the PMC greedy (§4.2, second paragraph).
+"""The set-based link-set partition: the reference ``RefinablePartition`` is held to.
+
+:class:`repro.core.incidence.RefinablePartition` keeps the §4.2 refinement on
+flat label arrays; :class:`LinkSetPartition` is the seed implementation on
+dict-of-set cells that it replaced in the solver, kept here so the
+differential tests have the obvious version to compare against.
 
 The construction for 1-identifiability keeps a partition of the (extended)
 link set.  Initially there is a single cell containing every link.  Each

@@ -18,9 +18,9 @@ class TestParser:
 
     def test_pmc_flags(self):
         args = build_parser().parse_args(
-            ["pmc", "vl2", "--da", "8", "--di", "6", "--alpha", "2", "--symmetry", "--no-lazy"]
+            ["pmc", "vl2", "--da", "8", "--di", "6", "--alpha", "2", "--no-symmetry", "--no-lazy"]
         )
-        assert args.kind == "vl2" and args.symmetry and args.no_lazy
+        assert args.kind == "vl2" and args.no_symmetry and args.no_lazy
 
     def test_experiment_choices(self):
         args = build_parser().parse_args(["experiment", "table3"])

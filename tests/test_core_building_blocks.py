@@ -9,7 +9,6 @@ import pytest
 from repro.core import (
     ExtendedLinkSpace,
     LazyMinHeap,
-    LinkSetPartition,
     ProbeMatrix,
     check_coverage,
     check_identifiability,
@@ -19,6 +18,7 @@ from repro.core import (
     find_confusable_failure_sets,
     identifiability_level,
 )
+from link_set_oracle import LinkSetPartition
 from repro.routing import Path, RoutingMatrix
 from repro.topology import Tier, TopologyBuilder
 

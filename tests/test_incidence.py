@@ -17,7 +17,7 @@ from repro.core.incidence import (
     RefinablePartition,
     resolve_backend,
 )
-from repro.core.link_partition import LinkSetPartition
+from link_set_oracle import LinkSetPartition
 
 BACKENDS = [Backend.PYTHON, Backend.NUMPY]
 

@@ -47,9 +47,9 @@ class TestPMCBackendEquivalence:
             PMCOptions(alpha=2, beta=1, use_lazy_update=False),
             PMCOptions(alpha=2, beta=1, use_decomposition=False),
             PMCOptions(alpha=1, beta=2),
-            PMCOptions(alpha=1, beta=1, use_symmetry=True),
+            PMCOptions(alpha=1, beta=1, use_symmetry=False),
         ],
-        ids=["a1b1", "a3b1", "a1b0", "eager", "no-decomp", "beta2", "symmetry"],
+        ids=["a1b1", "a3b1", "a1b0", "eager", "no-decomp", "beta2", "no-symmetry"],
     )
     def test_identical_selections(self, routing_by_backend, name, options):
         results = {

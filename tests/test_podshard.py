@@ -339,11 +339,13 @@ class TestParallelDifferential:
     @pytest.mark.parametrize("name", ["fattree4", "vl2", "bcube"])
     def test_component_decomposition_invariant_to_jobs(self, name):
         # jobs > 1 also parallelises the exact component decomposition; the
-        # pooled result must equal the inline solve byte for byte.
+        # pooled result must equal the inline solve byte for byte.  Every
+        # component is solved (no replay), so the fat-tree's twins do dispatch.
         topology, paths = _build(name)
         matrix = RoutingMatrix(topology, paths)
-        serial = construct_probe_matrix(matrix, PMCOptions(alpha=2, beta=1, jobs=1))
-        pooled = construct_probe_matrix(matrix, PMCOptions(alpha=2, beta=1, jobs=2))
+        options = dict(alpha=2, beta=1, use_symmetry=False)
+        serial = construct_probe_matrix(matrix, PMCOptions(jobs=1, **options))
+        pooled = construct_probe_matrix(matrix, PMCOptions(jobs=2, **options))
         assert serial.selected_indices == pooled.selected_indices
         assert serial.stats.cost_counters() == pooled.stats.cost_counters()
         assert serial.probe_matrix.to_json() == pooled.probe_matrix.to_json()
@@ -357,7 +359,7 @@ class TestParallelDifferential:
         for jobs in (1, 2):
             matrix = RoutingMatrix(topology, paths, backend=backend)
             result = construct_probe_matrix(
-                matrix, PMCOptions(alpha=2, beta=1, use_decomposition=True, jobs=jobs)
+                matrix, PMCOptions(alpha=2, beta=1, use_symmetry=False, jobs=jobs)
             )
             assert len(result.shards) == result.stats.subproblems > 1
             assert all(shard.pod is None and not shard.reused for shard in result.shards)
@@ -386,7 +388,8 @@ class TestParallelDifferential:
         options = PMCOptions(alpha=2, beta=1, shard_by_pods=True, jobs=2)
         warm = ShardedSolutionCache()
         first = construct_probe_matrix_masked(matrix, options, warm=warm)
-        assert all(not shard.reused for shard in first.shards)
+        # The four pod shards are one subproblem: pod 0 solves, its twins replay.
+        assert [shard.reused for shard in first.shards] == [False, True, True, True, False]
         second = construct_probe_matrix_masked(matrix, options, warm=warm)
         assert all(shard.reused for shard in second.shards)
         assert all(shard.kernel_cost == {} for shard in second.shards)
@@ -401,7 +404,9 @@ class TestParallelDifferential:
         assert [shard.pod for shard in result.shards] == [0, 1, 2, 3, RESIDUAL_POD]
         assert sum(shard.num_paths for shard in result.shards) == len(paths)
         # Each solved shard reports real (non-empty) kernel work.
-        assert all(shard.kernel_cost for shard in result.shards if shard.num_paths)
+        assert all(
+            shard.kernel_cost for shard in result.shards if shard.num_paths and not shard.reused
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +414,11 @@ class TestParallelDifferential:
 # ---------------------------------------------------------------------------
 
 class TestOptionsAndPlumbing:
-    def test_shard_by_pods_rejects_symmetry(self):
-        with pytest.raises(ValueError):
-            PMCOptions(shard_by_pods=True, use_symmetry=True)
-
     def test_jobs_validated(self):
         with pytest.raises(ValueError):
             PMCOptions(jobs=0)
         with pytest.raises(ValueError):
             ControllerConfig(jobs=0)
-        with pytest.raises(ValueError):
-            ControllerConfig(shard_by_pods=True, use_symmetry=True)
 
     def test_resolve_jobs_explicit_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -529,4 +528,5 @@ class TestShardedController:
         serial = Controller(fattree4, self._config(jobs=1))
         baseline = serial.run_cycle()
         assert cycle.probe_matrix.to_json() == baseline.probe_matrix.to_json()
-        assert cycle.touched_shards == baseline.touched_shards == (0, 1, 2, 3, RESIDUAL_POD)
+        # Pods 1-3 are isomorphic to pod 0 and replay its solve.
+        assert cycle.touched_shards == baseline.touched_shards == (0, RESIDUAL_POD)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ExtendedLinkSpace,
-    LinkSetPartition,
     PMCOptions,
     ProbeMatrix,
     RESIDUAL_POD,
@@ -19,6 +18,7 @@ from repro.core import (
     construct_probe_matrix,
     decompose_by_link_sets,
 )
+from link_set_oracle import LinkSetPartition
 from repro.localization import (
     ObservationSet,
     PathObservation,
