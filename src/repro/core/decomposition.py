@@ -9,7 +9,14 @@ each component separately -- and in the paper's case, in parallel.
 The component computation is a single union-find pass over the CSR rows of
 the shared :class:`~repro.core.incidence.IncidenceIndex`, i.e. linear in the
 size of the routing matrix, matching the "linear time by traversing the
-bipartite graph once" remark.  The set-based entry point
+bipartite graph once" remark.  That pass runs once per index: the *pristine*
+components over all rows are kept beside the index, so a cold plan pays for
+them once and every churn cycle only *refines* them.  A link mask can only
+split the component that owns a masked link, so a masked decomposition
+carries every other component forward as the same :class:`Subproblem` and
+re-runs the pass over the touched components' active rows alone -- with the
+output of a pass over all active rows, element for element.  The set-based
+entry point
 :func:`decompose_by_link_sets` survives for external callers that hold raw
 link sets rather than an index (PLL now decomposes through
 ``incidence.components(rows=...)`` directly); it simply builds a transient
@@ -40,10 +47,12 @@ path, and the reference the array kernel is tested against.
 
 from __future__ import annotations
 
+import time
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..contracts import pool_payload
+from ..contracts import informational_wall, pool_payload, trace_record
 from .incidence import Backend, IncidenceIndex
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a routing<->core cycle
@@ -67,13 +76,14 @@ RESIDUAL_POD: int = -1
 
 
 @pool_payload
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Subproblem:
     """An independent slice of the probe-path selection problem.
 
     Slotted, frozen and built from plain tuples so instances hash, compare
     by value and cross a process boundary by pickling -- pod-sharded solves
-    ship one ``Subproblem`` per pool task.
+    ship one ``Subproblem`` per pool task.  Weak-referenceable, so a memo
+    keyed by a subproblem dies with it.
 
     Attributes
     ----------
@@ -233,10 +243,68 @@ def pod_shards_for_matrix(
     return _pod_shards(row_items, index.link_ids, link_pods)
 
 
+class _Pristine:
+    """An index's components over all its rows, and which one owns each link."""
+
+    __slots__ = ("subproblems", "owner")
+
+    def __init__(self, subproblems: List[Subproblem]):
+        self.subproblems = tuple(subproblems)
+        self.owner: Dict[int, int] = {
+            link: position
+            for position, sub in enumerate(self.subproblems)
+            for link in sub.link_ids
+        }
+
+
+#: The pristine decomposition of every live index, computed on first use.  It
+#: lives beside the index, not on it, so it never rides the pickle dispatch or
+#: the shm export (workers never decompose), and it dies with the index.
+_PRISTINE: "weakref.WeakKeyDictionary[IncidenceIndex, _Pristine]" = weakref.WeakKeyDictionary()
+
+
+def _pristine(index: IncidenceIndex) -> _Pristine:
+    pristine = _PRISTINE.get(index)
+    if pristine is None:
+        pristine = _Pristine(_subproblems_from_components(index.components()))
+        _PRISTINE[index] = pristine
+    return pristine
+
+
+def _masked_components(index: IncidenceIndex) -> Tuple[List[Subproblem], int]:
+    """The components of the active rows, and how many pristine ones were re-split.
+
+    A row is inactive iff it crosses a masked link, and every link lies in
+    one pristine component: so a component owning no masked link keeps all
+    its rows and is carried as it is (the same ``Subproblem``), and one that
+    owns a masked link splits only into components of its own active rows.
+    Sorting by the smallest link id, the key :meth:`IncidenceIndex.components`
+    sorts by, gives ``components(rows=active_rows())`` element for element.
+    """
+    pristine = _pristine(index)
+    touched = {pristine.owner[link] for link in index.masked_link_ids}
+    if not touched:
+        return list(pristine.subproblems), 0
+    subproblems = pristine.subproblems
+    rows = index.active_among(
+        [row for position in sorted(touched) for row in subproblems[position].path_indices]
+    )
+    # Links of the carried components are path-less here; their output is dropped.
+    refined = [
+        Subproblem(link_ids=links, path_indices=members)
+        for links, members in index.components(rows=rows)
+        if pristine.owner[links[0]] in touched
+    ]
+    carried = [sub for position, sub in enumerate(subproblems) if position not in touched]
+    return sorted(carried + refined, key=lambda sub: sub.link_ids[0]), len(touched)
+
+
+@informational_wall("the decomposition span's wall_seconds is informational; its labels are the record")
 def decompose_routing_matrix(
     routing_matrix: "RoutingMatrix",
     by_pods: bool = False,
     rows: Optional[Sequence[int]] = None,
+    masked: bool = False,
 ) -> List[Subproblem]:
     """Subproblems of a routing matrix's candidate rows (all rows, or a subset).
 
@@ -244,9 +312,37 @@ def decompose_routing_matrix(
     path/link bipartite graph.  ``by_pods=True`` switches to the pod-sharded
     approximate decomposition (see :func:`pod_shards_for_matrix`), the basis
     of the parallel control plane.  ``rows`` restricts either flavour to the
-    given path indices (the masked flow passes the active rows; columns no
-    considered row crosses surface as path-less subproblems).
+    given path indices, and ``masked=True`` (which takes precedence) to the
+    index's active rows, the incremental flow; columns no considered row
+    crosses surface as path-less subproblems.
+
+    The exact decomposition of all rows -- the *pristine* one -- is computed
+    once per index and reused; a masked call re-splits only the pristine
+    components that own a masked link (:func:`_masked_components`).  The
+    ``components`` kernel counter ticks by the rows a call actually
+    considered, which is also the ``rows`` label of its ``decomposition``
+    span.
     """
+    index = routing_matrix.incidence
     if by_pods:
-        return pod_shards_for_matrix(routing_matrix, rows=rows)
-    return _subproblems_from_components(routing_matrix.incidence.components(rows=rows))
+        return pod_shards_for_matrix(routing_matrix, rows=index.active_rows() if masked else rows)
+    started = time.perf_counter()
+    considered = index.counters.elements("components")
+    refined = 0
+    if masked:
+        subproblems, refined = _masked_components(index)
+    elif rows is not None:
+        subproblems = _subproblems_from_components(index.components(rows=rows))
+    else:
+        subproblems = list(_pristine(index).subproblems)
+    trace_record(
+        "decomposition",
+        wall_seconds=time.perf_counter() - started,
+        # Informational: a pooled experiment decomposes inside workers, which
+        # never trace, so whether this span exists depends on ``jobs``.
+        informational=True,
+        subproblems=len(subproblems),
+        refined=refined,
+        rows=index.counters.elements("components") - considered,
+    )
+    return subproblems

@@ -906,6 +906,21 @@ class IncidenceIndex:
             return [int(r) for r in _np.flatnonzero(self._row_blockers == 0)]
         return [r for r, b in enumerate(self._row_blockers) if b == 0]
 
+    def active_among(self, rows: Sequence[int]):
+        """The rows of *rows* that cross no masked link, in the given order.
+
+        What :meth:`active_rows` is to the whole index, for a subset: the
+        masked decomposition filters one component's rows with it instead of
+        listing every active row of the fabric.
+        """
+        if self._row_blockers is None:
+            return rows
+        if self._backend is Backend.NUMPY:
+            rows = _np.asarray(rows, dtype=_np.int64)
+            return rows[self._row_blockers[rows] == 0]
+        blockers = self._row_blockers
+        return [row for row in rows if not blockers[row]]
+
     @property
     def num_active_rows(self) -> int:
         if self._row_blockers is None:

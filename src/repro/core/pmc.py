@@ -38,9 +38,10 @@ The loop's stop condition is closed-form rather than "until fully refined or
 out of candidates": for ``beta = 1`` the finest partition a subproblem's
 candidates can reach has one cell per distinct column signature (the set of
 candidate rows crossing a link; all never-crossed links share one), so the
-greedy stops as soon as the partition has that many cells and no coverable
-link is under-covered -- with the selection an exhaustive drain of the heap
-would return, since from there on every candidate is a zero-gain discard (see
+greedy stops as soon as the partition has that many cells and every coverable
+link lies on ``alpha`` selected paths, or on all of its candidates when it has
+fewer -- with the selection an exhaustive drain of the heap would return,
+since from there on every candidate is a zero-gain discard (see
 :func:`_solve_subproblem`).  That is what keeps a cycle with links down, whose
 orphaned links can never be separated, as cheap as a healthy one.
 
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import weakref
 from array import array
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -343,7 +345,7 @@ def construct_probe_matrix(
     return _construct(
         routing_matrix,
         options,
-        rows=None,
+        masked=False,
         coverage_counts=routing_matrix.incidence.coverage_counts(),
     )
 
@@ -367,9 +369,11 @@ def construct_probe_matrix_masked(
     freshly built routing matrix containing only the surviving paths would
     select, because every solver input matches:
 
-    * the decomposition is computed over the active rows only (masked columns
+    * the decomposition is the one of the active rows only (masked columns
       surface as path-less singleton components, exactly like fully-failed
-      links do in a cold rebuild),
+      links do in a cold rebuild) -- computed by re-splitting only the
+      components of the index's pristine decomposition that own a masked
+      link (:func:`~repro.core.decomposition.decompose_routing_matrix`),
     * coverability is judged against :meth:`active_coverage_counts`, and
     * the CELF heap is seeded with the active rows in ascending row order,
       which is the same relative order a cold rebuild's re-densified rows
@@ -386,12 +390,11 @@ def construct_probe_matrix_masked(
     residual shard; every other shard keeps its digest and replays.
     """
     options = options or PMCOptions()
-    index = routing_matrix.incidence
     return _construct(
         routing_matrix,
         options,
-        rows=index.active_rows(),
-        coverage_counts=index.active_coverage_counts(),
+        masked=True,
+        coverage_counts=routing_matrix.incidence.active_coverage_counts(),
         warm=warm,
     )
 
@@ -421,13 +424,14 @@ def pmc_for_topology(
 # ---------------------------------------------------------------------------
 
 def _decompose(
-    routing_matrix: "RoutingMatrix", options: PMCOptions, rows: Optional[Sequence[int]]
+    routing_matrix: "RoutingMatrix", options: PMCOptions, masked: bool
 ) -> List[Subproblem]:
-    """Subproblems over all candidate rows (``rows is None``) or a subset."""
+    """Subproblems over all candidate rows, or (``masked``) the active ones."""
+    if options.use_decomposition and not options.shard_by_pods:
+        return decompose_routing_matrix(routing_matrix, masked=masked)
+    rows = routing_matrix.incidence.active_rows() if masked else None
     if options.shard_by_pods:
         return pod_shards_for_matrix(routing_matrix, rows=rows)
-    if options.use_decomposition:
-        return decompose_routing_matrix(routing_matrix, rows=rows)
     return [
         Subproblem(
             link_ids=tuple(routing_matrix.link_ids),
@@ -442,15 +446,16 @@ def _decompose(
 def _construct(
     routing_matrix: "RoutingMatrix",
     options: PMCOptions,
-    rows: Optional[Sequence[int]],
+    masked: bool,
     coverage_counts,
     warm: Optional[ShardedSolutionCache] = None,
 ) -> PMCResult:
     """The one PMC driver behind both public entry points.
 
-    ``rows`` (``None`` = every candidate) and ``coverage_counts`` (per-column
-    candidate counts over those rows) are the only things the cold and masked
-    flavours disagree on.  A subproblem whose canonical digest
+    ``masked`` (solve the index's active rows rather than every candidate)
+    and ``coverage_counts`` (per-column candidate counts over those rows) are
+    the only things the cold and masked flavours disagree on.  A subproblem
+    whose canonical digest
     (:func:`_subproblem_digest`) this call already met, or ``warm`` still
     holds, replays (:func:`_replay`); the first occurrence of every other
     digest goes through :func:`_solve_many`; everything merges in canonical
@@ -474,7 +479,7 @@ def _construct(
     """
     start = time.perf_counter()
     index = routing_matrix.incidence
-    subproblems = _decompose(routing_matrix, options, rows)
+    subproblems = _decompose(routing_matrix, options, masked)
     stats = PMCStats(
         subproblems=len(subproblems), fully_refined=True, coverage_satisfied=True
     )
@@ -492,7 +497,7 @@ def _construct(
         paths=routing_matrix.num_paths,
         subproblems=len(subproblems),
         sharded=options.shard_by_pods,
-        masked=rows is not None,
+        masked=masked,
     ):
         for lo in range(0, len(subproblems), step):
             batch = subproblems[lo : lo + step]
@@ -690,6 +695,14 @@ def _subproblem_digest(
     return hasher.digest()
 
 
+#: ``(options key, identity key)`` of live subproblems.  A component the
+#: masked decomposition carries is the same object every churn cycle, so its
+#: ids are hashed once per index rather than once per cycle.
+_IDENTITY_KEYS: "weakref.WeakKeyDictionary[Subproblem, Tuple[str, bytes]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def _identity_key(subproblem: Subproblem, options: PMCOptions) -> bytes:
     """Shortcut to a subproblem's :class:`_Solution` inside one warm cache.
 
@@ -697,10 +710,16 @@ def _identity_key(subproblem: Subproblem, options: PMCOptions) -> bytes:
     rows and options are the same subproblem: this hash of the ids as they
     stand costs a tenth of the canonical gather.  Never leaves :func:`_construct`.
     """
-    hasher = hashlib.sha256(f"ids|{subproblem.num_links}|{_options_key(options)}|".encode())
+    options_key = _options_key(options)
+    cached = _IDENTITY_KEYS.get(subproblem)
+    if cached is not None and cached[0] == options_key:
+        return cached[1]
+    hasher = hashlib.sha256(f"ids|{subproblem.num_links}|{options_key}|".encode())
     hasher.update(_packed(subproblem.link_ids))
     hasher.update(_packed(subproblem.path_indices))
-    return hasher.digest()
+    key = hasher.digest()
+    _IDENTITY_KEYS[subproblem] = (options_key, key)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -871,10 +890,11 @@ def _solve_subproblem(
     the post-delta topology would compute.
 
     The loop ends when ``goals_met``: the partition has ``reachable_cells``
-    cells (identifiability requested) and no coverable link is under-covered.
+    cells (identifiability requested) and every coverable link lies on
+    ``min(alpha, its candidates)`` selected paths.
     One rule for every heap flavour, backend and dispatch mode; see the
-    comment at ``reachable_cells`` for why stopping there returns the
-    selection an exhaustive drain of the heap returns.
+    comments at ``progress`` and ``reachable_cells`` for why stopping there
+    returns the selection an exhaustive drain of the heap returns.
     """
     stats = PMCStats()
     link_ids = sorted(subproblem.link_ids)
@@ -927,6 +947,26 @@ def _solve_subproblem(
     if options.alpha > 0 and coverable_locals:
         kernels.set_true(under_covered, kernels.int_array(coverable_locals))
         under_count = len(coverable_locals)
+
+    # A link with fewer than alpha candidates can hold at most that many
+    # selected paths.  Once it does, no unselected row crosses it, so its
+    # coverage gain is zero for every remaining candidate and it leaves
+    # ``under_covered``: ``progress`` counts its selected paths up from its
+    # deficit ``alpha - candidates``, reaching alpha then.  Until then its
+    # gain is what it always was; left in, it kept the loop scanning zero-gain
+    # candidates until the heap was empty.  ``short_links`` keeps
+    # ``coverage_satisfied`` meaning "alpha reached".  ``shard_counts`` are
+    # the subproblem's own candidates on a closed subproblem; on a pod shard
+    # they count every shard's, so a link other shards also probe never
+    # saturates there and drains as before.  The textbook greedy (no
+    # ``skip_zero_gain``) selects zero-gain candidates, so its target stays
+    # alpha.
+    progress, short_links = weights, 0
+    if under_count and options.skip_zero_gain:
+        deficits = [max(options.alpha - int(count), 0) if count else 0 for count in shard_counts]
+        short_links = sum(1 for deficit in deficits if deficit)
+        if short_links:
+            progress = kernels.int_array(deficits)
 
     def score(path_index: int) -> int:
         stats.candidates_scored += 1
@@ -999,9 +1039,11 @@ def _solve_subproblem(
         if identifiability_needed:
             partition.split(ext_row(path_index))
         kernels.add_at(weights, cols, 1)
+        if progress is not weights:
+            kernels.add_at(progress, cols, 1)
         if under_count:
             under_count -= kernels.clear_if_reached(
-                under_covered, weights, cols, options.alpha
+                under_covered, progress, cols, options.alpha
             )
         selected.append(path_index)
         selected_set.add(path_index)
@@ -1036,7 +1078,7 @@ def _solve_subproblem(
     stats.fully_refined = not identifiability_needed or (
         partition.fully_refined and not stats.uncoverable_links
     )
-    stats.coverage_satisfied = under_count == 0
+    stats.coverage_satisfied = under_count == 0 and not short_links
     stats.greedy_evaluations = heap.evaluations
     stats.lazy_skips = heap.lazy_skips
     stats.partition_splits = partition.splits_performed

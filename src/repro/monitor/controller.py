@@ -244,19 +244,31 @@ class Controller:
         return construct_probe_matrix(routing_matrix, self._pmc_options())
 
     # ----------------------------------------------------------- pinger step
-    def select_pingers(self) -> Dict[str, List[str]]:
+    def _healthy_servers(self) -> Dict[str, List[str]]:
+        """``{ToR: its healthy servers}``: one watchdog read per ToR, shared by a cycle."""
+        return {
+            tor.name: self.watchdog.healthy_servers_under(tor.name)
+            for tor in self.topology.tor_switches
+        }
+
+    def select_pingers(
+        self, healthy: Optional[Mapping[str, List[str]]] = None
+    ) -> Dict[str, List[str]]:
         """Choose pinger servers under every ToR switch.
 
         ToRs without healthy servers (or topologies without servers at all,
         e.g. BCube where servers are modelled as switches) fall back to using
-        the ToR node itself as the probing endpoint.
+        the ToR node itself as the probing endpoint.  ``healthy`` is the
+        cycle's ``{ToR: healthy servers}`` read, if the caller already has it.
         """
         config = self.config
+        if healthy is None:
+            healthy = self._healthy_servers()
         assignment: Dict[str, List[str]] = {}
         for tor in self.topology.tor_switches:
-            healthy = self.watchdog.healthy_servers_under(tor.name)
-            if healthy:
-                assignment[tor.name] = healthy[: config.pingers_per_tor]
+            servers = healthy[tor.name]
+            if servers:
+                assignment[tor.name] = servers[: config.pingers_per_tor]
             else:
                 assignment[tor.name] = [tor.name]
         return assignment
@@ -266,9 +278,16 @@ class Controller:
         self,
         probe_matrix: ProbeMatrix,
         pinger_assignment: Mapping[str, Sequence[str]],
+        healthy: Optional[Mapping[str, List[str]]] = None,
     ) -> Dict[str, Pinglist]:
-        """Split the probe matrix rows into per-pinger pinglists."""
+        """Split the probe matrix rows into per-pinger pinglists.
+
+        Responders come from ``healthy`` (``{ToR: healthy servers}``, see
+        :meth:`select_pingers`); a destination it lacks is read from the
+        watchdog once per build, not once per path.
+        """
         config = self.config
+        servers_of: Dict[str, List[str]] = dict(healthy) if healthy is not None else {}
         pinglists: Dict[str, Pinglist] = {}
         for tor_name, pingers in pinger_assignment.items():
             intra_rack = [
@@ -295,7 +314,7 @@ class Controller:
             # evenly across the pingers of a rack.
             start = path_index % len(pingers)
             chosen = [pingers[(start + offset) % len(pingers)] for offset in range(replication)]
-            target = self._target_server(path.dst, path_index)
+            target = self._target_server(path.dst, path_index, servers_of)
             for pinger in chosen:
                 pinglists[pinger].entries.append(
                     PinglistEntry(
@@ -307,12 +326,16 @@ class Controller:
                 )
         return pinglists
 
-    def _target_server(self, dst_tor: str, path_index: int) -> str:
+    def _target_server(
+        self, dst_tor: str, path_index: int, servers_of: Dict[str, List[str]]
+    ) -> str:
         """Pick the responder server under the destination ToR for a path."""
         node = self.topology.node(dst_tor)
         if not node.is_switch:
             return dst_tor
-        servers = self.watchdog.healthy_servers_under(dst_tor)
+        servers = servers_of.get(dst_tor)
+        if servers is None:
+            servers = servers_of[dst_tor] = self.watchdog.healthy_servers_under(dst_tor)
         if not servers:
             return dst_tor
         return servers[path_index % len(servers)]
@@ -324,8 +347,9 @@ class Controller:
         mode: str,
         delta: Optional[TopologyDelta],
     ) -> ControllerCycle:
-        pinger_assignment = self.select_pingers()
-        pinglists = self.build_pinglists(pmc_result.probe_matrix, pinger_assignment)
+        healthy = self._healthy_servers()
+        pinger_assignment = self.select_pingers(healthy)
+        pinglists = self.build_pinglists(pmc_result.probe_matrix, pinger_assignment, healthy)
         changed: Optional[Tuple[str, ...]] = None
         if mode == "incremental" and self._last_cycle is not None:
             changed = self._diff_pinglists(self._last_cycle.pinglists, pinglists)

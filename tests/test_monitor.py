@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,45 @@ class TestController:
         assignment = Controller(fattree4, config).select_pingers()
         for servers in assignment.values():
             assert len(servers) == 2  # only two servers per rack in Fattree(4)
+
+    def test_pinglists_read_server_health_once_per_tor(self, fattree6, monkeypatch):
+        # One {ToR: healthy servers} read per cycle, shared by pinger
+        # selection and responder choice -- the same pinglists as one
+        # watchdog read per selected path gave.
+        watchdog = Watchdog(fattree6)
+        watchdog.mark_server_unhealthy("pod0_edge0_srv1")
+        for server in fattree6.servers_under("pod2_edge1"):
+            watchdog.mark_server_unhealthy(server.name)
+        reads = []
+        read = watchdog.healthy_servers_under
+
+        def counted(tor_name):
+            reads.append(tor_name)
+            return read(tor_name)
+
+        monkeypatch.setattr(watchdog, "healthy_servers_under", counted)
+        controller = Controller(fattree6, ControllerConfig(alpha=2, beta=1), watchdog=watchdog)
+        cycle = controller.run_cycle()
+        assert len(reads) == len(fattree6.tor_switches)
+
+        for pinglist in cycle.pinglists.values():
+            for entry in pinglist.entries:
+                dst = cycle.probe_matrix.path(entry.path_index).dst
+                servers = read(dst)
+                expected = servers[entry.path_index % len(servers)] if servers else dst
+                assert entry.target_server == expected
+        digest = hashlib.sha256(
+            "".join(cycle.pinglists[name].to_xml() for name in sorted(cycle.pinglists)).encode()
+        ).hexdigest()
+        assert digest == "24e0506400378de9687ae9b22990896266a4bc779ca0d7c154028a777f7a2484"
+
+        # Without the shared read, a build still reads each destination once.
+        reads.clear()
+        rebuilt = controller.build_pinglists(cycle.probe_matrix, cycle.pinger_assignment)
+        assert len(reads) <= len(fattree6.tor_switches)
+        assert {name: p.entries for name, p in rebuilt.items()} == {
+            name: p.entries for name, p in cycle.pinglists.items()
+        }
 
 
 class TestResponder:

@@ -9,6 +9,7 @@ from repro.core import (
     check_coverage,
     check_identifiability,
     construct_probe_matrix,
+    construct_probe_matrix_masked,
     identifiability_level,
     pmc_for_topology,
 )
@@ -178,3 +179,51 @@ class TestStats:
         result = construct_probe_matrix(matrix, PMCOptions(alpha=1, beta=1))
         assert result.num_paths == 0
         assert not result.stats.fully_refined
+
+
+class TestShortLinkTermination:
+    """A link with fewer than alpha candidates stops costing a heap drain.
+
+    Each case masks links until one surviving link has a single candidate
+    (alpha = 2).  The selection and the verdicts are the ones the exhaustive
+    drain returned (pinned); only the greedy's evaluations drop.
+    """
+
+    CASES = {
+        "fattree4": (
+            lambda: build_fattree(4),
+            (0, 2, 40, 44),
+            (2, 7, 39, 54, 79, 90, 110, 111, 6, 94, 51, 52, 57, 81, 105, 109, 89),
+            (0, 2, 32, 33, 40, 44),
+            178,
+        ),
+        "vl2": (
+            lambda: build_vl2(4, 4, 2),
+            (2, 6, 8, 16, 17),
+            (6, 32, 38, 39, 23),
+            (0, 1, 2, 6, 8, 16, 17),
+            21,
+        ),
+    }
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_same_selection_fewer_evaluations(self, name, backend):
+        build, mask, drained_selection, uncoverable, drained_evaluations = self.CASES[name]
+        topology = build()
+        paths = enumerate_candidate_paths(topology, ordered=False)
+        options = PMCOptions(alpha=2, beta=1, jobs=1)
+        matrix = RoutingMatrix(topology, paths, backend=backend)
+        matrix.incidence.apply_link_mask(mask)
+        counts = matrix.incidence.active_coverage_counts()
+        assert any(0 < count < options.alpha for count in counts)
+        masked = construct_probe_matrix_masked(matrix, options)
+        rebuilt = RoutingMatrix(topology, paths.without_links(mask), backend=backend)
+        cold = construct_probe_matrix(rebuilt, options)
+        for result in (masked, cold):
+            stats = result.stats
+            assert (stats.coverage_satisfied, stats.fully_refined) == (False, False)
+            assert stats.uncoverable_links == uncoverable
+            assert stats.greedy_evaluations < drained_evaluations
+        assert masked.selected_indices == drained_selection
+        assert cold.probe_matrix.to_json() == masked.probe_matrix.to_json()
