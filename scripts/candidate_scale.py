@@ -4,7 +4,9 @@ ordered = 5 951 232 unordered original paths; ``--solve`` runs the cold plan
 (alpha = 2, beta = 1) on them as well, and ``--churn N`` then runs N one-link
 masked cycles against a warm cache, printing each cycle's decomposition and
 solve seconds (read off the program's own ``decomposition`` and ``pmc.solve``
-spans).  Run with ``PYTHONPATH=src``."""
+spans), its logical ``greedy_evaluations`` and the solve's microseconds per
+evaluation -- the work-normalised number to compare across machines.  Run
+with ``PYTHONPATH=src``."""
 
 import argparse
 import resource
@@ -41,10 +43,13 @@ def churn(matrix: RoutingMatrix, options: PMCOptions, cycles: int) -> None:
         spans = tracer.finished_spans()
         decomposition = next(sp for sp in spans if sp.name == "decomposition")
         solve_s = sum(sp.wall_seconds for sp in spans if sp.name == "pmc.solve")
+        evaluations = result.stats.greedy_evaluations
+        us_per_evaluation = f"{solve_s * 1e6 / evaluations:.2f}" if evaluations else "-"
         print(f"cycle {cycle} ({'link ' + str(down[0]) + ' down' if down else 'warm-up'}): "
               f"subproblems {result.stats.subproblems}  refined {decomposition.labels['refined']}  "
               f"reused {result.stats.reused_subproblems}  decomposition_s {decomposition.wall_seconds:.3f}  "
-              f"solve_s {solve_s:.2f}  cycle_s {wall:.2f}")
+              f"solve_s {solve_s:.2f}  greedy_evaluations {evaluations}  "
+              f"us_per_evaluation {us_per_evaluation}  cycle_s {wall:.2f}")
     index.clear_link_mask()
 
 

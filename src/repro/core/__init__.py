@@ -10,7 +10,7 @@ from .decomposition import (
     pod_shards_for_matrix,
 )
 from .incidence import Backend, IncidenceIndex, RefinablePartition, RowProjection, resolve_backend
-from .lazy_greedy import BatchCELFHeap, LazyMinHeap, ShardedSolutionCache
+from .lazy_greedy import LazyMinHeap, ShardedSolutionCache
 from .pmc import (
     PMCOptions,
     PMCResult,
@@ -45,7 +45,6 @@ __all__ = [
     "RefinablePartition",
     "RowProjection",
     "resolve_backend",
-    "BatchCELFHeap",
     "LazyMinHeap",
     "ShardedSolutionCache",
     "ShardOutcome",

@@ -7,18 +7,25 @@ it at the top, it is selected without touching the other candidates.  This is
 the standard CELF optimisation of Leskovec et al., adapted to a minimisation
 objective.
 
-The heap is agnostic about what a "score" is; the PMC algorithm plugs in the
-Eq. (1) score.  Entries carry the iteration stamp of their last refresh so the
-selector can decide whether the cached score is still trustworthy.
+:class:`LazyMinHeap` is agnostic about what a "score" is and rescores one
+candidate per step; it is the reference.  :class:`BucketQueue`, the numpy
+backend's queue at ``beta <= 1``, keeps one FIFO per integer Eq. (1) score
+and rescores in batches, with the same selections and logical counters.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from collections import OrderedDict
-from typing import Callable, Dict, Generic, Hashable, Iterable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
-__all__ = ["LazyMinHeap", "BatchCELFHeap", "ShardedSolutionCache"]
+try:  # the bucket queue is the numpy backend's
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy backend is then unavailable
+    _np = None
+
+__all__ = ["LazyMinHeap", "BucketQueue", "ShardedSolutionCache"]
 
 T = TypeVar("T")
 
@@ -39,7 +46,7 @@ class LazyMinHeap(Generic[T]):
         # was (re)computed for a selection decision, one *lazy skip* per pop
         # that trusted a score cached earlier in the same iteration.  These
         # count decisions, not kernel work, so they are identical for every
-        # implementation of the same CELF pop sequence (see BatchCELFHeap).
+        # implementation of the same CELF pop sequence (see BucketQueue).
         self.evaluations = 0
         self.lazy_skips = 0
         for score, item in items:
@@ -119,224 +126,200 @@ class LazyMinHeap(Generic[T]):
         return best_score, best_item
 
 
-class BatchCELFHeap:
-    """Integer-keyed CELF heap with chunked, batch-rescored pops.
+#: Stands in for "no score": above every Eq. (1) score, so it never wins a comparison.
+_INF = 2**63 - 1
 
-    A drop-in replacement for :class:`LazyMinHeap` + :meth:`~LazyMinHeap.pop_lazy`
-    built for the array incidence backend: candidate scores are *integers*
-    (Eq. 1 sums minus cell counts), so a heap entry packs ``(score, counter)``
-    into one Python int -- ``score * 2**41 + counter`` -- making every heap
-    operation a scalar comparison instead of a tuple compare.  Pops collect a
-    whole chunk of stale entries, refresh them in ONE ``rescore_batch`` call
-    (one vectorized kernel), then *replay* the unbatched CELF pop sequence
-    over the precomputed fresh scores with a prefix-minimum scan.
 
-    The replay is decision-for-decision identical to :meth:`LazyMinHeap.pop_lazy`:
+def _concat(parts):
+    return parts[0] if len(parts) == 1 else _np.concatenate(parts)
 
-    * a refreshed entry pushed back this iteration wins the next pop exactly
-      when its fresh score is strictly below the next stale cached score (on
-      score ties the older counter wins, and pushed-back counters are newer);
-    * a just-refreshed entry is selected exactly when its fresh score is
-      ``<=`` the minimum of the best pushed-back score and the next cached
-      score (the heap-top comparison of the unbatched loop);
-    * entries past the selection point are restored untouched.
 
-    Only the *values* of the counters differ from the unbatched run (skipped
-    pushes shift them); their relative order -- the only thing pop order
-    depends on -- is preserved, so selections are byte-identical.
+class _Fifo:
+    """One score's entries in push order: ``rows[head:]``, then the ``tail`` segments."""
+
+    __slots__ = ("rows", "head", "tail")
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.head = 0
+        self.tail: List[object] = []
+
+    def __bool__(self) -> bool:
+        return self.head < len(self.rows) or bool(self.tail)
+
+    def segments(self) -> Iterator[object]:
+        if self.head < len(self.rows):
+            yield self.rows[self.head :]
+        yield from self.tail
+
+    def drop(self, count: int) -> int:
+        """Remove up to *count* entries from the front; returns how many are still owed."""
+        while True:
+            available = len(self.rows) - self.head
+            if count < available:
+                self.head += count
+                return 0
+            count -= available
+            if not self.tail:
+                self.rows, self.head = self.rows[:0], 0
+                return count
+            self.rows, self.head, self.tail = _concat(self.tail), 0, []
+
+
+class BucketQueue:
+    """CELF queue over integer scores: one FIFO per score, batch-rescored pops.
+
+    The numpy backend's queue for the PMC greedy at ``beta <= 1``.  It pops
+    the same entries, with the same logical counters, as
+    :meth:`LazyMinHeap.pop_lazy` called at a new iteration for every pop.  One
+    FIFO per score *is* that heap:
+
+    * the heap orders entries by ``(score, counter)``, and a pushed-back entry
+      gets a counter newer than every live one, so appending it to the FIFO
+      of its score keeps every FIFO in counter order, and the heap's minimum
+      is the head of the lowest non-empty FIFO;
+    * the Eq. (1) score is a small integer (every non-empty row starts at
+      -1), so there are a dozen or so FIFOs.
+
+    **Contract: one pop per greedy iteration**, so every entry is stale when
+    a pop starts and none carries a stamp.  A pop walks the entries in
+    (score, FIFO) order in chunks of ``batch_size``, twice that, ..., rescores
+    each chunk in one ``rescore_batch`` call and replays the unbatched loop;
+    the rows it pushes back stay virtual until the decision.  With ``best``
+    the smallest fresh score before walk position ``i`` (its earliest holder
+    is the oldest push-back, which wins ties among them):
+
+    * rule 1: ``best < cached[i]`` -- a push-back is the top, and the holder
+      of ``best`` is selected at its cached score (a lazy skip);
+    * rule 2: ``fresh[i] <= min(cached[i + 1], best)`` -- the refreshed entry
+      stays the top and is selected;
+    * the walk runs out -- only push-backs are left, and the holder of
+      ``best`` is selected (a lazy skip).
+
+    Then the walked prefix leaves the FIFOs and the rows rescored but not
+    selected join those of their fresh scores in walk order.  Chunk overshoot
+    takes no part in a decision and stays put: ``evaluations`` counts the
+    unbatched loop's rescores.
     """
 
-    SHIFT_BITS = 41
-    _SHIFT = 1 << SHIFT_BITS  # counters stay below this; scores are small ints
-
-    def __init__(self, items: Iterable[Tuple[int, T]] = ()):
-        self._items: List[T] = []
-        self._stamps: List[int] = []
-        # Logical counters matching LazyMinHeap's exactly: `evaluations`
-        # counts the rescores the *unbatched* replay performs (chunk
-        # overshoot excluded -- overshoot entries are restored with their
-        # stale keys and never influenced a decision), `lazy_skips` the pops
-        # resolved from a score cached earlier in the same iteration.
+    def __init__(self, rows, scores):
+        self._buckets: Dict[int, _Fifo] = {}
+        self._keys: List[int] = []  # scores of the non-empty FIFOs, ascending
+        self._size = 0
+        # Logical counters, identical to LazyMinHeap's for the same pops.
         self.evaluations = 0
         self.lazy_skips = 0
-        keys: List[int] = []
-        shift = self._SHIFT
-        for score, item in items:
-            counter = len(self._items)
-            self._items.append(item)
-            self._stamps.append(-1)
-            keys.append(score * shift + counter)
-        heapq.heapify(keys)
-        self._heap = keys
+        self._push(_np.asarray(rows, dtype=_np.int64), _np.asarray(scores, dtype=_np.int64))
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._size
 
-    def _compact(self) -> None:
-        """Renumber counters to bound ``_items``/``_stamps`` growth.
+    def _push(self, rows, scores) -> None:
+        """Append *rows* to the FIFOs of their *scores*, in their order within a score."""
+        if not len(rows):
+            return
+        order = _np.argsort(scores, kind="stable")
+        rows, scores = rows[order], scores[order]
+        cuts = _np.flatnonzero(scores[1:] != scores[:-1]) + 1
+        for score, segment in zip(scores[_np.r_[0, cuts]].tolist(), _np.split(rows, cuts)):
+            fifo = self._buckets.get(score)
+            if fifo is None:
+                self._buckets[score] = _Fifo(segment)
+                bisect.insort(self._keys, score)
+            else:
+                fifo.tail.append(segment)
+        self._size += len(rows)
 
-        Each item has at most one live heap entry, but every push-back
-        allocates a fresh counter slot, so the side arrays grow with total
-        rescores rather than heap size.  Renumbering entries in current
-        (score, counter) order preserves the relative order of every entry --
-        the only thing pop order depends on -- so selections are unaffected.
+    def _drop(self, count: int) -> None:
+        """Remove the first *count* entries in pop order."""
+        self._size -= count
+        keys, buckets = self._keys, self._buckets
+        while count:
+            fifo = buckets[keys[0]]
+            count = fifo.drop(count)
+            if not fifo:
+                del buckets[keys.pop(0)]
+
+    def _chunks(self, size: int) -> Iterator[Tuple[object, object, int]]:
+        """The entries in pop order, as ``(rows, cached scores, next cached score)``.
+
+        Chunk sizes double from *size*; after the last entry the next cached
+        score is ``_INF``.
         """
-        order = sorted(self._heap)
-        mask = self._SHIFT - 1
-        bits = self.SHIFT_BITS
-        shift = self._SHIFT
-        items = self._items
-        stamps = self._stamps
-        new_items: List[T] = []
-        new_stamps: List[int] = []
-        new_heap: List[int] = []
-        for new_counter, key in enumerate(order):
-            counter = key & mask
-            new_items.append(items[counter])
-            new_stamps.append(stamps[counter])
-            new_heap.append((key >> bits) * shift + new_counter)
-        self._items = new_items
-        self._stamps = new_stamps
-        self._heap = new_heap  # ascending order is a valid min-heap
-
-    def pop_lazy_batch(
-        self,
-        current_iteration: int,
-        rescore_batch: Callable[[List[T]], List[int]],
-        batch_size: int = 32,
-    ) -> Optional[Tuple[int, T]]:
-        heap = self._heap
-        if not heap:
-            return None
-        if len(self._items) > max(4 * len(heap), 65536):
-            self._compact()
-            heap = self._heap
-        mask = self._SHIFT - 1
-        bits = self.SHIFT_BITS
-        items = self._items
-        stamps = self._stamps
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        # Per-iteration refresh demand is bursty (symmetric fabrics alternate
-        # near-free selections with big refresh waves), so no hint from the
-        # previous iteration predicts it well.  Start small and grow the
-        # refill geometrically: overshoot stays a constant factor of the true
-        # demand while refills stay logarithmic.
-        chunk_size = batch_size
-
-        popped_keys: List[int] = []  # stale keys in pop order (ascending)
-        popped_scores: List[int] = []  # their cached scores, pre-decoded
-        fresh: List[int] = []  # their batch-computed fresh scores
-        boundary_key: Optional[int] = None  # first fresh entry reached, if any
-        boundary_score = 0
-        best: Optional[int] = None  # prefix-min of fresh ("sim top" of replay)
-        best_j = -1
-        i = 0
-        n = 0
-        kind = ""
-        while True:
-            if i >= n and boundary_key is None and heap:
-                chunk_keys: List[int] = []
-                chunk_items: List[T] = []
-                while heap and len(chunk_keys) < chunk_size:
-                    key = heappop(heap)
-                    counter = key & mask
-                    if stamps[counter] == current_iteration:
-                        boundary_key = key
-                        boundary_score = key >> bits
-                        break
-                    chunk_keys.append(key)
-                    chunk_items.append(items[counter])
-                if chunk_keys:
-                    fresh.extend(rescore_batch(chunk_items))
-                    popped_keys.extend(chunk_keys)
-                    popped_scores.extend(k >> bits for k in chunk_keys)
-                    n = len(popped_keys)
-                chunk_size *= 2
-
-            if i < n:
-                # Rule 1: an already-refreshed entry outranks this stale one
-                # (score strictly lower; on ties the older stale counter wins).
-                if best is not None and best < popped_scores[i]:
-                    kind = "sim"
-                    break
-                fresh_i = fresh[i]
-                # Smallest competing cached score: popped is in ascending key
-                # order and boundary / heap top rank above all of it.
-                i1 = i + 1
-                if i1 < n:
-                    nxt = popped_scores[i1]
-                elif boundary_key is not None:
-                    nxt = boundary_score
-                elif heap:
-                    nxt = heap[0] >> bits
+        pieces = (
+            (score, segment)
+            for score in self._keys
+            for segment in self._buckets[score].segments()
+        )
+        pending = next(pieces, None)
+        while pending is not None:
+            rows: List[object] = []
+            cached: List[object] = []
+            want = size
+            while want and pending is not None:
+                score, segment = pending
+                part = segment[:want]
+                rows.append(part)
+                cached.append(_np.full(len(part), score, dtype=_np.int64))
+                want -= len(part)
+                if len(part) < len(segment):
+                    pending = (score, segment[len(part) :])
                 else:
-                    nxt = None
-                if best is not None and (nxt is None or best < nxt):
-                    nxt = best
-                # Rule 2: the refreshed score keeps this entry at the top.
-                if nxt is None or fresh_i <= nxt:
-                    kind = "stale"
-                    break
-                if best is None or fresh_i < best:
-                    best = fresh_i
-                    best_j = i
-                i = i1
-                continue
+                    pending = next(pieces, None)
+            yield _concat(rows), _concat(cached), _INF if pending is None else pending[0]
+            size *= 2
 
-            # Every scored stale entry was processed without a winner.
-            if boundary_key is not None:
-                kind = "sim" if (best is not None and best < boundary_score) else "boundary"
-                break
-            if not heap:
-                kind = "sim" if best is not None else "none"
-                break
-            if best is not None and best < (heap[0] >> bits):
-                kind = "sim"
-                break
-            # The heap top (stale, unscored) is the global minimum: refill.
+    def pop(
+        self, rescore_batch: Callable[[object], object], batch_size: int = 32
+    ) -> Optional[Tuple[int, int]]:
+        """Pop the row with the smallest up-to-date score: ``(score, row)``, or ``None`` if empty.
 
-        # Logical bookkeeping, mirroring the unbatched loop: entries
-        # 0..limit-1 were rescored-and-pushed-back there (plus the selected
-        # one itself on a "stale" selection); "sim"/"boundary" selections pop
-        # an entry already refreshed this iteration, i.e. a lazy skip.
-        sel_j = -1
-        if kind == "sim":
-            limit = i
-            sel_j = best_j
-            selected = (best, items[popped_keys[best_j] & mask])
-            self.lazy_skips += 1
-        elif kind == "stale":
-            limit = i
-            selected = (fresh[i], items[popped_keys[i] & mask])
-        elif kind == "boundary":
-            limit = n
-            selected = (boundary_score, items[boundary_key & mask])
-            boundary_key = None
-            self.lazy_skips += 1
+        ``rescore_batch`` maps an int64 array of rows to the int64 array of
+        their fresh scores.  Call once per greedy iteration (see the class).
+        """
+        if not self._size:
+            return None
+        walked_rows: List[object] = []
+        walked_fresh: List[object] = []
+        best, best_at, offset = _INF, -1, 0
+        for rows, cached, after in self._chunks(batch_size):
+            fresh = _np.asarray(rescore_batch(rows), dtype=_np.int64)
+            walked_rows.append(rows)
+            walked_fresh.append(fresh)
+            # ``before[i]``: the smallest fresh score walked before position i.
+            before = _np.minimum.accumulate(_np.concatenate(([best], fresh[:-1])))
+            rule1 = before < cached
+            rule2 = fresh <= _np.minimum(_np.append(cached[1:], after), before)
+            hits = _np.flatnonzero(rule1 | rule2)
+            if hits.size:
+                i = int(hits[0])
+                limit = offset + i
+                if rule1[i]:
+                    if before[i] < best:  # its holder was walked in this chunk
+                        best_at = offset + int(_np.argmin(fresh[:i]))
+                    selected, consumed = best_at, limit
+                    self.lazy_skips += 1
+                else:
+                    selected, consumed = limit, limit + 1
+                    self.evaluations += 1
+                break
+            low = int(fresh.min())
+            if low < best:
+                best, best_at = low, offset + int(_np.argmin(fresh))
+            offset += len(fresh)
         else:
-            limit = n
-            selected = None
-        self.evaluations += limit + (1 if kind == "stale" else 0)
+            limit = consumed = offset
+            selected = best_at
+            self.lazy_skips += 1
+        self.evaluations += limit
 
-        if limit:
-            shift = self._SHIFT
-            counter = len(items)
-            pushed_items: List[T] = []
-            for j in range(limit):
-                if j == sel_j:
-                    continue
-                pushed_items.append(items[popped_keys[j] & mask])
-                heappush(heap, fresh[j] * shift + counter)
-                counter += 1
-            items.extend(pushed_items)
-            stamps.extend([current_iteration] * len(pushed_items))
-        for j in range(i + 1 if kind == "stale" else limit, n):
-            heappush(heap, popped_keys[j])
-        if boundary_key is not None:
-            heappush(heap, boundary_key)
-
-        return selected
+        rows = _concat(walked_rows)[:consumed]
+        fresh = _concat(walked_fresh)[:consumed]
+        popped = (int(fresh[selected]), int(rows[selected]))
+        self._drop(consumed)
+        pushed = _np.arange(limit) != selected
+        self._push(rows[:limit][pushed], fresh[:limit][pushed])
+        return popped
 
 
 class ShardedSolutionCache:

@@ -21,7 +21,8 @@ Three optional optimisations reproduce §4.3:
 
 * **decomposition** -- split into independent subproblems (connected
   components of the path/link bipartite graph) and solve each separately,
-* **lazy update** -- CELF-style deferred re-scoring via a min-heap,
+* **lazy update** -- CELF-style deferred re-scoring via a min-heap (a bucket
+  queue of integer scores on the numpy backend),
 * **symmetry** -- isomorphic subproblems (the same incidence in *rank
   coordinates*: rows by position, links by rank among the subproblem's link
   ids) are one greedy run, so the first occurrence solves and the others
@@ -88,7 +89,7 @@ from ..topology import Topology
 from .costmodel import CostModel
 from .decomposition import Subproblem, decompose_routing_matrix, pod_shards_for_matrix
 from .incidence import Backend, IncidenceHandle, IncidenceIndex, RefinablePartition, RowProjection
-from .lazy_greedy import BatchCELFHeap, LazyMinHeap, ShardedSolutionCache
+from .lazy_greedy import BucketQueue, LazyMinHeap, ShardedSolutionCache
 from .probe_matrix import ProbeMatrix
 from .virtual_links import ExtendedLinkSpace
 
@@ -979,27 +980,29 @@ def _solve_subproblem(
     # per-candidate there.
     use_batch_scoring = index.backend is Backend.NUMPY and options.beta <= 1
 
-    def rescore_batch(items: List[int]) -> List[int]:
+    def rescore_batch(items):
+        """Fresh scores of *items* (rows) as an int64 array."""
         stats.candidates_scored += len(items)
         segments, locals_ = proj.batch(items)
         weight_terms = _np.bincount(
             segments, weights=weights[locals_], minlength=len(items)
         ).astype(_np.int64)
         cells = partition.cells_touched_segmented(segments, locals_, len(items))
-        return (weight_terms - cells).tolist()
+        return weight_terms - cells
 
     # Every non-empty path initially touches the single cell with zero weight,
     # so its initial score is exactly -1; empty paths score 0 and will be
-    # discarded on pop.
+    # discarded on pop.  Every queue holds one live entry per row, so a
+    # selected row is never popped again.
     row_lengths = index.row_lengths()
-    initial = (((-1 if row_lengths[i] else 0), i) for i in path_indices)
-    if use_batch_scoring and options.use_lazy_update:
-        heap = BatchCELFHeap(initial)
+    use_bucket_queue = use_batch_scoring and options.use_lazy_update
+    if use_bucket_queue:
+        rows = _np.asarray(path_indices, dtype=_np.int64)
+        heap = BucketQueue(rows, _np.where(row_lengths[rows] > 0, -1, 0))
     else:
-        heap = LazyMinHeap(initial)
+        heap = LazyMinHeap(((-1 if row_lengths[i] else 0), i) for i in path_indices)
 
     selected: List[int] = []
-    selected_set: Set[int] = set()
     identifiability_needed = options.beta > 0
     iteration = 0
 
@@ -1046,26 +1049,22 @@ def _solve_subproblem(
                 under_covered, progress, cols, options.alpha
             )
         selected.append(path_index)
-        selected_set.add(path_index)
 
     while not goals_met():
         if options.max_paths is not None and len(selected) >= options.max_paths:
             break
         iteration += 1
-        if options.use_lazy_update:
-            if use_batch_scoring:
-                popped = heap.pop_lazy_batch(iteration, rescore_batch)
-            else:
-                popped = heap.pop_lazy(iteration, score)
+        if use_bucket_queue:
+            popped = heap.pop(rescore_batch)
+        elif options.use_lazy_update:
+            popped = heap.pop_lazy(iteration, score)
         elif use_batch_scoring:
-            popped = heap.pop_eager_batch(rescore_batch)
+            popped = heap.pop_eager_batch(lambda items: rescore_batch(items).tolist())
         else:
             popped = heap.pop_eager(score)
         if popped is None:
             break
         _, path_index = popped
-        if path_index in selected_set:
-            continue
 
         splits, covers = marginal_gain(path_index)
         if options.skip_zero_gain and splits == 0 and covers == 0:

@@ -27,9 +27,11 @@ Two cycle flavours exist:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..contracts import informational_wall, trace_record
 from ..core import (
     PMCOptions,
     PMCResult,
@@ -274,6 +276,7 @@ class Controller:
         return assignment
 
     # --------------------------------------------------------- pinglist step
+    @informational_wall("the controller.pinglist span's wall_seconds is informational; its labels are the record")
     def build_pinglists(
         self,
         probe_matrix: ProbeMatrix,
@@ -284,8 +287,10 @@ class Controller:
 
         Responders come from ``healthy`` (``{ToR: healthy servers}``, see
         :meth:`select_pingers`); a destination it lacks is read from the
-        watchdog once per build, not once per path.
+        watchdog once per build, not once per path.  Emits one
+        ``controller.pinglist`` span labelled with the pingers and entries built.
         """
+        started = time.perf_counter()
         config = self.config
         servers_of: Dict[str, List[str]] = dict(healthy) if healthy is not None else {}
         pinglists: Dict[str, Pinglist] = {}
@@ -324,6 +329,15 @@ class Controller:
                         node_walk=path.nodes,
                     )
                 )
+        trace_record(
+            "controller.pinglist",
+            wall_seconds=time.perf_counter() - started,
+            # Informational: pooled experiments run controllers in workers,
+            # which never trace, so the span's existence depends on ``jobs``.
+            informational=True,
+            pingers=len(pinglists),
+            entries=sum(len(pinglist.entries) for pinglist in pinglists.values()),
+        )
         return pinglists
 
     def _target_server(

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import CostModel, KernelCounters, PMCOptions, construct_probe_matrix
 from repro.core.incidence import Backend, IncidenceIndex, RefinablePartition
-from repro.core.lazy_greedy import BatchCELFHeap, LazyMinHeap
+from repro.core.lazy_greedy import BucketQueue, LazyMinHeap
 from repro.routing import RoutingMatrix, enumerate_candidate_paths
 
 
@@ -122,11 +122,11 @@ class TestHeapCounters:
             return score
 
         plain = LazyMinHeap((-1, i) for i in items)
-        batched = BatchCELFHeap((-1, i) for i in items)
+        batched = BucketQueue(items, [-1] * len(items))
         for iteration in range(1, 15):
             score = score_fn(iteration)
             a = plain.pop_lazy(iteration, score)
-            b = batched.pop_lazy_batch(iteration, lambda xs: [score(x) for x in xs])
+            b = batched.pop(lambda xs: [score(x) for x in xs])
             assert a == b
         assert plain.evaluations == batched.evaluations
         assert plain.lazy_skips == batched.lazy_skips

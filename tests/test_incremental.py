@@ -433,6 +433,32 @@ class TestIncrementalColdEquivalence:
         assert recovered.mode == "incremental"
         assert recovered.probe_matrix.to_json() == baseline.probe_matrix.to_json()
 
+    def test_every_link_down_in_one_delta_then_recovered(self, fattree4):
+        """One delta failing every switch link is masked, not rebuilt: an empty
+        cover with every link uncoverable, as a cold rebuild gives; the
+        recovery delta returns the pristine plan byte for byte."""
+        links = tuple(sorted(link.link_id for link in fattree4.switch_links))
+        config = ControllerConfig(alpha=2, beta=1, churn_rebuild_threshold=len(links))
+        controller = Controller(fattree4, config)
+        pristine = controller.run_incremental_cycle()
+        controller.run_incremental_cycle()  # seeds the warm cache
+        controller.watchdog.apply_delta(TopologyDelta.of_failures(links=links))
+        dark = controller.run_incremental_cycle()
+        assert dark.mode == "incremental"
+        assert dark.pmc_result.selected_indices == ()
+        assert dark.probe_matrix.num_paths == 0
+        assert dark.pmc_result.stats.uncoverable_links == links
+        assert not dark.pmc_result.stats.fully_refined
+        assert all(not pinglist.entries for pinglist in dark.pinglists.values())
+        cold = Controller(fattree4, config, watchdog=_clone_watchdog(fattree4, controller.watchdog))
+        cold._version = dark.version - 1  # align pinglist version stamps
+        _assert_cycles_identical(dark, cold.run_cycle())
+
+        controller.watchdog.apply_delta(TopologyDelta(recovered_links=links))
+        recovered = controller.run_incremental_cycle()
+        assert recovered.mode == "incremental"
+        assert recovered.probe_matrix.to_json() == pristine.probe_matrix.to_json()
+
 
 # ---------------------------------------------------------------------------
 # incremental x pod-sharded: churn in one pod touches exactly its shard

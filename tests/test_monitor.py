@@ -18,6 +18,7 @@ from repro.monitor import (
     Responder,
     Watchdog,
 )
+from repro.obs import Tracer, activated
 from repro.routing import ProbePacket
 from repro.simulation import FailureScenario, LossMode, ProbeSimulator
 
@@ -219,6 +220,18 @@ class TestController:
         assert len(reads) <= len(fattree6.tor_switches)
         assert {name: p.entries for name, p in rebuilt.items()} == {
             name: p.entries for name, p in cycle.pinglists.items()
+        }
+
+    def test_pinglist_build_emits_a_span(self, fattree4):
+        tracer = Tracer()
+        controller = Controller(fattree4, ControllerConfig(alpha=2, beta=1))
+        with activated(tracer):
+            cycle = controller.run_cycle()
+        (span,) = [sp for sp in tracer.finished_spans() if sp.name == "controller.pinglist"]
+        assert span.informational and span.wall_seconds >= 0
+        assert span.labels == {
+            "pingers": len(cycle.pinglists),
+            "entries": sum(len(pinglist.entries) for pinglist in cycle.pinglists.values()),
         }
 
 
