@@ -3,7 +3,7 @@
 The paper's claim: each added optimisation (problem decomposition, lazy score
 updates, symmetry reduction) cuts the construction *work*, by orders of
 magnitude at scale.  The gate asserts that claim on the deterministic
-greedy-evaluation counters (byte-identical across backends and machines, so
+greedy-evaluation counters (byte-identical across machines, so
 the test cannot flake on a loaded CI box); wall-clock timings stay in the
 table as informational columns and in the ``wallclock``-marked micro
 benchmarks, which the tier-1 gate job excludes.

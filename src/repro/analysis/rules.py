@@ -60,7 +60,6 @@ RNG_EXEMPT_SUFFIXES: Tuple[str, ...] = ("simulation/rng.py",)
 #: Modules allowed to read ``REPRO_*`` environment variables (the seams).
 RESOLVER_MODULES: Tuple[str, ...] = (
     "src/repro/parallel.py",
-    "src/repro/core/incidence.py",
     "src/repro/obs/__init__.py",
 )
 
@@ -578,7 +577,7 @@ class _Rep005(_ScopedVisitor):
                 col=node.col_offset + 1,
                 message=(
                     f"read of environment variable {key!r} outside the designated "
-                    "resolver modules (parallel.py, core/incidence.py, obs/__init__.py)"
+                    "resolver modules (parallel.py, obs/__init__.py)"
                 ),
                 context=self.qualname(),
             )

@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.incidence import IncidenceIndex
+import numpy as np
+
+from ..core.incidence import IncidenceIndex, first_max
 from ..routing import Path
 from ..simulation import ProbeConfig, ProbeSimulator
 
@@ -102,9 +104,7 @@ class Netbouncer:
             {link for path in lossy_paths for link in path.link_ids} - healthy_links
         )
         index = IncidenceIndex([path.link_ids for path in lossy_paths], universe)
-        kernels = index.kernels
-        unexplained = kernels.bool_zeros(index.num_paths)
-        kernels.set_true(unexplained, kernels.int_array(range(index.num_paths)))
+        unexplained = np.ones(index.num_paths, dtype=bool)
         remaining = index.num_paths
 
         suspected: List[int] = []
@@ -112,11 +112,12 @@ class Netbouncer:
             counts = index.masked_col_counts(unexplained)
             # First-maximum over the ascending universe keeps the seed
             # tie-break: the smallest link id among maximal coverers wins.
-            best_col, best_count = kernels.first_max(counts)
+            best_col, best_count = first_max(counts)
             if best_count <= 0:
                 break
             suspected.append(index.link_ids[best_col])
-            covered = kernels.take_true(index.col_rows(best_col), unexplained)
-            kernels.set_false(unexplained, covered)
+            rows = index.col_rows(best_col)
+            covered = rows[unexplained[rows]]
+            unexplained[covered] = False
             remaining -= len(covered)
         return suspected

@@ -1,7 +1,7 @@
 """The repo's written invariants, as declarable source-level markers.
 
 The reproduction's headline guarantee -- selections, counters, snapshots and
-traces byte-identical across ``REPRO_BACKEND`` x ``REPRO_JOBS`` -- rests on a
+traces byte-identical across ``REPRO_JOBS`` and machines -- rests on a
 handful of conventions:
 
 * all randomness flows through :class:`repro.simulation.rng.SeededStreams`,

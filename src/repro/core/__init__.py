@@ -9,7 +9,7 @@ from .decomposition import (
     link_pod_map,
     pod_shards_for_matrix,
 )
-from .incidence import Backend, IncidenceIndex, RefinablePartition, RowProjection, resolve_backend
+from .incidence import IncidenceIndex, RefinablePartition, RowProjection
 from .lazy_greedy import LazyMinHeap, ShardedSolutionCache
 from .pmc import (
     PMCOptions,
@@ -38,13 +38,11 @@ __all__ = [
     "construct_probe_matrix",
     "construct_probe_matrix_masked",
     "pmc_for_topology",
-    "Backend",
     "CostModel",
     "KernelCounters",
     "IncidenceIndex",
     "RefinablePartition",
     "RowProjection",
-    "resolve_backend",
     "LazyMinHeap",
     "ShardedSolutionCache",
     "ShardOutcome",

@@ -7,12 +7,13 @@ operations the paper's complexity claims are about (greedy candidate
 evaluations, lazy-update skips, partition refinements, replayed
 subproblems, aggregation-window folds).  Two invariants make them gateable:
 
-* **backend invariance** -- a counter has the same value under
-  ``REPRO_BACKEND=numpy`` and ``REPRO_BACKEND=python``.  Counters therefore
+* **implementation invariance** -- a counter has the same value for the
+  vectorized product kernel and its plain-loop oracle in
+  ``tests/python_kernels.py``, and at any ``REPRO_JOBS``.  Counters therefore
   count *semantic* operations (one logical candidate evaluation, one window
-  fold), never per-backend micro-ops like chunk overshoot or per-element
-  gathers, which legitimately differ between the vectorized and scalar
-  implementations of the same kernel;
+  fold), never micro-ops like chunk overshoot or per-element gathers, which
+  legitimately differ between a vectorized and a scalar implementation of
+  the same kernel;
 * **machine independence** -- counters are pure functions of the inputs, so
   ten consecutive runs (or runs on two different CI boxes) agree byte for
   byte, and any drift is a real algorithmic regression rather than noise.
@@ -108,8 +109,8 @@ class KernelCounters:
     *semantic* kernel call -- one per-link coverage histogram, one weighted
     column fold, one component decomposition -- together with the element
     volume the call touched (columns scanned, entries visited).  Both numbers
-    are identical across backends because they describe the question asked,
-    not how the backend answered it.
+    are implementation-independent because they describe the question asked,
+    not how the kernel answered it.
     """
 
     __slots__ = ("cost",)

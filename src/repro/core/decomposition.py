@@ -37,12 +37,11 @@ emitted in canonical order -- pods ascending, residual last -- which is what
 makes the parallel merge deterministic.
 
 Sharding runs in front of every sharded plan and cycle, over every candidate
-row.  On the numpy backend :func:`pod_shards_for_matrix` therefore hands the
-rule to an index kernel,
+row, so :func:`pod_shards_for_matrix` hands the rule to an index kernel,
 :meth:`~repro.core.incidence.IncidenceIndex.pod_shards` (one array pass over
-the CSR buffers); the set-based row loop, :func:`_pod_shards`, is the python
-backend's implementation of the same kernel, :func:`decompose_by_link_sets`'s
-path, and the reference the array kernel is tested against.
+the CSR buffers); the set-based row loop, :func:`_pod_shards`, is
+:func:`decompose_by_link_sets`'s path and the reference the array kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..contracts import informational_wall, pool_payload, trace_record
-from .incidence import Backend, IncidenceIndex
+from .incidence import IncidenceIndex
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a routing<->core cycle
     from ..routing import RoutingMatrix
@@ -222,25 +221,19 @@ def pod_shards_for_matrix(
     universe, keeping uncoverable-link reporting identical between cold and
     masked sharded runs.
 
-    Both backends return the identical ``Subproblem`` list and tick the
-    ``pod_shards`` kernel counter once per considered row.
+    Returns the ``Subproblem`` list :func:`_pod_shards` returns for the same
+    rows, and ticks the ``pod_shards`` kernel counter once per considered row.
     """
     index = routing_matrix.incidence
     link_pods = link_pod_map(routing_matrix.topology, index.link_ids)
-    considered = range(index.num_paths) if rows is None else rows
-    index.counters.tick("pod_shards", len(considered))
-    if index.backend is Backend.NUMPY:
-        # The same sharding as one array pass over the CSR buffers.
-        col_pods = [
-            RESIDUAL_POD if pod is None else pod
-            for pod in map(link_pods.get, index.link_ids)
-        ]
-        return [
-            Subproblem(link_ids=links, path_indices=members, pod=pod)
-            for pod, links, members in index.pod_shards(col_pods, rows)
-        ]
-    row_items = ((row, index.row_link_set(row)) for row in considered)
-    return _pod_shards(row_items, index.link_ids, link_pods)
+    index.counters.tick("pod_shards", index.num_paths if rows is None else len(rows))
+    col_pods = [
+        RESIDUAL_POD if pod is None else pod for pod in map(link_pods.get, index.link_ids)
+    ]
+    return [
+        Subproblem(link_ids=links, path_indices=members, pod=pod)
+        for pod, links, members in index.pod_shards(col_pods, rows)
+    ]
 
 
 class _Pristine:
@@ -258,8 +251,8 @@ class _Pristine:
 
 
 #: The pristine decomposition of every live index, computed on first use.  It
-#: lives beside the index, not on it, so it never rides the pickle dispatch or
-#: the shm export (workers never decompose), and it dies with the index.
+#: lives beside the index, not on it, so it never rides the shm export
+#: (workers never decompose), and it dies with the index.
 _PRISTINE: "weakref.WeakKeyDictionary[IncidenceIndex, _Pristine]" = weakref.WeakKeyDictionary()
 
 

@@ -1,4 +1,4 @@
-"""Array-backed path x link incidence: the shared backend of routing, PMC and PLL.
+"""Array-backed path x link incidence: the shared index of routing, PMC and PLL.
 
 §4.1 of the paper treats the routing matrix ``R`` as an ``m x n`` 0/1 matrix
 (paths x links) and every algorithm layered on top of it -- PMC's greedy
@@ -14,22 +14,12 @@ and 5.
 * ``row_indptr`` / ``row_cols``  -- path -> sorted column positions (CSR), and
 * ``col_indptr`` / ``col_rows``  -- column -> sorted path rows (CSC),
 
-as flat integer arrays, plus the vectorized kernels the hot loops need
+as flat int64 numpy arrays, plus the vectorized kernels the hot loops need
 (per-link coverage counters, Eq. 1 weight accumulation, hit-ratio counts,
 syndromes, connected-component and pod-shard decomposition, and the
-distinct-column-signature count that ends a PMC solve).  Two interchangeable
-backends produce *identical* results:
-
-* :attr:`Backend.NUMPY`  -- flat ``numpy`` arrays and vectorized kernels
-  (the default whenever numpy is importable), and
-* :attr:`Backend.PYTHON` -- plain lists and comprehension loops, used as a
-  dependency-free fallback and as a differential-testing oracle.
-
-The backend is chosen per index (``backend=`` argument) or globally through
-the ``REPRO_BACKEND`` environment variable (``"numpy"`` or ``"python"``).
-Every kernel works on exact integers, so selections and suspect sets computed
-on either backend are byte-identical -- tested in
-``tests/test_incidence_backends.py``.
+distinct-column-signature count that ends a PMC solve).  Every kernel works
+on exact integers; the plain-list loops in ``tests/python_kernels.py`` are
+the oracle each one is tested against (``tests/test_incidence_oracle.py``).
 """
 
 from __future__ import annotations
@@ -38,7 +28,6 @@ import atexit
 import itertools
 import os
 from dataclasses import dataclass
-from enum import Enum
 from typing import (
     Dict,
     FrozenSet,
@@ -47,214 +36,47 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-try:  # numpy is the default backend but never a hard requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None
+import numpy as _np
 
 from ..contracts import pool_payload, trace_record, trace_span
 from .costmodel import KernelCounters
 
 __all__ = [
-    "Backend",
-    "resolve_backend",
     "shm_telemetry",
     "IncidenceHandle",
     "SharedIncidence",
     "IncidenceIndex",
     "RowProjection",
     "RefinablePartition",
+    "clear_if_reached",
+    "first_max",
 ]
 
-_ENV_VAR = "REPRO_BACKEND"
 
+def clear_if_reached(mask, counts, idx, threshold: int) -> int:
+    """Clear ``mask[i]`` where ``i`` is in *idx* and ``counts[i] >= threshold``.
 
-class Backend(Enum):
-    """Storage/kernel flavour of an :class:`IncidenceIndex`."""
-
-    PYTHON = "python"
-    NUMPY = "numpy"
-
-
-def _parse_backend(value: Union[str, Backend]) -> Backend:
-    if isinstance(value, Backend):
-        return value
-    try:
-        return Backend(str(value).strip().lower())
-    except ValueError:
-        choices = ", ".join(repr(b.value) for b in Backend)
-        raise ValueError(f"unknown incidence backend {value!r}; choose from {choices}") from None
-
-
-def resolve_backend(backend: Optional[Union[str, Backend]] = None) -> Backend:
-    """Resolve the backend to use: explicit argument > ``REPRO_BACKEND`` > auto.
-
-    Auto-detection prefers numpy and falls back to pure Python when numpy is
-    missing.  Requesting :attr:`Backend.NUMPY` without numpy installed raises.
+    Returns how many entries it cleared (PMC's under-covered link count).
     """
-    if backend is not None:
-        resolved = _parse_backend(backend)
-    else:
-        env = os.environ.get(_ENV_VAR, "").strip()
-        if env:
-            resolved = _parse_backend(env)
-        else:
-            resolved = Backend.NUMPY if _np is not None else Backend.PYTHON
-    if resolved is Backend.NUMPY and _np is None:
-        raise RuntimeError(
-            "the numpy incidence backend was requested but numpy is not installed; "
-            f"set {_ENV_VAR}=python or install numpy"
-        )
-    return resolved
+    sel = idx[mask[idx] & (counts[idx] >= threshold)]
+    mask[sel] = False
+    return int(sel.size)
 
 
-# ---------------------------------------------------------------------------
-# per-backend kernel namespaces
-# ---------------------------------------------------------------------------
-
-class _PythonKernels:
-    """List-based kernels: the dependency-free oracle implementation."""
-
-    backend = Backend.PYTHON
-
-    @staticmethod
-    def int_array(values: Iterable[int]) -> List[int]:
-        return list(values)
-
-    @staticmethod
-    def int_zeros(size: int) -> List[int]:
-        return [0] * size
-
-    @staticmethod
-    def bool_zeros(size: int) -> List[bool]:
-        return [False] * size
-
-    @staticmethod
-    def sum_at(vector: Sequence[int], idx: Sequence[int]) -> int:
-        return sum(vector[i] for i in idx)
-
-    @staticmethod
-    def count_true_at(mask: Sequence[bool], idx: Sequence[int]) -> int:
-        return sum(1 for i in idx if mask[i])
-
-    @staticmethod
-    def add_at(vector: List[int], idx: Sequence[int], amount: int = 1) -> None:
-        for i in idx:
-            vector[i] += amount
-
-    @staticmethod
-    def take_true(idx: Sequence[int], mask: Sequence[bool]) -> List[int]:
-        return [i for i in idx if mask[i]]
-
-    @staticmethod
-    def set_true(mask: List[bool], idx: Sequence[int]) -> None:
-        for i in idx:
-            mask[i] = True
-
-    @staticmethod
-    def set_false(mask: List[bool], idx: Sequence[int]) -> None:
-        for i in idx:
-            mask[i] = False
-
-    @staticmethod
-    def clear_if_reached(
-        mask: List[bool], counts: Sequence[int], idx: Sequence[int], threshold: int
-    ) -> int:
-        """Clear ``mask[i]`` where ``counts[i] >= threshold``; return #cleared."""
-        cleared = 0
-        for i in idx:
-            if mask[i] and counts[i] >= threshold:
-                mask[i] = False
-                cleared += 1
-        return cleared
-
-    @staticmethod
-    def unique_count_at(labels: Sequence[int], idx: Sequence[int]) -> int:
-        return len({labels[i] for i in idx})
-
-    @staticmethod
-    def first_max(vector: Sequence[int]) -> Tuple[int, int]:
-        """(index, value) of the first maximum; (-1, 0) for an empty vector."""
-        best_idx, best = -1, 0
-        for i, value in enumerate(vector):
-            if best_idx < 0 or value > best:
-                best_idx, best = i, value
-        return best_idx, best
-
-
-class _NumpyKernels:
-    """Flat numpy-array kernels; all results are exact integers."""
-
-    backend = Backend.NUMPY
-
-    @staticmethod
-    def int_array(values: Iterable[int]):
-        if isinstance(values, _np.ndarray):
-            return values.astype(_np.int64, copy=False)
-        return _np.fromiter(values, dtype=_np.int64)
-
-    @staticmethod
-    def int_zeros(size: int):
-        return _np.zeros(size, dtype=_np.int64)
-
-    @staticmethod
-    def bool_zeros(size: int):
-        return _np.zeros(size, dtype=bool)
-
-    @staticmethod
-    def sum_at(vector, idx) -> int:
-        return int(vector[idx].sum())
-
-    @staticmethod
-    def count_true_at(mask, idx) -> int:
-        return int(_np.count_nonzero(mask[idx]))
-
-    @staticmethod
-    def add_at(vector, idx, amount: int = 1) -> None:
-        # Column indices within a row are unique, so fancy-index add is safe.
-        vector[idx] += amount
-
-    @staticmethod
-    def take_true(idx, mask):
-        return idx[mask[idx]]
-
-    @staticmethod
-    def set_true(mask, idx) -> None:
-        mask[idx] = True
-
-    @staticmethod
-    def set_false(mask, idx) -> None:
-        mask[idx] = False
-
-    @staticmethod
-    def clear_if_reached(mask, counts, idx, threshold: int) -> int:
-        sel = idx[mask[idx] & (counts[idx] >= threshold)]
-        mask[sel] = False
-        return int(sel.size)
-
-    @staticmethod
-    def unique_count_at(labels, idx) -> int:
-        return int(_np.unique(labels[idx]).size)
-
-    @staticmethod
-    def first_max(vector) -> Tuple[int, int]:
-        if len(vector) == 0:
-            return -1, 0
-        best_idx = int(_np.argmax(vector))  # argmax returns the first maximum
-        return best_idx, int(vector[best_idx])
-
-
-def _kernels_for(backend: Backend):
-    return _NumpyKernels if backend is Backend.NUMPY else _PythonKernels
+def first_max(vector) -> Tuple[int, int]:
+    """(index, value) of the first maximum; (-1, 0) for an empty vector."""
+    if len(vector) == 0:
+        return -1, 0
+    best_idx = int(_np.argmax(vector))  # argmax returns the first maximum
+    return best_idx, int(vector[best_idx])
 
 
 def _gather_segments(indptr, data, ids):
     """Concatenated CSR/CSC segments of *ids*: ``(segment_of_entry, values)``.
 
-    Numpy only.  Entry ``k`` of segment ``s`` sits at
+    Entry ``k`` of segment ``s`` sits at
     ``indptr[ids[s]] + (k - segment_start[s])``, so one ``repeat`` plus one
     ``arange`` gathers every slice in a single fancy index.
     """
@@ -270,7 +92,7 @@ def _gather_segments(indptr, data, ids):
 # ---------------------------------------------------------------------------
 # the shared-memory data plane
 #
-# A numpy-backed IncidenceIndex is frozen after construction: the CSR/CSC
+# An IncidenceIndex is frozen after construction: the CSR/CSC
 # arrays never change (masks are overlays on separate state).  share() copies
 # those buffers once into a multiprocessing.shared_memory segment; workers
 # attach() the segment and get the same index back as read-only zero-copy
@@ -282,7 +104,6 @@ def _gather_segments(indptr, data, ids):
 # first worker exits, yanking it out from under its siblings.
 # ---------------------------------------------------------------------------
 
-_INDEX_UIDS = itertools.count(1)
 _SHARE_GENERATIONS = itertools.count(1)
 _SEGMENT_SEQ = itertools.count(1)
 
@@ -457,7 +278,7 @@ class SharedIncidence:
                     "row_cols": index._row_cols,
                     "col_indptr": index._col_indptr,
                     "col_rows": index._col_rows,
-                    "entry_rows": index._entry_rows,
+                    "entry_rows": index._entry_row_ids(),
                     "link_ids": _np.fromiter(index._link_ids, dtype=_np.int64, count=n),
                     "coverage_counts": index._coverage_vector(),
                 }
@@ -520,7 +341,6 @@ class IncidenceIndex:
         self,
         path_link_sets: Sequence[Iterable[int]],
         link_universe: Sequence[int],
-        backend: Optional[Union[str, Backend]] = None,
         counters: Optional[KernelCounters] = None,
     ):
         row_indptr: List[int] = [0]
@@ -528,7 +348,7 @@ class IncidenceIndex:
         for links in path_link_sets:
             row_links.extend(links)
             row_indptr.append(len(row_links))
-        self._build(row_indptr, row_links, link_universe, backend, counters)
+        self._build(row_indptr, row_links, link_universe, counters)
 
     @classmethod
     def from_rows(
@@ -536,31 +356,31 @@ class IncidenceIndex:
         row_indptr,
         row_links,
         link_universe: Sequence[int],
-        backend: Optional[Union[str, Backend]] = None,
         counters: Optional[KernelCounters] = None,
     ) -> "IncidenceIndex":
         """Build from flat rows: row ``r`` crosses ``row_links[row_indptr[r]:row_indptr[r+1]]``.
 
         Link ids may repeat within a row and may fall outside the universe
-        (both are dropped); the arrays may be lists or numpy arrays whatever
-        the backend.  This is what a :class:`~repro.routing.PathTable` feeds.
+        (both are dropped); the arrays may be lists or numpy arrays.  This is
+        what a :class:`~repro.routing.PathTable` feeds.
         """
         self = cls.__new__(cls)
-        self._build(row_indptr, row_links, link_universe, backend, counters)
+        self._build(row_indptr, row_links, link_universe, counters)
         return self
 
-    def _build(self, row_indptr, row_links, link_universe, backend, counters) -> None:
-        self._backend = resolve_backend(backend)
-        self.kernels = _kernels_for(self._backend)
+    def _build(self, row_indptr, row_links, link_universe, counters) -> None:
         # Semantic kernel-invocation counters (see repro.core.costmodel):
-        # ticked once per kernel *question*, never per backend micro-op, so
-        # values are byte-identical across numpy/python backends.
+        # ticked once per kernel *question*, never per array micro-op.
         self.counters = counters if counters is not None else KernelCounters()
         self._link_ids: Tuple[int, ...] = tuple(link_universe)
         self._pos: Dict[int, int] = {link: col for col, link in enumerate(self._link_ids)}
         self._num_paths = len(row_indptr) - 1
-        build = self._csr_csc_numpy if self._backend is Backend.NUMPY else self._csr_csc_python
-        row_indptr, row_cols, col_indptr, col_rows = build(row_indptr, row_links)
+        (
+            self._row_indptr,
+            self._row_cols,
+            self._col_indptr,
+            self._col_rows,
+        ) = self._csr_csc(row_indptr, row_links)
         trace_record(
             "incidence.build",
             # Informational: matrices are also built inside pool workers, which
@@ -568,18 +388,12 @@ class IncidenceIndex:
             informational=True,
             rows=self._num_paths,
             links=len(self._link_ids),
-            nnz=len(row_cols),
+            nnz=len(self._row_cols),
         )
-
-        k = self.kernels
-        self._row_indptr = k.int_array(row_indptr)
-        self._row_cols = k.int_array(row_cols)
-        self._col_indptr = k.int_array(col_indptr)
-        self._col_rows = k.int_array(col_rows)
         # Lazily filled caches for the set/tuple views the legacy API exposes.
         self._row_set_cache: Dict[int, FrozenSet[int]] = {}
         self._col_tuple_cache: Dict[int, Tuple[int, ...]] = {}
-        self._entry_rows = None  # numpy only: row id of every CSR entry
+        self._entry_rows = None  # row id of every CSR entry, see _entry_row_ids()
         # Link-mask state (see the "link masking" section): masked column
         # positions plus, per row, how many of its links are currently masked.
         # A row is active iff its blocker count is zero.  Allocated lazily so
@@ -587,37 +401,14 @@ class IncidenceIndex:
         self._masked_cols: set = set()
         self._row_blockers = None
         # Shared-memory plane + coverage-cache state (see the dedicated
-        # sections below).  The uid names this index in persistent-pool
-        # context digests on the pickle fallback path.
+        # sections below).
         self._share: Optional[SharedIncidence] = None
         self._attached_shm = None
         self._coverage_cache = None
         self._active_counts_cache = None
-        self._uid = next(_INDEX_UIDS)
 
-    def _csr_csc_python(self, indptr, links):
+    def _csr_csc(self, indptr, links):
         """CSR with sorted, de-duplicated in-universe columns per row, and its CSC."""
-        pos = self._pos
-        if not isinstance(links, list):
-            indptr, links = list(map(int, indptr)), list(map(int, links))
-        row_indptr: List[int] = [0]
-        row_cols: List[int] = []
-        rows_of: List[List[int]] = [[] for _ in self._link_ids]
-        for row in range(self._num_paths):
-            cols = sorted({pos[l] for l in links[indptr[row] : indptr[row + 1]] if l in pos})
-            row_cols.extend(cols)
-            row_indptr.append(len(row_cols))
-            for col in cols:  # rows arrive ascending, so each column comes out sorted
-                rows_of[col].append(row)
-        col_indptr: List[int] = [0]
-        col_rows: List[int] = []
-        for rows in rows_of:
-            col_rows.extend(rows)
-            col_indptr.append(len(col_rows))
-        return row_indptr, row_cols, col_indptr, col_rows
-
-    def _csr_csc_numpy(self, indptr, links):
-        """The same four arrays as :meth:`_csr_csc_python`, in array passes."""
         m, n = self._num_paths, len(self._link_ids)
         indptr = _np.asarray(indptr, dtype=_np.int64)
         links = _np.asarray(links, dtype=_np.int64)
@@ -654,15 +445,6 @@ class IncidenceIndex:
 
     # ------------------------------------------------------------------ sizes
     @property
-    def uid(self) -> int:
-        """Process-unique identity of this index (stable across its lifetime)."""
-        return self._uid
-
-    @property
-    def backend(self) -> Backend:
-        return self._backend
-
-    @property
     def num_paths(self) -> int:
         return self._num_paths
 
@@ -691,11 +473,7 @@ class IncidenceIndex:
 
     def row_lengths(self):
         """Per-row link counts (vector; one call instead of m scalar reads)."""
-        if self._backend is Backend.NUMPY:
-            return _np.diff(self._row_indptr)
-        return [
-            self._row_indptr[r + 1] - self._row_indptr[r] for r in range(self._num_paths)
-        ]
+        return _np.diff(self._row_indptr)
 
     def row_cols(self, row: int):
         """Column positions on a path (sorted; zero-copy slice/view)."""
@@ -729,7 +507,7 @@ class IncidenceIndex:
 
         The vector is computed once and cached for the index's lifetime --
         the CSC structure is frozen, so it can never change.  Callers receive
-        the shared cached vector (read-only on numpy) and must not mutate it;
+        the shared cached vector (read-only) and must not mutate it;
         the kernel counter still ticks per call, so cost accounting is
         unchanged by the cache.
         """
@@ -740,14 +518,8 @@ class IncidenceIndex:
         """The cached coverage vector, without ticking (shm export uses this:
         sharing must never perturb deterministic counter snapshots)."""
         if self._coverage_cache is None:
-            if self._backend is Backend.NUMPY:
-                counts = _np.diff(self._col_indptr)
-                counts.flags.writeable = False
-            else:
-                counts = [
-                    self._col_indptr[c + 1] - self._col_indptr[c]
-                    for c in range(self.num_links)
-                ]
+            counts = _np.diff(self._col_indptr)
+            counts.flags.writeable = False
             self._coverage_cache = counts
         return self._coverage_cache
 
@@ -758,7 +530,7 @@ class IncidenceIndex:
 
     def sum_over_row(self, vector, row: int) -> int:
         """``sum(vector[col] for col on path)`` -- the Eq. 1 weight term."""
-        return self.kernels.sum_at(vector, self.row_cols(row))
+        return int(vector[self.row_cols(row)].sum())
 
     def rows_touching_links(self, link_ids: Iterable[int]) -> List[int]:
         """Sorted rows crossing at least one of the links (a loss syndrome)."""
@@ -766,13 +538,7 @@ class IncidenceIndex:
         self.counters.tick("rows_touching_links", len(cols))
         if not cols:
             return []
-        if self._backend is Backend.NUMPY:
-            chunks = [self.col_rows(c) for c in cols]
-            return [int(r) for r in _np.unique(_np.concatenate(chunks))]
-        rows: set = set()
-        for c in cols:
-            rows.update(self.col_rows(c))
-        return sorted(rows)
+        return _np.unique(_np.concatenate([self.col_rows(c) for c in cols])).tolist()
 
     def masked_col_counts(self, row_mask):
         """Per-column count of incident rows with ``row_mask[row]`` True.
@@ -783,18 +549,8 @@ class IncidenceIndex:
         total count.
         """
         self.counters.tick("masked_col_counts", self.nnz)
-        if self._backend is Backend.NUMPY:
-            if self._entry_rows is None:
-                self._entry_rows = _np.repeat(
-                    _np.arange(self._num_paths, dtype=_np.int64),
-                    _np.diff(self._row_indptr),
-                )
-            keep = row_mask[self._entry_rows]
-            return _np.bincount(self._row_cols[keep], minlength=self.num_links)
-        counts = [0] * self.num_links
-        for col in range(self.num_links):
-            counts[col] = sum(1 for r in self.col_rows(col) if row_mask[r])
-        return counts
+        keep = row_mask[self._entry_row_ids()]
+        return _np.bincount(self._row_cols[keep], minlength=self.num_links)
 
     def weighted_col_counts(self, row_values):
         """Per-column sum of ``row_values`` over the incident rows.
@@ -804,27 +560,25 @@ class IncidenceIndex:
         lost-probe total, with the sent counters its probe volume -- the
         sliding-window per-link counters the telemetry engine's
         :class:`~repro.engine.aggregator.StreamAggregator` folds probe streams
-        into.  All inputs are exact integers, so both backends agree bit for
-        bit.
+        into.  The float64 ``bincount`` sums are exact below 2**53, so the
+        int64 result is too.
         """
         self.counters.tick("weighted_col_counts", self.nnz)
-        if self._backend is Backend.NUMPY:
-            if self._entry_rows is None:
-                self._entry_rows = _np.repeat(
-                    _np.arange(self._num_paths, dtype=_np.int64),
-                    _np.diff(self._row_indptr),
-                )
-            values = _np.asarray(row_values, dtype=_np.int64)
-            counts = _np.bincount(
-                self._row_cols,
-                weights=values[self._entry_rows],
-                minlength=self.num_links,
+        values = _np.asarray(row_values, dtype=_np.int64)
+        counts = _np.bincount(
+            self._row_cols,
+            weights=values[self._entry_row_ids()],
+            minlength=self.num_links,
+        )
+        return counts.astype(_np.int64)
+
+    def _entry_row_ids(self):
+        """The row of every CSR entry (computed once; the shm export ships it)."""
+        if self._entry_rows is None:
+            self._entry_rows = _np.repeat(
+                _np.arange(self._num_paths, dtype=_np.int64), _np.diff(self._row_indptr)
             )
-            return counts.astype(_np.int64)
-        counts = [0] * self.num_links
-        for col in range(self.num_links):
-            counts[col] = sum(row_values[r] for r in self.col_rows(col))
-        return counts
+        return self._entry_rows
 
     # ----------------------------------------------------------- link masking
     #
@@ -879,8 +633,8 @@ class IncidenceIndex:
 
     def _adjust_blockers(self, col: int, amount: int) -> None:
         if self._row_blockers is None:
-            self._row_blockers = self.kernels.int_zeros(self._num_paths)
-        self.kernels.add_at(self._row_blockers, self.col_rows(col), amount)
+            self._row_blockers = _np.zeros(self._num_paths, dtype=_np.int64)
+        self._row_blockers[self.col_rows(col)] += amount
 
     @property
     def masked_link_ids(self) -> Tuple[int, ...]:
@@ -891,20 +645,14 @@ class IncidenceIndex:
     def active_row_mask(self):
         """Boolean vector: ``True`` for rows crossing no masked link."""
         if self._row_blockers is None:
-            if self._backend is Backend.NUMPY:
-                return _np.ones(self._num_paths, dtype=bool)
-            return [True] * self._num_paths
-        if self._backend is Backend.NUMPY:
-            return self._row_blockers == 0
-        return [b == 0 for b in self._row_blockers]
+            return _np.ones(self._num_paths, dtype=bool)
+        return self._row_blockers == 0
 
     def active_rows(self) -> List[int]:
         """Sorted row indices of the paths untouched by the mask."""
         if self._row_blockers is None:
             return list(range(self._num_paths))
-        if self._backend is Backend.NUMPY:
-            return [int(r) for r in _np.flatnonzero(self._row_blockers == 0)]
-        return [r for r, b in enumerate(self._row_blockers) if b == 0]
+        return _np.flatnonzero(self._row_blockers == 0).tolist()
 
     def active_among(self, rows: Sequence[int]):
         """The rows of *rows* that cross no masked link, in the given order.
@@ -915,19 +663,14 @@ class IncidenceIndex:
         """
         if self._row_blockers is None:
             return rows
-        if self._backend is Backend.NUMPY:
-            rows = _np.asarray(rows, dtype=_np.int64)
-            return rows[self._row_blockers[rows] == 0]
-        blockers = self._row_blockers
-        return [row for row in rows if not blockers[row]]
+        rows = _np.asarray(rows, dtype=_np.int64)
+        return rows[self._row_blockers[rows] == 0]
 
     @property
     def num_active_rows(self) -> int:
         if self._row_blockers is None:
             return self._num_paths
-        if self._backend is Backend.NUMPY:
-            return int(_np.count_nonzero(self._row_blockers == 0))
-        return sum(1 for b in self._row_blockers if b == 0)
+        return int(_np.count_nonzero(self._row_blockers == 0))
 
     def active_coverage_counts(self):
         """Per-column path counts over the *active* rows only.
@@ -941,15 +684,14 @@ class IncidenceIndex:
         (apply/revert/clear), so repeated dispatches within one controller
         cycle compute it once.  Cache hits skip the ``masked_col_counts``
         tick; whether a call hits is a pure function of the mask-mutation
-        sequence, which is identical across backends and jobs settings, so
-        counter snapshots stay byte-identical across those axes.
+        sequence, which is identical across jobs settings, so counter
+        snapshots stay byte-identical across them.
         """
         if self._row_blockers is None:
             return self.coverage_counts()
         if self._active_counts_cache is None:
             counts = self.masked_col_counts(self.active_row_mask())
-            if self._backend is Backend.NUMPY:
-                counts.flags.writeable = False
+            counts.flags.writeable = False
             self._active_counts_cache = counts
         return self._active_counts_cache
 
@@ -957,8 +699,7 @@ class IncidenceIndex:
     def share(self) -> SharedIncidence:
         """Export the frozen CSR/CSC buffers into a shared-memory segment.
 
-        Numpy backend only (the python backend keeps the pickle dispatch
-        path).  The export is cached: repeated calls return the same live
+        The export is cached: repeated calls return the same live
         :class:`SharedIncidence`, so one controller shares its matrix once
         and every later dispatch reuses the segment.  Sharing never ticks
         kernel counters -- whether an index was shared must be invisible to
@@ -968,19 +709,9 @@ class IncidenceIndex:
         manager, call :meth:`release_share` (or ``share.close()``) when the
         index is retired, or rely on the process-exit sweep.
         """
-        if self._backend is not Backend.NUMPY:
-            raise RuntimeError(
-                "shared-memory export requires the numpy backend; "
-                "the python backend dispatches by pickle"
-            )
         if self._attached_shm is not None:
             raise RuntimeError("an attached index cannot be re-shared")
         if self._share is None or self._share.closed:
-            if self._entry_rows is None:
-                self._entry_rows = _np.repeat(
-                    _np.arange(self._num_paths, dtype=_np.int64),
-                    _np.diff(self._row_indptr),
-                )
             self._share = SharedIncidence.from_index(self)
         return self._share
 
@@ -1001,13 +732,9 @@ class IncidenceIndex:
         report counter *deltas* back to the parent) and must be treated as
         immutable -- masking would need write access the views deny.
         """
-        if _np is None:  # pragma: no cover - exporters are numpy-backed
-            raise RuntimeError("attaching a shared incidence requires numpy")
         shm = _attach_segment(handle.name)
         views = _segment_views(shm, handle)
         self = cls.__new__(cls)
-        self._backend = Backend.NUMPY
-        self.kernels = _NumpyKernels
         self.counters = KernelCounters()
         self._link_ids = tuple(int(l) for l in views["link_ids"])
         self._pos = {link: col for col, link in enumerate(self._link_ids)}
@@ -1025,7 +752,6 @@ class IncidenceIndex:
         self._attached_shm = shm
         self._coverage_cache = views["coverage_counts"]
         self._active_counts_cache = None
-        self._uid = next(_INDEX_UIDS)
         return self
 
     @property
@@ -1075,19 +801,13 @@ class IncidenceIndex:
         # its fixed per-call overhead (~coo/csgraph setup) loses on the tiny
         # per-window decompositions PLL runs; size-gate it.  Both paths return
         # identical output, so the gate never changes results.
-        if self._backend is Backend.NUMPY:
-            if rows is None:
-                entries = self.nnz
-            else:
-                rows_arr = _np.asarray(rows, dtype=_np.int64)
-                entries = int(
-                    (self._row_indptr[rows_arr + 1] - self._row_indptr[rows_arr]).sum()
-                )
-            if entries >= 4096:
-                try:
-                    return self._components_vectorized(rows)
-                except ImportError:  # pragma: no cover - scipy missing
-                    pass
+        if rows is None:
+            entries = self.nnz
+        else:
+            rows_arr = _np.asarray(rows, dtype=_np.int64)
+            entries = int((self._row_indptr[rows_arr + 1] - self._row_indptr[rows_arr]).sum())
+        if entries >= 4096:
+            return self._components_vectorized(rows)
         n = self.num_links
         parent = list(range(n))
         size = [1] * n
@@ -1141,7 +861,7 @@ class IncidenceIndex:
     def _components_vectorized(
         self, rows: Optional[Sequence[int]] = None
     ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """Numpy path of :meth:`components`: star edges + ``scipy.csgraph``.
+        """Large-input path of :meth:`components`: star edges + ``scipy.csgraph``.
 
         Every path contributes a star of edges from its first link to the
         rest; connected components of that link graph equal the bipartite
@@ -1220,7 +940,7 @@ class IncidenceIndex:
     def pod_shards(
         self, col_pods: Sequence[int], rows: Optional[Sequence[int]] = None
     ) -> List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
-        """Group rows by the one pod that owns all their columns (numpy backend).
+        """Group rows by the one pod that owns all their columns.
 
         ``col_pods[c]`` is the pod owning column ``c``, or ``-1`` for a column
         no single pod owns.  A considered row whose columns all carry the same
@@ -1231,14 +951,12 @@ class IncidenceIndex:
         its rows keep the order of *rows*, and columns no considered row
         crosses join group ``-1`` (which then exists even without rows).
 
-        This is the array form of the row loop
-        :func:`repro.core.decomposition.pod_shards_for_matrix` runs on the
-        python backend -- per-row min/max of the pod label by segmented
-        reduction, rows grouped by one stable sort -- and returns the same
-        groups.  The caller ticks the ``pod_shards`` counter.
+        This is the array form of the set-based row loop
+        :func:`repro.core.decomposition._pod_shards` -- per-row min/max of the
+        pod label by segmented reduction, rows grouped by one stable sort --
+        and returns the same groups.  The caller ticks the ``pod_shards``
+        counter.
         """
-        if self._backend is not Backend.NUMPY:
-            raise RuntimeError("the pod_shards array kernel requires the numpy backend")
         pods = _np.asarray(col_pods, dtype=_np.int64)
         lengths = _np.diff(self._row_indptr)
         crossing = _np.flatnonzero(lengths)  # rows with at least one column
@@ -1301,20 +1019,12 @@ class IncidenceIndex:
         partition those rows can reach -- the PMC greedy's closed-form
         termination target (see :func:`repro.core.pmc._solve_subproblem`).
 
-        The numpy path reads the CSC columns filtered by a row mask in one
-        array pass and tells columns apart by ``(count, first row, last row)``;
+        The kernel reads the CSC columns filtered by a row mask in one array
+        pass and tells columns apart by ``(count, first row, last row)``;
         only columns that agree on all three are compared entry by entry.
         """
         self.counters.tick("column_signatures", len(link_ids))
         pos = self._pos
-        if self._backend is not Backend.NUMPY:
-            in_rows = set(rows)
-            return len(
-                {
-                    tuple(r for r in self.col_rows(pos[link]) if r in in_rows)
-                    for link in link_ids
-                }
-            )
         in_rows = _np.zeros(self._num_paths, dtype=bool)
         in_rows[_np.asarray(rows, dtype=_np.int64)] = True
         cols = _np.fromiter(
@@ -1367,13 +1077,11 @@ class IncidenceIndex:
         """Export as ``scipy.sparse.csr_matrix`` (float, shape paths x links)."""
         from scipy import sparse
 
-        if _np is None:  # pragma: no cover - scipy implies numpy
-            raise RuntimeError("scipy/numpy are required for the sparse export")
-        indptr = _np.asarray(self._row_indptr, dtype=_np.int64)
-        indices = _np.asarray(self._row_cols, dtype=_np.int64)
-        data = _np.ones(len(indices), dtype=float)
+        data = _np.ones(self.nnz, dtype=float)
         return sparse.csr_matrix(
-            (data, indices, indptr), shape=(self.num_paths, self.num_links), dtype=float
+            (data, self._row_cols, self._row_indptr),
+            shape=(self.num_paths, self.num_links),
+            dtype=float,
         )
 
 
@@ -1389,30 +1097,21 @@ class RowProjection:
 
     def __init__(self, index: IncidenceIndex, link_ids: Sequence[int]):
         self._index = index
-        self.kernels = index.kernels
         self.num_locals = len(link_ids)
         self._cache: Dict[int, object] = {}
-        if index.backend is Backend.NUMPY:
-            gmap = _np.full(index.num_links, -1, dtype=_np.int64)
-            cols = _np.fromiter(
-                (index.position(l) for l in link_ids), dtype=_np.int64, count=len(link_ids)
-            )
-            gmap[cols] = _np.arange(len(link_ids), dtype=_np.int64)
-            self._gmap = gmap
-        else:
-            self._gmap = {index.position(l): i for i, l in enumerate(link_ids)}
+        gmap = _np.full(index.num_links, -1, dtype=_np.int64)
+        cols = _np.fromiter(
+            (index.position(l) for l in link_ids), dtype=_np.int64, count=len(link_ids)
+        )
+        gmap[cols] = _np.arange(len(link_ids), dtype=_np.int64)
+        self._gmap = gmap
 
     def row(self, row: int):
         """Local positions of the links on a path (subset-restricted)."""
         cached = self._cache.get(row)
         if cached is None:
-            cols = self._index.row_cols(row)
-            if self._index.backend is Backend.NUMPY:
-                mapped = self._gmap[cols]
-                cached = mapped[mapped >= 0]
-            else:
-                gmap = self._gmap
-                cached = [gmap[c] for c in cols if c in gmap]
+            mapped = self._gmap[self._index.row_cols(row)]
+            cached = mapped[mapped >= 0]
             self._cache[row] = cached
         return cached
 
@@ -1422,12 +1121,10 @@ class RowProjection:
     def batch(self, rows: Sequence[int]):
         """Concatenated projection of many rows: ``(segment_ids, flat_locals)``.
 
-        Numpy backend only -- the one-kernel gather behind batched greedy
-        rescoring.  ``segment_ids[k]`` tells which of the input rows entry
-        ``k`` belongs to; links outside the subset are dropped.
+        The one-kernel gather behind batched greedy rescoring.
+        ``segment_ids[k]`` tells which of the input rows entry ``k`` belongs
+        to; links outside the subset are dropped.
         """
-        if self._index.backend is not Backend.NUMPY:
-            raise RuntimeError("batch projection requires the numpy backend")
         rows = _np.asarray(rows, dtype=_np.int64)
         segments, cols = _gather_segments(
             self._index._row_indptr, self._index._row_cols, rows
@@ -1455,20 +1152,18 @@ class RefinablePartition:
     depend on the partition -- so scores and stop conditions are unchanged.
     """
 
-    def __init__(self, num_ids: int, backend: Optional[Union[str, Backend]] = None):
-        self._backend = resolve_backend(backend)
-        self.kernels = _kernels_for(self._backend)
+    def __init__(self, num_ids: int):
         self._num_ids = num_ids
-        self._cell_of = self.kernels.int_zeros(num_ids)
+        self._cell_of = _np.zeros(num_ids, dtype=_np.int64)
         # Cell sizes, indexed by cell id; ids are allocated monotonically and
         # at most ``num_ids`` cells ever exist, so the capacity is bounded.
-        self._cell_size = self.kernels.int_zeros(2 * num_ids + 1)
+        self._cell_size = _np.zeros(2 * num_ids + 1, dtype=_np.int64)
         if num_ids:
             self._cell_size[0] = num_ids
         self._num_cells = 1 if num_ids else 0
         self._next_cell_id = 1
-        # Work counters (backend-invariant: the partition evolves identically
-        # on both backends, and so do the greedy's queries against it).
+        # Work counters (the partition evolves like the set-based oracle's,
+        # and so do the greedy's queries against it).
         self.splits_performed = 0
         self.cells_created = 0
         self.gain_queries = 0
@@ -1490,17 +1185,15 @@ class RefinablePartition:
 
     def cells_touched(self, members) -> int:
         """Distinct cells containing at least one member ("link sets on path")."""
-        return self.kernels.unique_count_at(self._cell_of, members)
+        return int(_np.unique(self._cell_of[members]).size)
 
     def cells_touched_segmented(self, segments, members, num_segments: int):
         """Vectorized :meth:`cells_touched` for many member sets at once.
 
         ``segments``/``members`` are parallel flat arrays (the output of
         :meth:`RowProjection.batch`); returns the per-segment distinct-cell
-        count.  Numpy backend only.
+        count.
         """
-        if self._backend is not Backend.NUMPY:
-            raise RuntimeError("segmented cell counting requires the numpy backend")
         if len(members) == 0:
             return _np.zeros(num_segments, dtype=_np.int64)
         # Cell ids stay below num_ids + 1, so (segment, cell) pairs pack into
@@ -1515,15 +1208,9 @@ class RefinablePartition:
 
     def _touched(self, members) -> List[Tuple[int, object]]:
         """Group members by cell: ``[(cell, members_in_cell), ...]``."""
-        if self._backend is Backend.NUMPY:
-            members = _np.asarray(members)
-            labels = self._cell_of[members]
-            cells, inverse = _np.unique(labels, return_inverse=True)
-            return [(int(cell), members[inverse == k]) for k, cell in enumerate(cells)]
-        by_cell: Dict[int, List[int]] = {}
-        for member in members:
-            by_cell.setdefault(int(self._cell_of[member]), []).append(member)
-        return list(by_cell.items())
+        members = _np.asarray(members)
+        cells, inverse = _np.unique(self._cell_of[members], return_inverse=True)
+        return [(int(cell), members[inverse == k]) for k, cell in enumerate(cells)]
 
     def splits_gained(self, members) -> int:
         """How many new cells :meth:`split` would create for this member set."""
@@ -1545,11 +1232,7 @@ class RefinablePartition:
                 continue  # the whole cell lies on the path: nothing to split
             new_cell = self._next_cell_id
             self._next_cell_id += 1
-            if self._backend is Backend.NUMPY:
-                self._cell_of[inside] = new_cell
-            else:
-                for member in inside:
-                    self._cell_of[member] = new_cell
+            self._cell_of[inside] = new_cell
             self._cell_size[new_cell] = n_inside
             self._cell_size[cell] = cell_size - n_inside
             self._num_cells += 1

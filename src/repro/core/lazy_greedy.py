@@ -8,9 +8,10 @@ the standard CELF optimisation of Leskovec et al., adapted to a minimisation
 objective.
 
 :class:`LazyMinHeap` is agnostic about what a "score" is and rescores one
-candidate per step; it is the reference.  :class:`BucketQueue`, the numpy
-backend's queue at ``beta <= 1``, keeps one FIFO per integer Eq. (1) score
-and rescores in batches, with the same selections and logical counters.
+candidate per step; it serves ``beta >= 2`` and the eager pops, and it is
+the reference.  :class:`BucketQueue`, the lazy queue at ``beta <= 1``, keeps
+one FIFO per integer Eq. (1) score and rescores in batches, with the same
+selections and logical counters.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ import heapq
 from collections import OrderedDict
 from typing import Callable, Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
-try:  # the bucket queue is the numpy backend's
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy backend is then unavailable
-    _np = None
+import numpy as _np
 
 __all__ = ["LazyMinHeap", "BucketQueue", "ShardedSolutionCache"]
 
@@ -109,7 +107,7 @@ class LazyMinHeap(Generic[T]):
         """:meth:`pop_eager` with all candidates refreshed in one batch call.
 
         Selections are identical to :meth:`pop_eager` (same scores, same
-        counters); the batch signature lets an array backend rescore the
+        counters); the batch signature lets an array kernel rescore the
         whole candidate set in one vectorized kernel per iteration.
         """
         if not self._heap:
@@ -169,7 +167,7 @@ class _Fifo:
 class BucketQueue:
     """CELF queue over integer scores: one FIFO per score, batch-rescored pops.
 
-    The numpy backend's queue for the PMC greedy at ``beta <= 1``.  It pops
+    The lazy queue of the PMC greedy at ``beta <= 1``.  It pops
     the same entries, with the same logical counters, as
     :meth:`LazyMinHeap.pop_lazy` called at a new iteration for every pop.  One
     FIFO per score *is* that heap:

@@ -21,8 +21,8 @@ Three optional optimisations reproduce §4.3:
 
 * **decomposition** -- split into independent subproblems (connected
   components of the path/link bipartite graph) and solve each separately,
-* **lazy update** -- CELF-style deferred re-scoring via a min-heap (a bucket
-  queue of integer scores on the numpy backend),
+* **lazy update** -- CELF-style deferred re-scoring (a bucket queue of
+  integer scores at ``beta <= 1``, a min-heap otherwise),
 * **symmetry** -- isomorphic subproblems (the same incidence in *rank
   coordinates*: rows by position, links by rank among the subproblem's link
   ids) are one greedy run, so the first occurrence solves and the others
@@ -62,15 +62,11 @@ from __future__ import annotations
 import hashlib
 import time
 import weakref
-from array import array
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-try:  # only used by the numpy-backend batch scorer
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy backend is then unavailable
-    _np = None
+import numpy as _np
 
 from ..contracts import (
     informational_fields,
@@ -88,7 +84,13 @@ from ..parallel import (
 from ..topology import Topology
 from .costmodel import CostModel
 from .decomposition import Subproblem, decompose_routing_matrix, pod_shards_for_matrix
-from .incidence import Backend, IncidenceHandle, IncidenceIndex, RefinablePartition, RowProjection
+from .incidence import (
+    IncidenceHandle,
+    IncidenceIndex,
+    RefinablePartition,
+    RowProjection,
+    clear_if_reached,
+)
 from .lazy_greedy import BucketQueue, LazyMinHeap, ShardedSolutionCache
 from .probe_matrix import ProbeMatrix
 from .virtual_links import ExtendedLinkSpace
@@ -190,15 +192,15 @@ class PMCStats:
     """Bookkeeping produced while constructing a probe matrix.
 
     ``candidates_scored`` counts scoring *work performed*, not distinct
-    candidates: the numpy backend's chunked rescoring scores whole batches at
-    a time, so its count includes chunk overshoot and is higher than the
-    python backend's for the same (byte-identical) selection sequence.
+    candidates: the chunked rescoring scores whole batches at a time, so its
+    count includes chunk overshoot and depends on the chunk schedule.
 
     ``greedy_evaluations`` is its deterministic sibling: the number of
     *logical* candidate evaluations the (unbatched) greedy performs -- chunk
-    overshoot excluded -- so it is byte-identical across ``REPRO_BACKEND``
-    backends and machines.  ``lazy_skips`` counts pops resolved from a score
-    cached earlier in the same iteration (the CELF saving),
+    overshoot excluded -- so it equals the one-candidate-at-a-time
+    :class:`~repro.core.lazy_greedy.LazyMinHeap` count on every machine.
+    ``lazy_skips`` counts pops resolved from a score cached earlier in the
+    same iteration (the CELF saving),
     ``partition_splits`` / ``partition_cells_created`` /
     ``partition_gain_queries`` the §4.2 refinement work.  Together with
     ``iterations``, ``candidates_discarded``, ``subproblems`` and
@@ -257,9 +259,10 @@ class PMCStats:
     def cost_counters(self) -> Dict[str, int]:
         """The deterministic work profile of this run as a :class:`CostModel` dict.
 
-        Every value is an exact integer, byte-identical across backends and
-        machines; ``elapsed_seconds`` and ``candidates_scored`` (which count
-        wall time and physical batch work) are deliberately excluded.
+        Every value is an exact integer, byte-identical across machines and
+        ``jobs`` settings; ``elapsed_seconds`` and ``candidates_scored``
+        (which count wall time and physical batch work) are deliberately
+        excluded.
         """
         model = CostModel()
         model.add("greedy_iterations", self.iterations)
@@ -285,8 +288,8 @@ class ShardOutcome:
     iff their digests match, which is what the replay keys on and the
     incremental shard-isolation gates compare.  ``kernel_cost`` is the shard's
     :class:`~repro.core.costmodel.KernelCounters` delta (exact integers,
-    byte-identical across backends and across ``jobs`` settings; empty for
-    replays, which perform no kernel work).
+    byte-identical across ``jobs`` settings; empty for replays, which perform
+    no kernel work).
     """
 
     pod: Optional[int]
@@ -653,10 +656,8 @@ def _options_key(options: PMCOptions) -> str:
 
 
 def _packed(values) -> bytes:
-    """*values* as native int64 bytes, the same on both backends."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.int64).tobytes()
-    return array("q", values).tobytes()
+    """*values* as native int64 bytes."""
+    return _np.asarray(values, dtype=_np.int64).tobytes()
 
 
 def _subproblem_digest(
@@ -675,18 +676,12 @@ def _subproblem_digest(
     :func:`_options_key`.  Candidates enter the heap in ``path_indices`` order
     and ties break by that order, so equal digests are the same greedy run
     selecting the same *ranks* -- the ``k/2`` components of a healthy
-    Fattree(k), or two path-less singleton links.  Byte-identical across
-    backends, and ticks no kernel counter: a replayed shard's delta is zero.
+    Fattree(k), or two path-less singleton links.  Ticks no kernel counter:
+    a replayed shard's delta is zero.
     """
     rows = subproblem.path_indices
-    projection = RowProjection(index, sorted(subproblem.link_ids))
-    if index.backend is Backend.NUMPY:
-        segments, ranks = projection.batch(rows)
-        lengths = _np.bincount(segments, minlength=len(rows))
-    else:
-        projected = [projection.row(row) for row in rows]
-        lengths = [len(row) for row in projected]
-        ranks = [rank for row in projected for rank in row]
+    segments, ranks = RowProjection(index, sorted(subproblem.link_ids)).batch(rows)
+    lengths = _np.bincount(segments, minlength=len(rows))
     hasher = hashlib.sha256(
         f"{len(rows)}|{subproblem.num_links}|{_options_key(options)}|".encode()
     )
@@ -728,20 +723,17 @@ def _identity_key(subproblem: Subproblem, options: PMCOptions) -> bytes:
 # ---------------------------------------------------------------------------
 
 #: Per-worker solve context: ``(incidence_index, options)``.  Installed once
-#: per worker process by the pool initializer -- for a numpy-backed parent
-#: through a ~100-byte :class:`~repro.core.incidence.IncidenceHandle` the
-#: worker attaches (zero-copy shared memory), otherwise by pickling the index
-#: itself.  Per-shard data (the subproblem and its coverage slice) rides in
-#: the task payload, so steady-state dispatch ships O(churned shards) bytes,
-#: never the matrix.
+#: per worker process by the pool initializer, which attaches the ~100-byte
+#: :class:`~repro.core.incidence.IncidenceHandle` it is given (zero-copy
+#: shared memory).  Per-shard data (the subproblem and its coverage slice)
+#: rides in the task payload, so steady-state dispatch ships O(churned
+#: shards) bytes, never the matrix.
 _SHARD_CONTEXT: Optional[Tuple[IncidenceIndex, PMCOptions]] = None
 
 
-def _init_shard_context(index_source, options) -> None:
+def _init_shard_context(handle: IncidenceHandle, options) -> None:
     global _SHARD_CONTEXT
-    if isinstance(index_source, IncidenceHandle):
-        index_source = IncidenceIndex.attach(index_source)
-    _SHARD_CONTEXT = (index_source, options)
+    _SHARD_CONTEXT = (IncidenceIndex.attach(handle), options)
 
 
 def _solve_shard_task(task):
@@ -762,8 +754,8 @@ def _solve_shard(
 
     The delta is read off the index's :class:`~repro.core.costmodel.KernelCounters`
     around the solve, so it is the same whether the solve ran inline (ticking
-    the parent's counters) or in a worker (ticking its attached/pickled
-    copy's) -- that equivalence is what keeps per-shard kernel gates
+    the parent's counters) or in a worker (ticking its attached copy's) --
+    that equivalence is what keeps per-shard kernel gates
     invariant to ``jobs``.  The coverability input (``shard_counts``, see
     :func:`_shard_counts`) comes precomputed from the dispatching parent for
     the same reason: a solve must not re-derive (and re-tick) it.
@@ -797,25 +789,16 @@ def _shard_counts(index: IncidenceIndex, subproblem: Subproblem, coverage_counts
 
 
 def _shard_dispatch_context(index: IncidenceIndex):
-    """``(initializer source, context id)`` for pooled shard dispatch.
+    """``(shared-memory handle, context id)`` for pooled shard dispatch.
 
-    The mechanism follows from what the code can observe, never from a
-    switch: a numpy-backed index in the main process exports (once -- the
-    share is cached on the index) into shared memory and ships the handle;
-    the python backend has no buffers to export and ships the pickled index.
-    Inside a multiprocessing child (a pooled experiment harness solving with
-    ``jobs > 1``) the pickle path is used too: fork children skip atexit, so
-    a worker-side segment would leak until the resource tracker complains
-    (see :func:`repro.parallel.in_main_process`).
-
-    The context id goes into the persistent-pool key: the share generation
-    (or the index uid) changes whenever the underlying index does, so a warm
-    pool can never serve a different topology's context.
+    The index exports (once -- the share is cached on the index) into shared
+    memory, and the workers attach the handle.  The context id goes into the
+    persistent-pool key: the share generation changes whenever the
+    underlying index does, so a warm pool can never serve a different
+    topology's context.
     """
-    if index.backend is Backend.NUMPY and in_main_process():
-        share = index.share()  # repro: allow[REP008] -- the index owns and caches the share; released via release_share()/the atexit sweep
-        return share.handle, f"shm:g{share.handle.generation}"
-    return index, f"pickle:inc{index.uid}"
+    share = index.share()  # repro: allow[REP008] -- the index owns and caches the share; released via release_share()/the atexit sweep
+    return share.handle, f"shm:g{share.handle.generation}"
 
 
 def _solve_many(
@@ -830,10 +813,10 @@ def _solve_many(
     entry is ``(selection, stats, telemetry)`` -- byte-identical at any
     ``jobs`` setting (telemetry wall seconds aside), because workers run the
     exact same :func:`_solve_shard` against the same incidence structure (a
-    zero-copy shared-memory view, or a pickled copy) with the same per-shard
-    coverage slice.  After a pooled run the workers' kernel deltas are folded
-    back into the parent's index counters, so the parent's kernel *totals*
-    match the inline path's too -- workers ticked their own copies.
+    zero-copy shared-memory view) with the same per-shard coverage slice.
+    After a pooled run the workers' kernel deltas are folded back into the
+    parent's index counters, so the parent's kernel *totals* match the
+    inline path's too -- workers ticked their own copies.
 
     The pool itself persists across calls (same index, same options, same
     ``jobs``): the context key below hands :func:`~repro.parallel.pool_map`
@@ -843,8 +826,13 @@ def _solve_many(
     selections, and the same kernel totals since inline ticks the parent's
     counters directly -- while the broken pool is left for
     :func:`~repro.parallel.pool_map` to respawn on the next dispatch.
+
+    Inside a pool worker (an experiment harness solving with ``jobs > 1``
+    under ``experiment all --jobs N``) the batch is solved inline: the
+    outer pool already occupies the cores, and a worker may neither export
+    a segment nor own a pool (see :func:`repro.parallel.in_main_process`).
     """
-    if jobs > 1 and len(tasks) > 1:
+    if jobs > 1 and len(tasks) > 1 and in_main_process():
         source, context_id = _shard_dispatch_context(index)
         try:
             results = pool_map(
@@ -893,7 +881,7 @@ def _solve_subproblem(
     The loop ends when ``goals_met``: the partition has ``reachable_cells``
     cells (identifiability requested) and every coverable link lies on
     ``min(alpha, its candidates)`` selected paths.
-    One rule for every heap flavour, backend and dispatch mode; see the
+    One rule for every heap flavour and dispatch mode; see the
     comments at ``progress`` and ``reachable_cells`` for why stopping there
     returns the selection an exhaustive drain of the heap returns.
     """
@@ -914,13 +902,12 @@ def _solve_subproblem(
     # sorted-id order, matching the physical numbering of ExtendedLinkSpace):
     # weights, coverage targets and the refinement partition are flat vectors
     # and every per-path query is a gather over the projected CSR row.
-    kernels = index.kernels
     num_local = len(link_ids)
     proj = index.projection(link_ids)
 
     extended = ExtendedLinkSpace(link_ids, options.beta)
-    partition = RefinablePartition(extended.num_extended, backend=index.backend)
-    weights = kernels.int_zeros(num_local)
+    partition = RefinablePartition(extended.num_extended)
+    weights = _np.zeros(num_local, dtype=_np.int64)
 
     if options.beta >= 2:
         # Virtual-link ids per path, computed on demand and cached (the lazy
@@ -932,7 +919,7 @@ def _solve_subproblem(
             cached = ext_cache.get(path_index)
             if cached is None:
                 covered = extended.extended_links_on_path(index.row_link_set(path_index))
-                cached = kernels.int_array(sorted(covered))
+                cached = _np.array(sorted(covered), dtype=_np.int64)
                 ext_cache[path_index] = cached
             return cached
 
@@ -943,10 +930,10 @@ def _solve_subproblem(
     stats.uncoverable_links = tuple(
         link for local, link in enumerate(link_ids) if not shard_counts[local]
     )
-    under_covered = kernels.bool_zeros(num_local)
+    under_covered = _np.zeros(num_local, dtype=bool)
     under_count = 0
     if options.alpha > 0 and coverable_locals:
-        kernels.set_true(under_covered, kernels.int_array(coverable_locals))
+        under_covered[coverable_locals] = True
         under_count = len(coverable_locals)
 
     # A link with fewer than alpha candidates can hold at most that many
@@ -967,18 +954,18 @@ def _solve_subproblem(
         deficits = [max(options.alpha - int(count), 0) if count else 0 for count in shard_counts]
         short_links = sum(1 for deficit in deficits if deficit)
         if short_links:
-            progress = kernels.int_array(deficits)
+            progress = _np.array(deficits, dtype=_np.int64)
 
     def score(path_index: int) -> int:
         stats.candidates_scored += 1
-        weight_term = kernels.sum_at(weights, proj.row(path_index))
+        weight_term = int(weights[proj.row(path_index)].sum())
         return weight_term - partition.cells_touched(ext_row(path_index))
 
-    # Batched rescoring (numpy backend, physical link space): the whole batch
-    # is scored with two segmented kernels instead of per-candidate gathers.
-    # For beta >= 2 the virtual-link rows are not CSR slices, so scoring stays
-    # per-candidate there.
-    use_batch_scoring = index.backend is Backend.NUMPY and options.beta <= 1
+    # Batched rescoring (physical link space): the whole batch is scored with
+    # two segmented kernels instead of per-candidate gathers.  For beta >= 2
+    # the virtual-link rows are not CSR slices, so scoring stays per-candidate
+    # there.
+    use_batch_scoring = options.beta <= 1
 
     def rescore_batch(items):
         """Fresh scores of *items* (rows) as an int64 array."""
@@ -1030,7 +1017,7 @@ def _solve_subproblem(
 
     def marginal_gain(path_index: int) -> Tuple[int, int]:
         """(new cells the path would split off, under-covered links it crosses)."""
-        covers = kernels.count_true_at(under_covered, proj.row(path_index))
+        covers = int(_np.count_nonzero(under_covered[proj.row(path_index)]))
         splits = 0
         if identifiability_needed and partition.num_cells < reachable_cells:
             splits = partition.splits_gained(ext_row(path_index))
@@ -1041,13 +1028,12 @@ def _solve_subproblem(
         cols = proj.row(path_index)
         if identifiability_needed:
             partition.split(ext_row(path_index))
-        kernels.add_at(weights, cols, 1)
+        # Column positions within a row are unique, so fancy-index add is safe.
+        weights[cols] += 1
         if progress is not weights:
-            kernels.add_at(progress, cols, 1)
+            progress[cols] += 1
         if under_count:
-            under_count -= kernels.clear_if_reached(
-                under_covered, progress, cols, options.alpha
-            )
+            under_count -= clear_if_reached(under_covered, progress, cols, options.alpha)
         selected.append(path_index)
 
     while not goals_met():

@@ -20,7 +20,7 @@ import json
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..topology import Topology
-from .incidence import Backend, IncidenceIndex
+from .incidence import IncidenceIndex
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a routing<->core cycle
     from ..routing import Path, RoutingMatrix
@@ -36,11 +36,10 @@ class ProbeMatrix:
         topology: Topology,
         paths: Sequence["Path"],
         link_ids: Optional[Iterable[int]] = None,
-        backend: Optional[Backend] = None,
     ):
         from ..routing import RoutingMatrix
 
-        self._matrix = RoutingMatrix(topology, paths, link_ids=link_ids, backend=backend)
+        self._matrix = RoutingMatrix(topology, paths, link_ids=link_ids)
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -52,7 +51,6 @@ class ProbeMatrix:
             routing_matrix.topology,
             routing_matrix.paths.take(selected_indices),
             link_ids=routing_matrix.link_ids,
-            backend=routing_matrix.backend,
         )
 
     # ------------------------------------------------------------------ views
@@ -64,10 +62,6 @@ class ProbeMatrix:
     def incidence(self) -> IncidenceIndex:
         """The shared CSR/CSC incidence index (the array-facing API)."""
         return self._matrix.incidence
-
-    @property
-    def backend(self) -> Backend:
-        return self._matrix.backend
 
     @property
     def paths(self) -> Sequence["Path"]:

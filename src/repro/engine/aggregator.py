@@ -28,9 +28,9 @@ snapshot path exactly (tested in ``tests/test_engine.py``).
 **Sharding.**  With ``num_shards > 1`` the open window's per-path counters
 are split across shards (the serve-mode analogue of running one aggregator
 per pod): each accepted event folds into the shard owning its path, and the
-shards merge deterministically -- in shard order ``0..N-1`` -- when the
-window closes.  Because the per-path counters are plain integer sums and
-the per-link kernels run exactly once on the *merged* arrays, every window
+shards merge by exact integer sums when the window closes.  Because the
+per-path counters are plain integer sums and the per-link kernels run
+exactly once on the *merged* arrays, every window
 report, observation set, and kernel-invocation counter is invariant in the
 shard count (tested in ``tests/test_engine_streaming.py``).
 :meth:`record_batch` folds the probe scheduler's columnar outcome batches
@@ -47,7 +47,7 @@ from typing import List, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from ..core.costmodel import CostModel
-from ..core.incidence import Backend, IncidenceIndex
+from ..core.incidence import IncidenceIndex
 from ..localization import ObservationSet
 from ..obs import tracing
 
@@ -118,7 +118,6 @@ class StreamAggregator:
         # passes its own so one run's counters survive controller re-arms.
         self.cost = cost if cost is not None else CostModel()
         self._index = incidence
-        self._kernels = incidence.kernels
         self.window_seconds = float(window_seconds)
         self.num_shards = num_shards
         if num_shards > 1:
@@ -136,8 +135,6 @@ class StreamAggregator:
             self._shard_of = None
         self._window_index = 0
         self._window_start = float(start_time)
-        self._shard_sent: List = []
-        self._shard_lost: List = []
         self._reset_counters()
         self._probes_sent = 0
         self._probes_lost = 0
@@ -145,28 +142,15 @@ class StreamAggregator:
         self.total_rejected = 0
 
     def _reset_counters(self) -> None:
-        self._shard_sent = [
-            self._kernels.int_zeros(self._index.num_paths) for _ in range(self.num_shards)
-        ]
-        self._shard_lost = [
-            self._kernels.int_zeros(self._index.num_paths) for _ in range(self.num_shards)
-        ]
+        # One row of per-path counters per shard.
+        shape = (self.num_shards, self._index.num_paths)
+        self._shard_sent = np.zeros(shape, dtype=np.int64)
+        self._shard_lost = np.zeros(shape, dtype=np.int64)
 
-    # Deterministic shard merge: integer sums folded in shard order 0..N-1.
+    # Deterministic shard merge: exact integer sums over the shard axis.
     # With one shard this is the shard array itself (no copy).
-    def _merged(self, shards: List):
-        if self.num_shards == 1:
-            return shards[0]
-        if self._index.backend is Backend.NUMPY:
-            total = shards[0].copy()
-            for arr in shards[1:]:
-                total += arr
-            return total
-        total = list(shards[0])
-        for arr in shards[1:]:
-            for i, value in enumerate(arr):
-                total[i] += value
-        return total
+    def _merged(self, shards):
+        return shards[0] if self.num_shards == 1 else shards.sum(axis=0)
 
     # ------------------------------------------------------------------ state
     @property
@@ -223,9 +207,8 @@ class StreamAggregator:
         raises, late rows are rejected and counted, and only the rows that
         remain must have an in-range path and ``lost <= sent`` -- but over
         the whole batch before anything is folded or counted, so a batch
-        that raises leaves the aggregator untouched on either backend.  The
-        accepted rows then fold into the shard counters as ``bincount``
-        scatter-adds (numpy) or through :meth:`record` row by row (python).
+        that raises leaves the aggregator untouched.  The accepted rows then
+        fold into the shard counters as ``bincount`` scatter-adds.
         """
         n = len(path_indices)
         if n == 0:
@@ -250,13 +233,6 @@ class StreamAggregator:
             )
         if (on_time & (lost > sent)).any():
             raise ValueError("lost exceeds sent")
-        if self._index.backend is not Backend.NUMPY:
-            return sum(
-                self.record(*row)
-                for row in zip(
-                    path_indices.tolist(), times.tolist(), sent.tolist(), lost.tolist()
-                )
-            )
         num_late = n - int(on_time.sum())
         if num_late:
             self._rejected += num_late
@@ -324,10 +300,6 @@ class StreamAggregator:
             # shard count.
             merged_sent = self._merged(self._shard_sent)
             merged_lost = self._merged(self._shard_lost)
-            if self._index.backend is Backend.NUMPY:
-                lossy_mask = merged_lost > 0
-            else:
-                lossy_mask = [count > 0 for count in merged_lost]
             report = WindowReport(
                 index=self._window_index,
                 start=self._window_start,
@@ -339,7 +311,7 @@ class StreamAggregator:
                 link_ids=self._index.link_ids,
                 link_sent=self._index.weighted_col_counts(merged_sent),
                 link_lost=self._index.weighted_col_counts(merged_lost),
-                link_lossy_paths=self._index.masked_col_counts(lossy_mask),
+                link_lossy_paths=self._index.masked_col_counts(merged_lost > 0),
             )
         self._window_index += 1
         self._window_start = max(end, self.window_end)

@@ -42,7 +42,7 @@ import numpy as np
 
 from ..contracts import informational_fields, informational_wall
 from ..core.costmodel import CostModel
-from ..core.incidence import resolve_backend, shm_telemetry
+from ..core.incidence import shm_telemetry
 from ..obs import Observability, WindowProfiler, tracing
 from ..parallel import pool_telemetry, resolve_jobs
 from ..simulation.rng import SeededStreams
@@ -212,7 +212,7 @@ class EngineResult:
     #: spent advancing the loop, bootstrap and re-arm set-up excluded.
     wall_seconds: float
     #: Deterministic work counters of the run (aggregation folds, window
-    #: closes, probe batches): byte-identical across backends and machines
+    #: closes, probe batches): byte-identical across jobs and machines
     #: for a fixed seed, unlike ``wall_seconds`` (informational only).
     counters: Dict[str, int] = field(default_factory=dict)
     #: Wall-clock spent in the streaming plane: ``wall_seconds`` minus the
@@ -426,9 +426,7 @@ class TelemetryEngine:
         registry.gauge(
             "build_info", help="execution environment of this run", informational=True
         ).set(
-            1,
-            backend=resolve_backend().value,
-            jobs=resolve_jobs(getattr(system.controller.config, "jobs", None)),
+            1, jobs=resolve_jobs(getattr(system.controller.config, "jobs", None))
         )
         self._profiler = (
             WindowProfiler(self.obs.profile_path) if self.obs.profile_path else None
@@ -439,10 +437,10 @@ class TelemetryEngine:
         self._aggregator.record_batch(paths, times, sent, lost)
 
     def _kernel_source(self) -> Dict[str, int]:
-        """Run-total backend-kernel counters, ``kernel_``-prefixed.
+        """Run-total incidence-kernel counters, ``kernel_``-prefixed.
 
         Live counters of the current incidence index plus the totals retired
-        by past controller re-arms; deterministic across backends and jobs
+        by past controller re-arms; deterministic across jobs settings
         (worker deltas are folded back into the parent index by the PMC pool
         dispatch).
         """

@@ -154,8 +154,8 @@ class EventLoop:
     def telemetry(self) -> dict:
         """Loop counters for a metrics-registry source.
 
-        ``loop_events_processed`` is deterministic (pinned across backends by
-        the streaming differential tests); ``loop_pending_events`` reflects
+        ``loop_events_processed`` is deterministic (pinned across jobs by the
+        observability test matrix); ``loop_pending_events`` reflects
         heap occupancy at snapshot time, which is also deterministic because
         snapshots are taken at window boundaries of the sim timeline.
         """

@@ -311,7 +311,7 @@ class ProbeScheduler:
     def telemetry(self) -> Dict[str, int]:
         """Deterministic probe counters, shaped for a metrics-registry source.
 
-        Byte-identical across backends, jobs counts and machines for a fixed
+        Byte-identical across jobs counts and machines for a fixed
         seed (the same contract as the engine's cost model, which these join
         in :meth:`~repro.engine.TelemetryEngine.build_result`).
         """

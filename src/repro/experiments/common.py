@@ -84,7 +84,7 @@ class ExperimentTable:
         Harnesses that time things list those wall-clock columns under
         ``metadata["informational_columns"]``; everything else is a pure
         function of the inputs, so two runs of the same experiment (serial or
-        parallel, any backend) must agree on this view byte for byte.
+        parallel) must agree on this view byte for byte.
         """
         drop = set(self.metadata.get("informational_columns", ()))
         if not drop:

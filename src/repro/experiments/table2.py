@@ -93,7 +93,7 @@ def run(
     *informational* -- micro-run timings measure the CI box, not the
     algorithm) and ``<level>_evals`` (the deterministic greedy-evaluation
     counter from :meth:`~repro.core.PMCStats.cost_counters`, byte-identical
-    across backends/machines).  The benchmark harness gates on the counters
+    across machines).  The benchmark harness gates on the counters
     only.
     """
     instances = list(instances) if instances is not None else default_instances()
@@ -158,7 +158,7 @@ def run(
     table.add_note(
         "the per-level seconds columns are informational only (micro-run wall clock is scheduler "
         "noise); gates assert on the deterministic *_evals counters, which are byte-identical "
-        "across REPRO_BACKEND backends and machines."
+        "across machines."
     )
     table.add_note(
         "cells reported as '-' correspond to the paper's '> 24h' entries: the configuration was "

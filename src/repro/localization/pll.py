@@ -33,6 +33,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..core import ProbeMatrix
 from ..core.incidence import IncidenceIndex
 from ..contracts import informational_wall
@@ -106,11 +108,10 @@ class PLLLocalizer:
             # counts are gathered component-locally so clean components cost
             # nothing (the decomposition is what makes PLL fast, §5.3).
             index = probe_matrix.incidence
-            kernels = index.kernels
-            observed_mask = kernels.bool_zeros(index.num_paths)
-            kernels.set_true(observed_mask, kernels.int_array(observed_paths))
-            lossy_mask = kernels.bool_zeros(index.num_paths)
-            kernels.set_true(lossy_mask, kernels.int_array(sorted(lossy_paths)))
+            observed_mask = np.zeros(index.num_paths, dtype=bool)
+            observed_mask[observed_paths] = True
+            lossy_mask = np.zeros(index.num_paths, dtype=bool)
+            lossy_mask[sorted(lossy_paths)] = True
 
             components = self._components(probe_matrix, observed_paths)
             for component_links, component_paths in components:
@@ -161,7 +162,6 @@ class PLLLocalizer:
     ) -> Tuple[List[int], Set[int]]:
         """Steps 2-5 for one component."""
         config = self.config
-        kernels = index.kernels
 
         # Step 2: keep only links with at least one lossy path; compute hit
         # ratios.  Counts are mask-gathers over the link's CSC column;
@@ -171,10 +171,10 @@ class PLLLocalizer:
         hit_ratio: Dict[int, float] = {}
         for link in component_links:
             rows = index.col_rows(index.position(link))
-            paths_here = kernels.count_true_at(observed_mask, rows)
+            paths_here = int(np.count_nonzero(observed_mask[rows]))
             if not paths_here:
                 continue
-            lossy_here = kernels.take_true(rows, lossy_mask)
+            lossy_here = rows[lossy_mask[rows]]
             if not len(lossy_here):
                 continue  # all probe paths through this link are clean -> link is good
             candidates[link] = [int(p) for p in lossy_here]

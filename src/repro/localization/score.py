@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..core import ProbeMatrix
 from ..contracts import informational_wall
 from .observations import LocalizationResult, ObservationSet
@@ -64,20 +66,15 @@ class ScoreLocalizer:
         # Risk groups restricted to observed paths, gathered off the CSC
         # columns through an observed-path mask.
         index = probe_matrix.incidence
-        kernels = index.kernels
-        observed_mask = kernels.bool_zeros(index.num_paths)
-        kernels.set_true(observed_mask, kernels.int_array(observed))
+        observed_mask = np.zeros(index.num_paths, dtype=bool)
+        observed_mask[observed] = True
         group: Dict[int, Set[int]] = {}
         lossy_in_group: Dict[int, Set[int]] = {}
         for path in lossy_paths:
             for link in probe_matrix.links_on(path):
                 if link not in group:
-                    members = {
-                        int(p)
-                        for p in kernels.take_true(
-                            index.col_rows(index.position(link)), observed_mask
-                        )
-                    }
+                    rows = index.col_rows(index.position(link))
+                    members = set(rows[observed_mask[rows]].tolist())
                     group[link] = members
                     lossy_in_group[link] = members & lossy_paths
 

@@ -22,6 +22,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+import numpy as np
+
 from ..core import ProbeMatrix
 from ..contracts import informational_wall
 from .observations import LocalizationResult, ObservationSet
@@ -76,10 +78,8 @@ class TomoLocalizer:
             # One vectorized pass: a link with any loss-free observed path is
             # exonerated under the full-loss assumption.
             index = probe_matrix.incidence
-            kernels = index.kernels
-            good_mask = kernels.bool_zeros(index.num_paths)
-            if good_paths:
-                kernels.set_true(good_mask, kernels.int_array(sorted(good_paths)))
+            good_mask = np.zeros(index.num_paths, dtype=bool)
+            good_mask[sorted(good_paths)] = True
             good_counts = index.masked_col_counts(good_mask)
             candidates = {
                 link: covered

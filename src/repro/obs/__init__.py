@@ -10,7 +10,7 @@ Three layers, one import (``from repro.obs import Observability``):
 * :mod:`repro.obs.tracing` -- :class:`Tracer`: sim-clock spans
   (``span("pmc.solve", pod=3)``) wired around engine windows, controller
   cycles, PMC shard solves, aggregator closes and watchdog churn replays.
-  Byte-identical across ``REPRO_BACKEND`` x ``REPRO_JOBS``; JSONL and
+  Byte-identical across ``REPRO_JOBS`` settings; JSONL and
   ``chrome://tracing`` exports.
 * :mod:`repro.obs.introspect` -- live serve-mode introspection: streaming
   metrics JSONL, status lines, the one-window cProfile hook.
@@ -18,7 +18,7 @@ Three layers, one import (``from repro.obs import Observability``):
 :class:`Observability` bundles the three for the engine.  Tracing defaults
 off (the free-function span API costs one ``is None`` test when inactive);
 the ``REPRO_TRACE`` environment variable turns it on globally, following the
-same resolution pattern as ``REPRO_BACKEND`` / ``REPRO_JOBS`` so CI can run a
+same resolution pattern as ``REPRO_JOBS`` / ``REPRO_MP_START`` so CI can run a
 whole tier-1 leg traced without threading flags anywhere.
 """
 
@@ -86,8 +86,7 @@ _FALSEY = {"", "0", "false", "no", "off"}
 def tracing_enabled(default: bool = False) -> bool:
     """Resolve the global tracing switch from ``REPRO_TRACE``.
 
-    Mirrors :func:`repro.parallel.resolve_jobs` /
-    :func:`repro.core.incidence.resolve_backend`: the environment supplies a
+    Mirrors :func:`repro.parallel.resolve_jobs`: the environment supplies a
     process-wide default that explicit arguments (CLI ``--trace``) override.
     """
     raw = os.environ.get(_TRACE_ENV)

@@ -1,10 +1,9 @@
 """One exporter for every BENCH writer: shared schema for counter blocks.
 
 Before the observability plane, each benchmark harness hand-rolled its
-counter serialization (five slightly different shapes across
-``bench_pmc.py``, ``bench_engine.py``, ``bench_podshard.py``,
-``bench_incremental.py`` and ``bench_runner.py``).  Everything now funnels
-through two helpers:
+counter serialization (slightly different shapes across ``bench_engine.py``,
+``bench_podshard.py``, ``bench_incremental.py`` and ``bench_runner.py``).
+Everything now funnels through two helpers:
 
 * :func:`counters_block` -- the per-row counter block.  Keys stay sorted
   (JSON-stable), values are exact ints, and the ``counters_schema`` tag lets

@@ -4,7 +4,7 @@ The registry is the metrics half of the observability plane
 (:mod:`repro.obs`).  It follows the same determinism contract the cost model
 does (:mod:`repro.core.costmodel`): every *semantic* series -- work counters,
 detection-latency histograms, cache-hit ratios -- must be byte-identical
-across ``REPRO_BACKEND`` and ``REPRO_JOBS`` for a fixed seed, while anything
+across ``REPRO_JOBS`` and machines for a fixed seed, while anything
 wall-clock flavoured (event rates, build info) is registered with
 ``informational=True`` and excluded from the deterministic snapshot.
 
@@ -261,8 +261,7 @@ class MetricsRegistry:
         """Nested ``{"counters": ..., "gauges": ..., "histograms": ...}`` view.
 
         ``deterministic=True`` drops informational families and sources; the
-        result is then byte-identical across backends, jobs counts and
-        machines for a fixed seed (the property the obs test matrix gates).
+        result is then byte-identical across jobs counts and machines for a fixed seed (the property the obs test matrix gates).
         """
         counters: Dict[str, Number] = {}
         gauges: Dict[str, Number] = {}

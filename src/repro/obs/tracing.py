@@ -4,7 +4,7 @@ The tracer is the second layer of the observability plane.  Spans are
 timestamped off the engine's **simulated clock**, not the wall clock, which
 buys a property real tracing systems cannot have: for a fixed seed the entire
 span tree -- ids, nesting, names, labels, start/end times -- is byte-identical
-across ``REPRO_BACKEND``, ``REPRO_JOBS`` and machines, so trace exports are
+across ``REPRO_JOBS`` and machines, so trace exports are
 gateable in CI exactly like cost counters.  Wall-clock duration, when a caller
 measures it, rides along as an *informational* field excluded from the
 deterministic JSONL export.

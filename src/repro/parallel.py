@@ -25,14 +25,15 @@ later dispatch with the same key (controller cycles, engine runs,
 old pool and spawns a fresh generation, so stale worker state can never leak
 into a new context.  Unkeyed calls, and any call made from inside a pool
 worker (see :func:`in_main_process`), get an ephemeral executor that is torn
-down with the call.  ``REPRO_MP_START`` pins the multiprocessing start method
+down with the call.  PMC never dispatches from inside a worker: a nested
+solve runs inline, so its one dispatch path is shared memory plus a
+persistent pool.  ``REPRO_MP_START`` pins the multiprocessing start method
 (CI runs a ``spawn`` leg to catch fork-only assumptions).
 
-``jobs`` resolves like the incidence backend does
-(:func:`repro.core.incidence.resolve_backend`): explicit argument first, then
-the ``REPRO_JOBS`` environment variable, then the serial default of 1.  That
-lets CI run the whole tier-1 suite under ``REPRO_JOBS=4`` without threading a
-flag through every call site.
+``jobs`` resolves explicit argument first, then the ``REPRO_JOBS``
+environment variable, then the serial default of 1.  That lets CI run the
+whole tier-1 suite under ``REPRO_JOBS=4`` without threading a flag through
+every call site.
 
 Worker seeding rides :meth:`repro.simulation.rng.SeededStreams.spawn_seed`:
 :func:`derive_seeds` turns one root seed into per-task seeds keyed by task
@@ -86,11 +87,7 @@ R = TypeVar("R")
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Resolve the worker-process count: explicit argument > ``REPRO_JOBS`` > 1.
-
-    Mirrors :func:`repro.core.incidence.resolve_backend` so the two process
-    knobs of the reproduction (backend, parallelism) configure the same way.
-    """
+    """Resolve the worker-process count: explicit argument > ``REPRO_JOBS`` > 1."""
     if jobs is None:
         env = os.environ.get(_ENV_VAR, "").strip()
         if not env:
@@ -139,9 +136,10 @@ def in_main_process() -> bool:
     forked pool worker inherits the parent's ``_POOLS`` registry by copy, so
     reusing or evicting those executors from inside a worker would operate on
     processes the worker does not own, and fork children skip :mod:`atexit`,
-    so nothing would ever sweep a worker-side pool or segment.  Nested
-    dispatch inside a worker (an experiment harness solving with
-    ``jobs > 1``) therefore takes the ephemeral pool and pickle dispatch.
+    so nothing would ever sweep a worker-side pool or segment.  A PMC solve
+    with ``jobs > 1`` inside a worker (an experiment harness under
+    ``experiment all --jobs N``) therefore solves inline, and any other
+    nested :func:`pool_map` gets an ephemeral pool.
     """
     return multiprocessing.parent_process() is None
 
@@ -191,8 +189,8 @@ class PersistentPool:
     """One warm :class:`ProcessPoolExecutor` keyed by ``(jobs, context digest)``.
 
     The executor outlives a single :func:`pool_map` call: its workers ran the
-    initializer once (attaching the shared-memory incidence segment or
-    unpickling the python-backend index) and keep that context between
+    initializer once (attaching the shared-memory incidence segment) and
+    keep that context between
     dispatches, so steady-state controller cycles pay neither a pool spawn
     nor a context re-ship.  ``generation`` is a process-wide monotonic
     counter stamped at spawn time; a dispatch whose context digest differs

@@ -5,12 +5,13 @@ PMC never needs a candidate path as an object -- it reads the link incidence
 every candidate as columns (ragged node-code and hop-link-id columns plus
 ``src`` / ``dst`` / waypoint codes) and materialises a :class:`Path` for a row
 only when somebody indexes it.  Columns are flat numpy arrays when a
-closed-form enumerator produced them and plain lists when a walker did; the
-two producers fill identical tables (``tests/test_path_table.py``).
+closed-form enumerator produced them and plain lists when node walks did (the
+shortest-path producer, and the walkers of ``tests/walker_oracle.py`` the
+closed forms are tested against in ``tests/test_path_table.py``).
 
 Row order is part of the contract: an enumerator's rows are pair-major, then
-waypoint-major, exactly as its walker yields them, so a row index means the
-same path on both backends and in every process.
+waypoint-major, exactly as its reference walker yields them, so a row index
+means the same path in every process.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.incidence import _gather_segments, _np  # _np is None without numpy
+from ..core.incidence import _gather_segments, _np
 
 __all__ = ["Path", "PathTable"]
 
@@ -81,7 +82,7 @@ def _renumbered(path: Path, row: int) -> Path:
 
 
 def _is_array(column) -> bool:
-    return _np is not None and isinstance(column, _np.ndarray)
+    return isinstance(column, _np.ndarray)
 
 
 def _take_flat(column, rows):

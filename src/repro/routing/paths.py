@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..contracts import trace_record
-from ..core.incidence import Backend, resolve_backend
 from ..topology import (
     BCubeTopology,
     FatTreeTopology,
@@ -82,20 +81,17 @@ def _pair_arrays(count: int, ordered: bool):
     return _np.array(list(_pairs(count, ordered)), dtype=_np.int64).reshape(-1, 2).T
 
 
-def _produce(topology: Topology, closed_form, walker, *args) -> PathTable:
-    """Fill a table with the resolved backend's producer.
+def _produce(topology: Topology, closed_form, *args) -> PathTable:
+    """Fill a table with a closed-form producer and trace its size.
 
-    The numpy backend computes the columns in closed form; the python backend
-    runs the walker, which is also the reference the closed form is tested
-    against.  Both yield the same rows in the same order.
+    The node walkers in ``tests/walker_oracle.py`` are the reference every
+    closed form is tested against: the same rows in the same order.
     """
-    if resolve_backend() is Backend.NUMPY:
-        table, producer = closed_form(topology, *args), "closed_form"
-    else:
-        table, producer = PathTable.from_walks(topology, walker(topology, *args)), "walker"
+    table = closed_form(topology, *args)
     hops = len(table.link_rows()[1])
-    # Informational: the producer differs between backends.
-    trace_record("routing.enumerate", informational=True, rows=len(table), hops=hops, producer=producer)
+    # Informational: pooled experiment harnesses enumerate inside workers,
+    # which never trace, so whether this span exists depends on ``jobs``.
+    trace_record("routing.enumerate", informational=True, rows=len(table), hops=hops)
     return table
 
 
@@ -133,22 +129,7 @@ def enumerate_fattree_paths(
         core switch, but the short paths are how production ECMP would route
         intra-pod traffic, so they are available as an option.
     """
-    return _produce(topology, _fattree_table, _fattree_walks, ordered, include_intrapod_agg)
-
-
-def _fattree_walks(topology: FatTreeTopology, ordered: bool, include_intrapod_agg: bool) -> Walks:
-    tors = topology.tor_switches
-    groups = topology.core_groups
-    pod_aggs = [topology.aggregation_switches_in_pod(pod) for pod in range(topology.k)]
-    for i, j in _pairs(len(tors), ordered):
-        src, dst = tors[i].name, tors[j].name
-        src_aggs, dst_aggs = pod_aggs[tors[i].pod], pod_aggs[tors[j].pod]
-        for group, cores in enumerate(groups):
-            for core in cores:
-                yield (src, src_aggs[group], core, dst_aggs[group], dst), core
-        if include_intrapod_agg and tors[i].pod == tors[j].pod:
-            for agg in src_aggs:
-                yield (src, agg, dst), agg
+    return _produce(topology, _fattree_table, ordered, include_intrapod_agg)
 
 
 def _fattree_table(topology: FatTreeTopology, ordered: bool, include_intrapod_agg: bool) -> PathTable:
@@ -205,18 +186,7 @@ def enumerate_vl2_paths(topology: VL2Topology, ordered: bool = True) -> PathTabl
     triple (source aggregation switch, intermediate switch, destination
     aggregation switch); rows are pair-major, then in that triple's order.
     """
-    return _produce(topology, _vl2_table, _vl2_walks, ordered)
-
-
-def _vl2_walks(topology: VL2Topology, ordered: bool) -> Walks:
-    tors = topology.tor_switch_names
-    intermediates = topology.intermediate_switch_names
-    tor_aggs = [topology.aggs_of_tor(tor) for tor in tors]
-    for i, j in _pairs(len(tors), ordered):
-        for src_agg in tor_aggs[i]:
-            for inter in intermediates:
-                for dst_agg in tor_aggs[j]:
-                    yield (tors[i], src_agg, inter, dst_agg, tors[j]), f"{src_agg}|{inter}|{dst_agg}"
+    return _produce(topology, _vl2_table, ordered)
 
 
 def _vl2_table(topology: VL2Topology, ordered: bool) -> PathTable:
@@ -267,57 +237,7 @@ def enumerate_bcube_paths(topology: BCubeTopology, ordered: bool = True) -> Path
     keeps ``k+1`` members (and stays parallel).  Rows are pair-major, then
     start level ``k`` down to ``0``.
     """
-    return _produce(topology, _bcube_table, _bcube_walks, ordered)
-
-
-def _bcube_walks(topology: BCubeTopology, ordered: bool) -> Walks:
-    servers = topology.server_node_names()
-    for i, j in _pairs(len(servers), ordered):
-        for start_level in range(topology.k, -1, -1):
-            walk = _bcube_path_walk(topology, servers[i], servers[j], start_level)
-            yield tuple(walk), f"level{start_level}"
-
-
-def _bcube_path_walk(
-    topology: BCubeTopology, src: str, dst: str, start_level: int
-) -> List[str]:
-    """Node walk of the BCube parallel path that starts by fixing ``start_level``."""
-    k = topology.k
-    src_addr = list(topology.server_address(src))
-    dst_addr = topology.server_address(dst)
-    order = [(start_level - offset) % (k + 1) for offset in range(k + 1)]
-
-    walk = [src]
-    current = list(src_addr)
-
-    def hop(level: int, new_digit: int) -> None:
-        """Move to the server whose digit ``level`` equals ``new_digit`` via the shared switch."""
-        position = k - level
-        if current[position] == new_digit:
-            return
-        switch = topology.switch_for(current, level)
-        current[position] = new_digit
-        next_server = topology.server_name(current)
-        walk.append(switch)
-        walk.append(next_server)
-
-    first_level = order[0]
-    first_position = k - first_level
-    if src_addr[first_position] == dst_addr[first_position]:
-        # Altered path: detour through a level-``first_level`` neighbor so this
-        # path stays link-disjoint from the ones that correct other digits
-        # first (AltDCRouting in the BCube paper).  ``n >= 2``, so the next
-        # digit differs from the shared one.
-        hop(first_level, (src_addr[first_position] + 1) % topology.n)
-    else:
-        hop(first_level, dst_addr[first_position])
-
-    for level in order[1:]:
-        hop(level, dst_addr[k - level])
-
-    # Undo the detour (or finish correcting the first digit) last.
-    hop(first_level, dst_addr[first_position])
-    return walk
+    return _produce(topology, _bcube_table, ordered)
 
 
 def _bcube_table(topology: BCubeTopology, ordered: bool) -> PathTable:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.incidence import Backend, IncidenceIndex
+from ..core.incidence import IncidenceIndex
 from ..topology import Topology
 from .path_table import Path, PathTable
 
@@ -41,9 +41,6 @@ class RoutingMatrix:
     link_ids:
         The link universe.  Defaults to all inter-switch links of the
         topology, which is what deTector's probe matrix targets (§3.1).
-    backend:
-        Incidence backend (:class:`~repro.core.incidence.Backend`, its string
-        value, or ``None`` for the ``REPRO_BACKEND``/auto default).
     """
 
     def __init__(
@@ -51,7 +48,6 @@ class RoutingMatrix:
         topology: Topology,
         paths: Sequence[Path],
         link_ids: Optional[Iterable[int]] = None,
-        backend: Optional[Backend] = None,
     ):
         self._topology = topology
         self._paths = paths if isinstance(paths, PathTable) else PathTable.from_paths(paths)
@@ -59,9 +55,7 @@ class RoutingMatrix:
             universe = [link.link_id for link in topology.switch_links]
         else:
             universe = sorted(set(link_ids))
-        self._index = IncidenceIndex.from_rows(
-            *self._paths.link_rows(), universe, backend=backend
-        )
+        self._index = IncidenceIndex.from_rows(*self._paths.link_rows(), universe)
 
     # ------------------------------------------------------------------ views
     @property
@@ -72,10 +66,6 @@ class RoutingMatrix:
     def incidence(self) -> IncidenceIndex:
         """The shared CSR/CSC incidence index (the array-facing API)."""
         return self._index
-
-    @property
-    def backend(self) -> Backend:
-        return self._index.backend
 
     @property
     def paths(self) -> PathTable:
@@ -156,5 +146,4 @@ class RoutingMatrix:
             self._topology,
             self._paths.take(path_indices),
             link_ids=self.link_ids,
-            backend=self.backend,
         )

@@ -348,7 +348,7 @@ class ChurnSchedule:
 
     The schedule is a pure function of the generator ``rng``, so benchmarks
     and the incremental-vs-cold differential tests can replay identical churn
-    across runs and backends.
+    across runs.
     """
 
     def __init__(self, deltas: Sequence[TopologyDelta]):

@@ -4,7 +4,8 @@ The oracle is ``LazyMinHeap.pop_lazy`` at a new iteration per pop -- the
 queue's contract is one pop per greedy iteration.  A hypothesis property
 drives both through tie-heavy, non-monotone score streams pop for pop,
 logical counters included; the pinned cases name the three ways a pop ends;
-the PMC cases run degenerate subproblems through the solver on both backends.
+the PMC cases run degenerate subproblems through the solver with the queue
+and with the oracle swapped in for it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import repro.core.pmc as pmc
 from repro.core import PMCOptions, Subproblem
-from repro.core.incidence import Backend, IncidenceIndex
+from repro.core.incidence import IncidenceIndex
 from repro.core.lazy_greedy import BucketQueue, LazyMinHeap
 
 
@@ -105,9 +106,9 @@ class TestEdgeCases:
         assert (queue.evaluations, queue.lazy_skips) == (4, 0)
 
 
-def _solve(rows, links, backend, **options):
+def _solve(rows, links, **options):
     """``_solve_subproblem`` over one subproblem holding every row and link."""
-    index = IncidenceIndex(rows, link_universe=links, backend=backend)
+    index = IncidenceIndex(rows, link_universe=links)
     subproblem = Subproblem(link_ids=tuple(links), path_indices=tuple(range(len(rows))))
     counts = pmc._shard_counts(index, subproblem, index.coverage_counts())
     selected, stats = pmc._solve_subproblem(index, subproblem, PMCOptions(**options), counts)
@@ -115,8 +116,30 @@ def _solve(rows, links, backend, **options):
     return selected, stats.cost_counters(), verdicts
 
 
+class HeapAsQueue:
+    """``LazyMinHeap`` behind the queue's interface: one rescore per evaluation."""
+
+    def __init__(self, rows, scores):
+        self._heap = LazyMinHeap(zip(np.asarray(scores).tolist(), np.asarray(rows).tolist()))
+        self._iteration = 0
+
+    @property
+    def evaluations(self):
+        return self._heap.evaluations
+
+    @property
+    def lazy_skips(self):
+        return self._heap.lazy_skips
+
+    def pop(self, rescore_batch):
+        self._iteration += 1
+        return self._heap.pop_lazy(
+            self._iteration, lambda row: int(rescore_batch(np.array([row]))[0])
+        )
+
+
 class TestDegenerateSubproblems:
-    """Solved by the queue (numpy) and by ``LazyMinHeap`` (python) alike."""
+    """Solved by the queue and by ``LazyMinHeap`` alike."""
 
     @pytest.fixture
     def queue_pops(self, monkeypatch):
@@ -130,23 +153,23 @@ class TestDegenerateSubproblems:
         monkeypatch.setattr(pmc, "BucketQueue", CountingQueue)
         return pops
 
-    def test_one_candidate(self, queue_pops):
-        results = [_solve([(0, 1, 2)], (0, 1, 2), backend, alpha=2, beta=1) for backend in Backend]
-        assert results[0] == results[1]
-        selected, counters, verdicts = results[0]
+    def test_one_candidate(self, queue_pops, monkeypatch):
+        result = _solve([(0, 1, 2)], (0, 1, 2), alpha=2, beta=1)
+        monkeypatch.setattr(pmc, "BucketQueue", HeapAsQueue)
+        assert _solve([(0, 1, 2)], (0, 1, 2), alpha=2, beta=1) == result
+        selected, counters, verdicts = result
         assert selected == [0]
         assert counters["greedy_evaluations"] == 1
         assert verdicts == (False, False, ())
         assert queue_pops == [1]
 
-    def test_every_row_scores_zero(self, queue_pops):
+    def test_every_row_scores_zero(self, queue_pops, monkeypatch):
         """Path-less rows (score 0) with the textbook greedy: all selected, in row order."""
-        results = [
-            _solve([(), (), ()], (0, 1), backend, alpha=1, beta=1, skip_zero_gain=False)
-            for backend in Backend
-        ]
-        assert results[0] == results[1]
-        selected, counters, verdicts = results[0]
+        options = dict(alpha=1, beta=1, skip_zero_gain=False)
+        result = _solve([(), (), ()], (0, 1), **options)
+        monkeypatch.setattr(pmc, "BucketQueue", HeapAsQueue)
+        assert _solve([(), (), ()], (0, 1), **options) == result
+        selected, counters, verdicts = result
         assert selected == [0, 1, 2]
         assert counters["greedy_evaluations"] == 3 and counters["lazy_skips"] == 0
         assert verdicts == (False, True, (0, 1))

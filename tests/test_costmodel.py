@@ -2,10 +2,10 @@
 
 The two properties the benchmark gates rely on:
 
-* counters are *backend-invariant* -- byte-identical under
-  ``REPRO_BACKEND=numpy`` and ``REPRO_BACKEND=python`` for the same inputs,
-  even though the two backends do completely different physical work
-  (chunked batch rescoring vs. per-candidate loops), and
+* counters are *implementation-invariant* -- they count semantic operations,
+  so the batched queue and the one-at-a-time heap report the same logical
+  work, and the pinned values below hold for any vectorization of the same
+  kernel questions, and
 * counters are *deterministic* -- repeated runs agree exactly, so a changed
   counter is a real algorithmic change, never scheduler noise.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import CostModel, KernelCounters, PMCOptions, construct_probe_matrix
-from repro.core.incidence import Backend, IncidenceIndex, RefinablePartition
+from repro.core.incidence import IncidenceIndex, RefinablePartition
 from repro.core.lazy_greedy import BucketQueue, LazyMinHeap
 from repro.routing import RoutingMatrix, enumerate_candidate_paths
 
@@ -58,37 +58,40 @@ class TestCostModel:
 
 
 # ---------------------------------------------------------------------------
-# incidence-kernel counters: backend invariance
+# incidence-kernel counters: one tick per question, pinned
 # ---------------------------------------------------------------------------
 
 class TestIncidenceKernelCounters:
-    def build(self, backend):
-        rows = [(0, 1, 2), (1, 3), (), (2, 3, 4)]
-        return IncidenceIndex(rows, link_universe=(0, 1, 2, 3, 4), backend=backend)
-
-    def test_semantic_kernels_tick_identically_across_backends(self):
+    def test_semantic_kernels_tick_pinned_counts(self):
         import numpy as np
 
-        recorded = {}
-        for backend in (Backend.NUMPY, Backend.PYTHON):
-            index = self.build(backend)
-            mask = [True, False, True, True]
-            if backend is Backend.NUMPY:
-                mask = np.asarray(mask)
-            index.coverage_counts()
-            index.weighted_col_counts([1, 2, 0, 3])
-            index.masked_col_counts(mask)
-            index.components()
-            index.rows_touching_links([1, 3])
-            index.apply_link_mask([3])
-            index.revert_link_mask([3])
-            recorded[backend] = index.counters.as_dict()
-        assert recorded[Backend.NUMPY] == recorded[Backend.PYTHON]
-        assert recorded[Backend.NUMPY]["coverage_counts_calls"] == 1
-        assert recorded[Backend.NUMPY]["components_calls"] == 1
+        index = IncidenceIndex([(0, 1, 2), (1, 3), (), (2, 3, 4)], link_universe=(0, 1, 2, 3, 4))
+        index.coverage_counts()
+        index.weighted_col_counts([1, 2, 0, 3])
+        index.masked_col_counts(np.asarray([True, False, True, True]))
+        index.components()
+        index.rows_touching_links([1, 3])
+        index.apply_link_mask([3])
+        index.revert_link_mask([3])
+        # Elements: columns for coverage, entries for the folds, rows for the
+        # decomposition, queried links for the syndrome.
+        assert index.counters.as_dict() == {
+            "apply_link_mask_calls": 1,
+            "components_calls": 1,
+            "components_elements": 4,
+            "coverage_counts_calls": 1,
+            "coverage_counts_elements": 5,
+            "masked_col_counts_calls": 1,
+            "masked_col_counts_elements": 8,
+            "revert_link_mask_calls": 1,
+            "rows_touching_links_calls": 1,
+            "rows_touching_links_elements": 2,
+            "weighted_col_counts_calls": 1,
+            "weighted_col_counts_elements": 8,
+        }
 
     def test_partition_counters_track_refinement(self):
-        partition = RefinablePartition(4, backend=Backend.PYTHON)
+        partition = RefinablePartition(4)
         assert partition.splits_gained([0, 1]) == 1
         partition.split([0, 1])
         partition.split([0])
@@ -147,22 +150,37 @@ class TestPMCCostCounters:
             "lazy": dict(use_decomposition=True, use_lazy_update=True, use_symmetry=False),
             "symmetry": dict(use_decomposition=True, use_lazy_update=True, use_symmetry=True),
         }
-        counters = {}
-        for backend in (Backend.NUMPY, Backend.PYTHON):
-            routing = RoutingMatrix(fattree4, paths, backend=backend)
-            counters[backend] = {
-                name: construct_probe_matrix(
-                    routing, PMCOptions(alpha=2, beta=1, **flags)
-                ).stats.cost_counters()
-                for name, flags in levels.items()
-            }
-        return counters
+        routing = RoutingMatrix(fattree4, paths)
+        return {
+            name: construct_probe_matrix(
+                routing, PMCOptions(alpha=2, beta=1, **flags)
+            ).stats.cost_counters()
+            for name, flags in levels.items()
+        }
 
-    def test_counters_byte_identical_across_backends(self, sweep):
-        assert sweep[Backend.NUMPY] == sweep[Backend.PYTHON]
+    def test_counters_are_pinned(self, sweep):
+        def profile(evaluations, skips, cells, subproblems, reused, iterations=22, queries=20):
+            return {
+                "candidates_discarded": 0,
+                "greedy_evaluations": evaluations,
+                "greedy_iterations": iterations,
+                "lazy_skips": skips,
+                "partition_cells_created": cells,
+                "partition_gain_queries": queries,
+                "partition_splits": iterations,
+                "reused_subproblems": reused,
+                "subproblems": subproblems,
+            }
+
+        assert sweep == {
+            "strawman": profile(2233, 0, 31, 1, 0),
+            "decomposition": profile(1122, 0, 30, 2, 0),
+            "lazy": profile(268, 2, 30, 2, 0),
+            "symmetry": profile(134, 1, 15, 2, 1, iterations=11, queries=10),
+        }
 
     def test_optimisations_cut_greedy_evaluations(self, sweep):
-        evals = {name: c["greedy_evaluations"] for name, c in sweep[Backend.NUMPY].items()}
+        evals = {name: c["greedy_evaluations"] for name, c in sweep.items()}
         assert evals["decomposition"] <= evals["strawman"]
         assert evals["lazy"] <= evals["decomposition"]
         assert evals["symmetry"] <= evals["strawman"]

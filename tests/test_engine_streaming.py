@@ -6,7 +6,7 @@ The load-bearing guarantees:
 * the coalescing, columnar :class:`ProbeScheduler` is **byte-identical** to
   the per-event oracle (``tests/per_event_oracle.py``) in every deterministic
   observable -- window reports, detection records, cost counters, random
-  draws -- on both kernel backends and at any drain size;
+  draws -- at any drain size;
 * window reports are **invariant in the aggregator shard count**;
 * :meth:`TelemetryEngine.serve` streams exactly the windows
   :meth:`TelemetryEngine.run` returns;
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from per_event_oracle import PerEventProbeScheduler
-from repro.core.incidence import Backend, IncidenceIndex
+from repro.core.incidence import IncidenceIndex
 from repro.engine import (
     CongestionEpisode,
     DynamicFaultModel,
@@ -309,6 +309,11 @@ class TestShardedAggregator:
         assert accepted == len(rows)
         a, b = scalar.close_window(), batched.close_window()
         assert list(a.observations) == list(b.observations)
+        for column in ("link_sent", "link_lost", "link_lossy_paths"):
+            assert getattr(a, column).tolist() == getattr(b, column).tolist()
+        assert (a.probes_sent, a.probes_lost, a.rejected_events) == (
+            b.probes_sent, b.probes_lost, b.rejected_events
+        )
         assert scalar.cost.as_dict() == batched.cost.as_dict()
 
     def test_record_batch_rejects_late_and_raises_on_future(self, fattree4_probe_matrix):
@@ -336,12 +341,11 @@ class TestShardedAggregator:
                 np.asarray([0]), np.asarray([61.0]), np.asarray([1]), np.asarray([2])
             )
 
-    @pytest.mark.parametrize("backend", [Backend.NUMPY, Backend.PYTHON])
-    def test_record_batch_rejects_what_record_rejects(self, backend):
-        """One order on both backends: a late row is rejected before its path
-        or its counts are looked at, and a batch that raises folds nothing."""
+    def test_record_batch_rejects_what_record_rejects(self):
+        """One order for both: a late row is rejected before its path or its
+        counts are looked at, and a batch that raises folds nothing."""
         def aggregator():
-            index = IncidenceIndex([{0, 1}, {1, 2}, {2, 3}], (0, 1, 2, 3), backend=backend)
+            index = IncidenceIndex([{0, 1}, {1, 2}, {2, 3}], (0, 1, 2, 3))
             return StreamAggregator(index, window_seconds=30.0, start_time=60.0, num_shards=2)
 
         def state(agg):

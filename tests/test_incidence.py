@@ -1,9 +1,9 @@
 """Unit tests for the CSR/CSC incidence index and its vectorized kernels.
 
-Every kernel is exercised on both backends against a hand-computable oracle,
-plus randomised differential tests numpy-vs-python: the two backends must be
-bit-for-bit interchangeable (that property is what lets PMC/PLL guarantee
-identical results regardless of ``REPRO_BACKEND``).
+Every kernel is exercised against a hand-computable answer, plus randomised
+differential tests against the plain-list loops of ``tests/python_kernels.py``
+and the set-based partition of ``tests/link_set_oracle.py``
+(``tests/test_incidence_oracle.py`` runs the full kernel-by-kernel sweep).
 """
 
 from __future__ import annotations
@@ -11,15 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.incidence import (
-    Backend,
-    IncidenceIndex,
-    RefinablePartition,
-    resolve_backend,
-)
+import python_kernels
+from repro.core.incidence import IncidenceIndex, RefinablePartition
 from link_set_oracle import LinkSetPartition
-
-BACKENDS = [Backend.PYTHON, Backend.NUMPY]
 
 # A small fixed instance: 5 paths over 6 links (ids deliberately non-dense).
 LINKS = [3, 7, 10, 11, 20, 21]
@@ -32,30 +26,9 @@ PATHS = [
 ]
 
 
-@pytest.fixture(params=BACKENDS, ids=[b.value for b in BACKENDS])
-def index(request):
-    return IncidenceIndex(PATHS, LINKS, backend=request.param)
-
-
-class TestBackendResolution:
-    def test_explicit_enum_and_string(self):
-        assert resolve_backend(Backend.PYTHON) is Backend.PYTHON
-        assert resolve_backend("numpy") is Backend.NUMPY
-        assert resolve_backend("PYTHON") is Backend.PYTHON
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("cuda")
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert resolve_backend() is Backend.PYTHON
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert resolve_backend() is Backend.NUMPY
-
-    def test_default_prefers_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend() is Backend.NUMPY
+@pytest.fixture
+def index():
+    return IncidenceIndex(PATHS, LINKS)
 
 
 class TestIndexViews:
@@ -88,7 +61,7 @@ class TestIndexViews:
         assert not index.contains_link(999)
 
     def test_out_of_universe_links_dropped(self, index):
-        extra = IncidenceIndex([{3, 999}], LINKS, backend=index.backend)
+        extra = IncidenceIndex([{3, 999}], LINKS)
         assert extra.row_link_set(0) == {3}
 
 
@@ -99,9 +72,7 @@ class TestKernels:
         assert index.coverage_histogram() == {3: 2, 7: 2, 10: 1, 11: 1, 20: 2, 21: 1}
 
     def test_sum_over_row(self, index):
-        weights = index.kernels.int_zeros(index.num_links)
-        for col, value in enumerate([1, 2, 4, 8, 16, 32]):
-            weights[col] = value
+        weights = np.array([1, 2, 4, 8, 16, 32], dtype=np.int64)
         assert index.sum_over_row(weights, 0) == 1 + 2
         assert index.sum_over_row(weights, 3) == 0
         assert index.sum_over_row(weights, 4) == 1 + 16 + 32
@@ -112,8 +83,8 @@ class TestKernels:
         assert index.rows_touching_links([999]) == []
 
     def test_masked_col_counts(self, index):
-        mask = index.kernels.bool_zeros(index.num_paths)
-        index.kernels.set_true(mask, index.kernels.int_array([0, 4]))
+        mask = np.zeros(index.num_paths, dtype=bool)
+        mask[[0, 4]] = True
         counts = list(index.masked_col_counts(mask))
         assert counts == [2, 1, 0, 0, 1, 1]
 
@@ -147,7 +118,7 @@ class TestComponents:
         by_first_link = {links[0]: rows for links, rows in components}
         assert by_first_link[3] == (0, 1)
 
-    def test_differential_backends(self):
+    def test_matches_union_find_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
             n_links = int(rng.integers(1, 30))
@@ -163,14 +134,14 @@ class TestComponents:
                 )
                 for _ in range(m)
             ]
-            py = IncidenceIndex(link_sets, universe, backend=Backend.PYTHON)
-            np_ = IncidenceIndex(link_sets, universe, backend=Backend.NUMPY)
-            assert py.components() == np_.components()
+            index = IncidenceIndex(link_sets, universe)
+            csr = index._row_indptr.tolist(), index._row_cols.tolist(), universe
+            assert index.components() == python_kernels.components(*csr)
             if m:
                 rows = sorted(
                     rng.choice(m, size=int(rng.integers(0, m)), replace=False).tolist()
                 )
-                assert py.components(rows) == np_.components(rows)
+                assert index.components(rows) == python_kernels.components(*csr, rows)
 
 
 class TestColumnSignatures:
@@ -187,17 +158,16 @@ class TestColumnSignatures:
         assert index.counters.calls("column_signatures") == 4
         assert index.counters.elements("column_signatures") == 6 + 6 + 3 + 6
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
-    def test_lookalike_columns_are_compared_entry_by_entry(self, backend):
+    def test_lookalike_columns_are_compared_entry_by_entry(self):
         # Links 1 and 2 agree on (count, first row, last row) = (3, 0, 3) but
         # not on the row in between; links 3 and 4 are true twins.
         paths = [{1, 2, 3, 4}, {1}, {2}, {1, 2, 3, 4}, {5}]
-        idx = IncidenceIndex(paths, [1, 2, 3, 4, 5, 6], backend=backend)
+        idx = IncidenceIndex(paths, [1, 2, 3, 4, 5, 6])
         assert idx.distinct_column_signatures([1, 2, 3, 4, 5, 6], range(5)) == 5
         assert idx.distinct_column_signatures([1, 2], [0, 3]) == 1
         assert idx.distinct_column_signatures([2, 1], [0, 1, 3]) == 2
 
-    def test_differential_backends_and_brute_force(self):
+    def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
             n_links = int(rng.integers(1, 12))
@@ -216,9 +186,8 @@ class TestColumnSignatures:
             expected = len(
                 {frozenset(r for r in rows if link in link_sets[r]) for link in links}
             )
-            for backend in BACKENDS:
-                idx = IncidenceIndex(link_sets, universe, backend=backend)
-                assert idx.distinct_column_signatures(links, rows) == expected
+            idx = IncidenceIndex(link_sets, universe)
+            assert idx.distinct_column_signatures(links, rows) == expected
 
 
 class TestScipyExport:
@@ -239,7 +208,7 @@ class TestRowProjection:
         assert list(proj.row(3)) == []
 
     def test_batch_matches_rows(self):
-        idx = IncidenceIndex(PATHS, LINKS, backend=Backend.NUMPY)
+        idx = IncidenceIndex(PATHS, LINKS)
         subset = [3, 7, 20]
         proj = idx.projection(subset)
         segments, locals_ = proj.batch([0, 3, 4])
@@ -252,19 +221,18 @@ class TestRowProjection:
 
 
 class TestRefinablePartition:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
-    def test_matches_link_set_partition(self, backend):
+    def test_matches_link_set_partition(self):
         """Differential test against the seed dict-of-sets implementation."""
         rng = np.random.default_rng(7)
         for _ in range(20):
             n = int(rng.integers(1, 25))
-            array_partition = RefinablePartition(n, backend=backend)
+            array_partition = RefinablePartition(n)
             set_partition = LinkSetPartition(n)
             for _ in range(int(rng.integers(1, 12))):
                 members = sorted(
                     rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
                 )
-                idx = array_partition.kernels.int_array(members)
+                idx = np.array(members, dtype=np.int64)
                 assert array_partition.cells_touched(idx) == set_partition.cells_touched(members)
                 assert array_partition.splits_gained(idx) == set_partition.splits_gained(members)
                 assert array_partition.split(idx) == set_partition.split(members)
@@ -278,7 +246,7 @@ class TestRefinablePartition:
         assert partition.num_cells == 0
 
     def test_segmented_cells_touched(self):
-        partition = RefinablePartition(6, backend=Backend.NUMPY)
+        partition = RefinablePartition(6)
         partition.split(np.array([0, 1, 2]))
         segments = np.array([0, 0, 1, 1, 1])
         members = np.array([0, 3, 1, 2, 4])

@@ -19,13 +19,11 @@ from repro.core import (
     construct_probe_matrix,
     construct_probe_matrix_masked,
 )
-from repro.core.incidence import Backend, IncidenceIndex
+from repro.core.incidence import IncidenceIndex
 from repro.monitor import Controller, ControllerConfig, DetectorSystem, Watchdog
 from repro.routing import RoutingMatrix, enumerate_candidate_paths
 from repro.simulation import ChurnSchedule
 from repro.topology import HealthSnapshot, TopologyDelta, build_bcube, build_fattree, build_vl2
-
-BACKENDS = [Backend.PYTHON, Backend.NUMPY]
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +34,8 @@ class TestLinkMasking:
     PATHS = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})]
     UNIVERSE = (0, 1, 2, 3, 4)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
-    def test_apply_and_revert_round_trip(self, backend):
-        index = IncidenceIndex(self.PATHS, self.UNIVERSE, backend=backend)
+    def test_apply_and_revert_round_trip(self):
+        index = IncidenceIndex(self.PATHS, self.UNIVERSE)
         assert index.active_rows() == [0, 1, 2, 3]
         assert index.num_active_rows == 4
 
@@ -56,9 +53,8 @@ class TestLinkMasking:
         assert index.masked_link_ids == ()
         assert index.active_rows() == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
-    def test_overlapping_masks_stack(self, backend):
-        index = IncidenceIndex(self.PATHS, self.UNIVERSE, backend=backend)
+    def test_overlapping_masks_stack(self):
+        index = IncidenceIndex(self.PATHS, self.UNIVERSE)
         index.apply_link_mask([1])
         index.apply_link_mask([2])
         # Path 1 crosses both masked links; one revert must not reactivate it.
@@ -68,17 +64,15 @@ class TestLinkMasking:
         index.revert_link_mask([1])
         assert index.active_rows() == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
-    def test_active_coverage_counts_match_rebuild(self, backend):
-        index = IncidenceIndex(self.PATHS, self.UNIVERSE, backend=backend)
+    def test_active_coverage_counts_match_rebuild(self):
+        index = IncidenceIndex(self.PATHS, self.UNIVERSE)
         index.apply_link_mask([0])
         surviving = [p for p in self.PATHS if 0 not in p]
-        rebuilt = IncidenceIndex(surviving, self.UNIVERSE, backend=backend)
+        rebuilt = IncidenceIndex(surviving, self.UNIVERSE)
         assert list(index.active_coverage_counts()) == list(rebuilt.coverage_counts())
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
-    def test_clear_link_mask(self, backend):
-        index = IncidenceIndex(self.PATHS, self.UNIVERSE, backend=backend)
+    def test_clear_link_mask(self):
+        index = IncidenceIndex(self.PATHS, self.UNIVERSE)
         index.apply_link_mask([1, 3])
         index.clear_link_mask()
         assert index.masked_link_ids == ()
@@ -574,7 +568,7 @@ class TestUnreachableGoal:
 
     @pytest.mark.parametrize("state", ["two-links", "three-links", "switch", "cold-fallback"])
     @pytest.mark.parametrize("name", list(FABRICS))
-    def test_same_cover_on_every_backend_and_jobs(self, name, state, monkeypatch):
+    def test_same_cover_at_every_jobs_setting(self, name, state):
         topology = build_fattree(self.FABRICS[name])
         overrides = {}
         if state == "cold-fallback":
@@ -584,23 +578,19 @@ class TestUnreachableGoal:
         delta = _health_states(topology)[state]
 
         runs = []
-        for backend in BACKENDS:
-            monkeypatch.setenv("REPRO_BACKEND", backend.value)
-            for jobs in (1, 2):
-                watchdog = Watchdog(topology)
-                controller = Controller(topology, self._config(jobs, **overrides), watchdog=watchdog)
-                controller.run_incremental_cycle()
-                controller.run_incremental_cycle()  # fills the warm cache
-                watchdog.apply_delta(delta)
-                cycle = controller.run_incremental_cycle()
-                assert cycle.mode == ("full" if overrides else "incremental")
-                index = controller._full_routing_matrix().incidence
-                assert index.backend is backend
-                runs.append((cycle, index.counters.as_dict()))
-                controller.close()
+        for jobs in (1, 2):
+            watchdog = Watchdog(topology)
+            controller = Controller(topology, self._config(jobs, **overrides), watchdog=watchdog)
+            controller.run_incremental_cycle()
+            controller.run_incremental_cycle()  # fills the warm cache
+            watchdog.apply_delta(delta)
+            cycle = controller.run_incremental_cycle()
+            assert cycle.mode == ("full" if overrides else "incremental")
+            index = controller._full_routing_matrix().incidence
+            runs.append((cycle, index.counters.as_dict()))
+            controller.close()
 
         # The drain's selection: a cold cycle against the same health state.
-        monkeypatch.delenv("REPRO_BACKEND")
         cold = Controller(
             topology, self._config(**overrides), watchdog=_clone_watchdog(topology, watchdog)
         )
@@ -629,9 +619,8 @@ class TestUnreachableGoal:
             ]
             assert kernel_totals == first_kernels
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
     @pytest.mark.parametrize("name", list(FABRICS))
-    def test_second_link_down_costs_what_the_first_did(self, name, backend, monkeypatch):
+    def test_second_link_down_costs_what_the_first_did(self, name):
         # The counter gate that replaces a stopwatch: one link down leaves one
         # orphan (a singleton cell, goal reachable); a second one makes two
         # orphans share a cell for ever.  An exhaustive drain pays for every
@@ -639,7 +628,6 @@ class TestUnreachableGoal:
         # Fattree(8)); the early stop pays what the first link's cycle paid.
         from repro.core import RESIDUAL_POD
 
-        monkeypatch.setenv("REPRO_BACKEND", backend.value)
         topology = build_fattree(self.FABRICS[name])
         core, *_, edge = _tier_links(topology)
         watchdog = Watchdog(topology)

@@ -3,7 +3,7 @@
 The contract under test: ``decompose_routing_matrix(matrix, masked=True)``
 equals the exact decomposition of the index's active rows,
 ``decompose_routing_matrix(matrix, rows=index.active_rows())`` -- one full
-union-find pass, the oracle -- element for element on both backends, while
+pass over those rows, the oracle -- element for element, while
 only the pristine components that own a masked link are re-split (the others
 are carried as the same objects) and the ``components`` kernel counter ticks
 by the rows actually re-split.
@@ -24,13 +24,10 @@ from repro.core import (
     construct_probe_matrix_masked,
     decompose_routing_matrix,
 )
-from repro.core.incidence import Backend
 from repro.monitor import Watchdog
 from repro.obs import Tracer, activated
 from repro.routing import RoutingMatrix, enumerate_candidate_paths
 from repro.topology import build_bcube, build_fattree, build_vl2
-
-BACKENDS = [Backend.PYTHON, Backend.NUMPY]
 
 FABRICS = {
     "fattree4": lambda: build_fattree(4),
@@ -46,9 +43,9 @@ def _topology(name):
     return FABRICS[name]()
 
 
-def _matrix(name, backend):
+def _matrix(name):
     topology = _topology(name)
-    return RoutingMatrix(topology, enumerate_candidate_paths(topology, ordered=False), backend=backend)
+    return RoutingMatrix(topology, enumerate_candidate_paths(topology, ordered=False))
 
 
 def _assert_refines_exactly(matrix):
@@ -66,10 +63,9 @@ def _assert_refines_exactly(matrix):
 
 
 class TestMaskedEqualsActiveRows:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
     @pytest.mark.parametrize("name", list(FABRICS))
-    def test_masks_switch_blackout_and_recovery(self, name, backend):
-        matrix = _matrix(name, backend)
+    def test_masks_switch_blackout_and_recovery(self, name):
+        matrix = _matrix(name)
         index = matrix.incidence
         links = list(index.link_ids)
         rng = random.Random(2017)
@@ -98,20 +94,19 @@ class TestMaskedEqualsActiveRows:
 
 
 @functools.lru_cache(maxsize=None)
-def _shared_matrix(name, backend):
-    return _matrix(name, backend)
+def _shared_matrix(name):
+    return _matrix(name)
 
 
 @given(
     st.sampled_from(["fattree4", "vl2_12_8_2"]),
-    st.sampled_from(BACKENDS),
     st.lists(st.lists(st.integers(min_value=0, max_value=10_000), max_size=5), min_size=1, max_size=4),
 )
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_property_random_mask_sequences(name, backend, steps):
+def test_property_random_mask_sequences(name, steps):
     # Each step toggles a few links (masked ones recover, others fail): the
     # refinement must track the full pass through every intermediate mask.
-    matrix = _shared_matrix(name, backend)
+    matrix = _shared_matrix(name)
     index = matrix.incidence
     index.clear_link_mask()
     links = index.link_ids
@@ -125,9 +120,8 @@ def test_property_random_mask_sequences(name, backend, steps):
 
 
 class TestKernelCounters:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
-    def test_one_link_delta_ticks_the_touched_component_only(self, backend):
-        matrix = _matrix("fattree8", backend)
+    def test_one_link_delta_ticks_the_touched_component_only(self):
+        matrix = _matrix("fattree8")
         index = matrix.incidence
         options = PMCOptions(alpha=2, beta=1, jobs=1)
         cold = construct_probe_matrix(matrix, options)
@@ -151,7 +145,7 @@ class TestKernelCounters:
         assert index.counters.calls("components") == calls + 1
 
     def test_decomposition_span_reports_refined_components(self):
-        matrix = _matrix("fattree8", Backend.NUMPY)
+        matrix = _matrix("fattree8")
         index = matrix.incidence
         options = PMCOptions(alpha=2, beta=1, jobs=1)
         mask = [index.link_ids[7], index.link_ids[-1]]

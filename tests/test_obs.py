@@ -3,7 +3,7 @@
 The headline gates mirror the cost-model contract established for Table 2:
 for a fixed seed, the deterministic registry snapshot and the span-tree JSONL
 of a Fattree(8) engine run must be **byte-identical** across
-``REPRO_BACKEND in {numpy, python}`` x ``REPRO_JOBS in {1, 4}``.  Everything
+``REPRO_JOBS in {1, 4}``.  Everything
 wall-clock flavoured is informational and excluded from those bytes.
 """
 
@@ -429,7 +429,6 @@ class TestBenchExport:
 
         bench_dir = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
         for name in (
-            "bench_pmc.py",
             "bench_engine.py",
             "bench_podshard.py",
             "bench_incremental.py",
@@ -593,7 +592,7 @@ class TestEngineObservability:
 
 
 # ---------------------------------------------------------------------------
-# the determinism matrix: backend x jobs byte-identity on Fattree(8)
+# the determinism matrix: jobs byte-identity on Fattree(8)
 # ---------------------------------------------------------------------------
 
 _MATRIX_SCRIPT = r"""
@@ -639,25 +638,22 @@ sys.stdout.write(obs.tracer.export_jsonl())
 
 @pytest.mark.slow
 class TestDeterminismMatrix:
-    def test_registry_and_spans_byte_identical_across_backend_and_jobs(self):
+    def test_registry_and_spans_byte_identical_across_jobs(self):
         import os
 
         outputs = {}
-        for backend in ("numpy", "python"):
-            for jobs in (1, 4):
-                env = dict(os.environ, REPRO_BACKEND=backend)
-                env.pop("REPRO_TRACE", None)
-                env.pop("REPRO_JOBS", None)
-                proc = subprocess.run(
-                    [sys.executable, "-c", _MATRIX_SCRIPT, str(jobs)],
-                    env=env,
-                    capture_output=True,
-                    text=True,
-                    timeout=600,
-                )
-                assert proc.returncode == 0, proc.stderr[-2000:]
-                outputs[(backend, jobs)] = proc.stdout
-        baseline = outputs[("numpy", 1)]
-        assert "===SPANS===" in baseline
-        for combo, output in outputs.items():
-            assert output == baseline, f"{combo} diverged from (numpy, 1)"
+        for jobs in (1, 4):
+            env = dict(os.environ)
+            env.pop("REPRO_TRACE", None)
+            env.pop("REPRO_JOBS", None)
+            proc = subprocess.run(
+                [sys.executable, "-c", _MATRIX_SCRIPT, str(jobs)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs[jobs] = proc.stdout
+        assert "===SPANS===" in outputs[1]
+        assert outputs[4] == outputs[1], "jobs=4 diverged from jobs=1"

@@ -1,9 +1,9 @@
 """The columnar candidate table: closed form == walker, and nothing unselected is built.
 
-Two producers fill a :class:`~repro.routing.PathTable` -- the closed-form
-generators (numpy backend) and the walkers (python backend, the reference) --
-and everything downstream reads rows by index, so the row order and the row
-contents must agree exactly.  Laziness is gated on a counter
+The closed-form generators fill every :class:`~repro.routing.PathTable` the
+program enumerates; the node walkers of ``tests/walker_oracle.py`` are the
+reference.  Everything downstream reads rows by index, so the row order and
+the row contents must agree exactly.  Laziness is gated on a counter
 (``materialised_rows``), never on a wall clock.
 """
 
@@ -13,11 +13,13 @@ import pickle
 
 import pytest
 
-from repro.core import Backend, PMCOptions, construct_probe_matrix
+import python_kernels
+from repro.core import PMCOptions, construct_probe_matrix
 from repro.monitor import Controller, ControllerConfig
 from repro.obs import Tracer, activated
 from repro.routing import PathTable, RoutingMatrix, enumerate_candidate_paths
 from repro.topology import TopologyDelta, build_bcube, build_fattree, build_vl2
+from walker_oracle import walker_table
 
 FATTREES = [
     (build_fattree, (k,), {"ordered": ordered, "include_intrapod_agg": intrapod})
@@ -46,22 +48,17 @@ def _case_id(case) -> str:
     return f"{build.__name__}{args}-{flags}"
 
 
-def _both_producers(case, monkeypatch):
+def _both_producers(case):
     """``(topology, closed-form table, walker table)`` of one case."""
     build, args, kwargs = case
     topology = build(*args)
-    monkeypatch.setenv("REPRO_BACKEND", "numpy")
-    closed_form = enumerate_candidate_paths(topology, **kwargs)
-    monkeypatch.setenv("REPRO_BACKEND", "python")
-    walker = enumerate_candidate_paths(topology, **kwargs)
-    monkeypatch.delenv("REPRO_BACKEND")
-    return topology, closed_form, walker
+    return topology, enumerate_candidate_paths(topology, **kwargs), walker_table(topology, **kwargs)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 class TestClosedFormEqualsWalker:
-    def test_row_for_row(self, case, monkeypatch):
-        _, closed_form, walker = _both_producers(case, monkeypatch)
+    def test_row_for_row(self, case):
+        _, closed_form, walker = _both_producers(case)
         assert len(closed_form) == len(walker) > 0
         for row, (ours, reference) in enumerate(zip(closed_form, walker)):
             assert ours == reference  # nodes, link_ids, src, dst, via -- and path_id
@@ -70,21 +67,18 @@ class TestClosedFormEqualsWalker:
             assert list(ours.link_ids) == list(reference.link_ids)
             assert ours.nodes[0] == ours.src and ours.nodes[-1] == ours.dst
 
-    def test_index_arrays_and_coverage_agree(self, case, monkeypatch):
-        topology, closed_form, walker = _both_producers(case, monkeypatch)
-        indexes = [
-            RoutingMatrix(topology, table, backend=backend).incidence
-            for table in (closed_form, walker)
-            for backend in (Backend.NUMPY, Backend.PYTHON)
-        ]
-        reference = indexes[-1]  # walker rows through the python loops
-        for index in indexes[:-1]:
-            for name in INDEX_ARRAYS:
-                assert [int(v) for v in getattr(index, name)] == list(getattr(reference, name))
-            assert [int(c) for c in index.coverage_counts()] == list(reference.coverage_counts())
+    def test_index_arrays_and_coverage_agree(self, case):
+        topology, closed_form, walker = _both_producers(case)
+        universe = [link.link_id for link in topology.switch_links]
+        reference = python_kernels.csr_csc(*walker.link_rows(), universe)  # walker rows, list loops
+        for table in (closed_form, walker):
+            index = RoutingMatrix(topology, table).incidence
+            for name, expected in zip(INDEX_ARRAYS, reference):
+                assert getattr(index, name).tolist() == expected
+            assert index.coverage_counts().tolist() == python_kernels.coverage_counts(reference[2])
 
-    def test_without_links_is_the_filtered_walker_list(self, case, monkeypatch):
-        topology, closed_form, walker = _both_producers(case, monkeypatch)
+    def test_without_links_is_the_filtered_walker_list(self, case):
+        topology, closed_form, walker = _both_producers(case)
         universe = [link.link_id for link in topology.switch_links]
         failed = {universe[0], universe[len(universe) // 2], universe[-1]}
         expected = [path for path in walker if not (path.link_ids & failed)]
@@ -99,8 +93,8 @@ class TestClosedFormEqualsWalker:
                     reference.nodes, reference.link_ids, reference.src, reference.dst, reference.via,
                 )
 
-    def test_table_pickles(self, case, monkeypatch):
-        _, closed_form, walker = _both_producers(case, monkeypatch)
+    def test_table_pickles(self, case):
+        _, closed_form, walker = _both_producers(case)
         for table in (closed_form, walker):
             clone = pickle.loads(pickle.dumps(table))
             assert len(clone) == len(table)
@@ -154,12 +148,10 @@ class TestPathIdIsTheRowInTheOwner:
         assert subset.path(0).nodes == fattree4_routing.path(9).nodes
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
-def test_plan_and_churn_cycles_materialise_selected_rows_only(backend, monkeypatch):
+def test_plan_and_churn_cycles_materialise_selected_rows_only():
     """A cold plan and five churn cycles on Fattree(8): the 7 936-row candidate
     table never materialises a row, and each cycle's probe table materialises
     exactly its own (selected) rows when the pinglists are cut."""
-    monkeypatch.setenv("REPRO_BACKEND", backend)
     topology = build_fattree(8)
     controller = Controller(topology, ControllerConfig(alpha=2, beta=1, jobs=1))
     links = [link.link_id for link in topology.switch_links]
@@ -213,7 +205,7 @@ class TestPaperTable2OriginalPaths:
 
 
 class TestEnumerationSpans:
-    def test_spans_are_informational_and_counters_do_not_move(self, fattree4, monkeypatch):
+    def test_spans_are_informational_and_counters_do_not_move(self, fattree4):
         def plan():
             paths = enumerate_candidate_paths(fattree4, ordered=False)
             matrix = RoutingMatrix(fattree4, paths)
@@ -221,23 +213,18 @@ class TestEnumerationSpans:
             return result, matrix
 
         untraced, untraced_matrix = plan()
-        spans = {}
-        for backend, producer in (("numpy", "closed_form"), ("python", "walker")):
-            monkeypatch.setenv("REPRO_BACKEND", backend)
-            tracer = Tracer()
-            with activated(tracer):
-                traced, matrix = plan()
-            assert traced.selected_indices == untraced.selected_indices
-            assert traced.stats.cost_counters() == untraced.stats.cost_counters()
-            assert matrix.incidence.counters.cost == untraced_matrix.incidence.counters.cost
-            informational = [span for span in tracer.finished_spans() if span.informational]
-            (enumerated,) = [s for s in informational if s.name == "routing.enumerate"]
-            assert enumerated.labels == {"rows": 112, "hops": 448, "producer": producer}
-            # One build for the candidates, one for the probe matrix cut from them.
-            builds = [s.labels for s in informational if s.name == "incidence.build"]
-            assert [b["rows"] for b in builds] == [112, len(traced.selected_indices)]
-            assert builds[0]["nnz"] == matrix.incidence.nnz and builds[0]["links"] == matrix.num_links
-            assert "routing.enumerate" not in tracer.export_jsonl()
-            assert "incidence.build" not in tracer.export_jsonl()
-            spans[backend] = tracer.export_jsonl()
-        assert spans["numpy"] == spans["python"]  # the deterministic stream is backend-free
+        tracer = Tracer()
+        with activated(tracer):
+            traced, matrix = plan()
+        assert traced.selected_indices == untraced.selected_indices
+        assert traced.stats.cost_counters() == untraced.stats.cost_counters()
+        assert matrix.incidence.counters.cost == untraced_matrix.incidence.counters.cost
+        informational = [span for span in tracer.finished_spans() if span.informational]
+        (enumerated,) = [s for s in informational if s.name == "routing.enumerate"]
+        assert enumerated.labels == {"rows": 112, "hops": 448}
+        # One build for the candidates, one for the probe matrix cut from them.
+        builds = [s.labels for s in informational if s.name == "incidence.build"]
+        assert [b["rows"] for b in builds] == [112, len(traced.selected_indices)]
+        assert builds[0]["nnz"] == matrix.incidence.nnz and builds[0]["links"] == matrix.num_links
+        assert "routing.enumerate" not in tracer.export_jsonl()
+        assert "incidence.build" not in tracer.export_jsonl()

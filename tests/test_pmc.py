@@ -206,19 +206,18 @@ class TestShortLinkTermination:
         ),
     }
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
     @pytest.mark.parametrize("name", list(CASES))
-    def test_same_selection_fewer_evaluations(self, name, backend):
+    def test_same_selection_fewer_evaluations(self, name):
         build, mask, drained_selection, uncoverable, drained_evaluations = self.CASES[name]
         topology = build()
         paths = enumerate_candidate_paths(topology, ordered=False)
         options = PMCOptions(alpha=2, beta=1, jobs=1)
-        matrix = RoutingMatrix(topology, paths, backend=backend)
+        matrix = RoutingMatrix(topology, paths)
         matrix.incidence.apply_link_mask(mask)
         counts = matrix.incidence.active_coverage_counts()
         assert any(0 < count < options.alpha for count in counts)
         masked = construct_probe_matrix_masked(matrix, options)
-        rebuilt = RoutingMatrix(topology, paths.without_links(mask), backend=backend)
+        rebuilt = RoutingMatrix(topology, paths.without_links(mask))
         cold = construct_probe_matrix(rebuilt, options)
         for result in (masked, cold):
             stats = result.stats

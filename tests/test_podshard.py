@@ -4,8 +4,8 @@ The contract under test (ISSUE 7 tentpole): with ``PMCOptions.shard_by_pods``
 the solve decomposes into one subproblem per pod plus a residual shard for
 cross-pod paths, shards solve independently (inline or across a process
 pool), and the merged cover -- selections, stats, cost counters, per-shard
-kernel counters -- is **byte-identical** at any ``jobs`` setting, on either
-incidence backend.  Cross-pod paths must land in the dedicated residual
+kernel counters -- is **byte-identical** at any ``jobs`` setting.  Cross-pod
+paths must land in the dedicated residual
 shard, never silently in pod 0.
 """
 
@@ -29,13 +29,10 @@ from repro.core import (
     link_pod_map,
     pod_shards_for_matrix,
 )
-from repro.core.incidence import Backend
 from repro.monitor import Controller, ControllerConfig
 from repro.parallel import derive_seeds, pool_map, resolve_jobs
 from repro.routing import RoutingMatrix, enumerate_candidate_paths
 from repro.topology import build_bcube, build_fattree, build_vl2
-
-BACKENDS = [Backend.PYTHON, Backend.NUMPY]
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +204,7 @@ class TestArrayShardingEqualsRowLoop:
 
         topology, kwargs = _SHARDING_FABRICS[name]()
         paths = enumerate_candidate_paths(topology, ordered=False, **kwargs)
-        arrays = RoutingMatrix(topology, paths, backend=Backend.NUMPY)
-        loops = RoutingMatrix(topology, paths, backend=Backend.PYTHON)
+        arrays = RoutingMatrix(topology, paths)
         cold = pod_shards_for_matrix(arrays)
         if name.startswith("fattree"):
             assert [s.pod for s in cold] == list(range(len(cold) - 1)) + [RESIDUAL_POD]
@@ -223,31 +219,30 @@ class TestArrayShardingEqualsRowLoop:
             arrays.incidence.apply_link_mask(rng.sample(links, rng.randint(1, 6)))
             row_subsets.append(arrays.incidence.active_rows())
         arrays.incidence.clear_link_mask()
+        counters = arrays.incidence.counters
         for rows in row_subsets:
             considered = arrays.num_paths if rows is None else len(rows)
-            ticks = []
-            for matrix in (arrays, loops):
-                counters = matrix.incidence.counters
-                before = counters.calls("pod_shards"), counters.elements("pod_shards")
-                shards = pod_shards_for_matrix(matrix, rows=rows)
-                # Subproblem for Subproblem: pod, link_ids, path_indices order,
-                # shard order.
-                assert shards == _row_loop_shards(matrix, rows)
-                ticks.append(
-                    (
-                        counters.calls("pod_shards") - before[0],
-                        counters.elements("pod_shards") - before[1],
-                    )
-                )
-            assert ticks == [(1, considered)] * 2  # one tick per considered row
+            before = counters.calls("pod_shards"), counters.elements("pod_shards")
+            shards = pod_shards_for_matrix(arrays, rows=rows)
+            # Subproblem for Subproblem: pod, link_ids, path_indices order,
+            # shard order.
+            assert shards == _row_loop_shards(arrays, rows)
+            ticks = (
+                counters.calls("pod_shards") - before[0],
+                counters.elements("pod_shards") - before[1],
+            )
+            assert ticks == (1, considered)  # one tick per considered row
 
     def test_rows_keep_the_callers_order(self, fattree4):
         paths = enumerate_candidate_paths(fattree4, ordered=False, include_intrapod_agg=True)
-        arrays = RoutingMatrix(fattree4, paths, backend=Backend.NUMPY)
-        loops = RoutingMatrix(fattree4, paths, backend=Backend.PYTHON)
+        arrays = RoutingMatrix(fattree4, paths)
         rows = list(range(arrays.num_paths))[::-3]
         shards = pod_shards_for_matrix(arrays, rows=rows)
-        assert shards == pod_shards_for_matrix(loops, rows=rows)
+        rank = {row: position for position, row in enumerate(rows)}
+        assert shards == [  # the row loop walks rows ascending
+            Subproblem(s.link_ids, tuple(sorted(s.path_indices, key=rank.get)), s.pod)
+            for s in _row_loop_shards(arrays, rows)
+        ]
         for shard in shards:
             assert list(shard.path_indices) == sorted(shard.path_indices, reverse=True)
 
@@ -270,7 +265,7 @@ class TestArrayShardingEqualsRowLoop:
             (universe, []),
             ([], paths[:3]),
         ):
-            arrays = RoutingMatrix(fattree4, candidates, link_ids=link_ids, backend=Backend.NUMPY)
+            arrays = RoutingMatrix(fattree4, candidates, link_ids=link_ids)
             shards = pod_shards_for_matrix(arrays)
             assert shards == _row_loop_shards(arrays)
             assert sorted({l for s in shards for l in s.link_ids}) == sorted(link_ids)
@@ -280,7 +275,7 @@ class TestArrayShardingEqualsRowLoop:
         from repro.core.incidence import IncidenceIndex
 
         paths = enumerate_candidate_paths(fattree4, ordered=False, include_intrapod_agg=True)
-        index = RoutingMatrix(fattree4, paths, backend=Backend.NUMPY).incidence
+        index = RoutingMatrix(fattree4, paths).incidence
         pods = link_pod_map(fattree4, index.link_ids)
         col_pods = [RESIDUAL_POD if pods[link] is None else pods[link] for link in index.link_ids]
         with index.share() as share:
@@ -321,11 +316,10 @@ def _assert_results_identical(a, b):
 
 
 class TestParallelDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
     @pytest.mark.parametrize("name", ["fattree4", "vl2", "bcube"])
-    def test_sharded_invariant_to_jobs(self, name, backend):
+    def test_sharded_invariant_to_jobs(self, name):
         topology, paths = _build(name)
-        matrix = RoutingMatrix(topology, paths, backend=backend)
+        matrix = RoutingMatrix(topology, paths)
         baseline = construct_probe_matrix(
             matrix, PMCOptions(alpha=2, beta=1, shard_by_pods=True, jobs=1)
         )
@@ -350,14 +344,13 @@ class TestParallelDifferential:
         assert serial.stats.cost_counters() == pooled.stats.cost_counters()
         assert serial.probe_matrix.to_json() == pooled.probe_matrix.to_json()
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
-    def test_unsharded_cold_path_invariant_to_jobs(self, backend):
+    def test_unsharded_cold_path_invariant_to_jobs(self):
         # The same contract off the pod-sharded path: which driver ran must
         # be invisible in the shard records and in the index's kernel totals.
         topology, paths = _build("fattree4")
         results, kernel_totals = [], []
         for jobs in (1, 2):
-            matrix = RoutingMatrix(topology, paths, backend=backend)
+            matrix = RoutingMatrix(topology, paths)
             result = construct_probe_matrix(
                 matrix, PMCOptions(alpha=2, beta=1, use_symmetry=False, jobs=jobs)
             )

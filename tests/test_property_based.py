@@ -203,7 +203,7 @@ def test_pod_sharding_is_a_partition_with_residual(data):
 @given(pod_sharding_inputs(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_array_pod_sharding_equals_the_row_loop(data, extra):
-    from repro.core.incidence import Backend, IncidenceIndex
+    from repro.core.incidence import IncidenceIndex
 
     universe, subsets, link_pods, _ = data
     rows = extra.draw(
@@ -218,7 +218,7 @@ def test_array_pod_sharding_equals_the_row_loop(data, extra):
             Subproblem(s.link_ids, tuple(sorted(s.path_indices, key=rank.get)), s.pod)
             for s in reference
         ]
-    index = IncidenceIndex(subsets, universe, backend=Backend.NUMPY)
+    index = IncidenceIndex(subsets, universe)
     col_pods = [RESIDUAL_POD if link_pods[l] is None else link_pods[l] for l in universe]
     assert [
         Subproblem(links, members, pod) for pod, links, members in index.pod_shards(col_pods, rows)

@@ -18,13 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PMCOptions, construct_probe_matrix, construct_probe_matrix_masked
-from repro.core.incidence import Backend
 from repro.monitor import Controller, ControllerConfig
 from repro.obs.tracing import Tracer, activated
 from repro.routing import RoutingMatrix, enumerate_candidate_paths
 from repro.topology import build_bcube, build_fattree, build_vl2
-
-BACKENDS = [Backend.NUMPY, Backend.PYTHON]
 
 FABRICS = {
     "fattree4": lambda: build_fattree(4),
@@ -36,10 +33,10 @@ FABRICS = {
 
 
 @functools.lru_cache(maxsize=None)
-def _matrix(fabric: str, backend: Backend) -> RoutingMatrix:
+def _matrix(fabric: str) -> RoutingMatrix:
     topology = FABRICS[fabric]()
     paths = enumerate_candidate_paths(topology, ordered=False)
-    return RoutingMatrix(topology, paths, backend=backend)
+    return RoutingMatrix(topology, paths)
 
 
 def _masks(matrix: RoutingMatrix, seed: int):
@@ -66,14 +63,13 @@ def _solve(matrix: RoutingMatrix, mask, options: PMCOptions):
 
 class TestReplayEqualsSolvingEverything:
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
     @pytest.mark.parametrize(
         "fabric, beta",
         [(fabric, 1) for fabric in FABRICS] + [("fattree4", 2)],
         ids=lambda value: str(value),
     )
-    def test_same_selection_one_solve_per_digest(self, fabric, beta, backend, jobs):
-        matrix = _matrix(fabric, backend)
+    def test_same_selection_one_solve_per_digest(self, fabric, beta, jobs):
+        matrix = _matrix(fabric)
         for mask in _masks(matrix, seed=len(fabric) + beta):
             oracle, replayed = (
                 _solve(matrix, mask, PMCOptions(alpha=2, beta=beta, jobs=jobs, use_symmetry=flag))
@@ -101,7 +97,7 @@ class TestReplayEqualsSolvingEverything:
     @pytest.mark.parametrize("k", [4, 6, 8])
     def test_healthy_fattree_is_one_subproblem(self, k):
         result = construct_probe_matrix(
-            _matrix(f"fattree{k}", Backend.NUMPY), PMCOptions(alpha=2, beta=1)
+            _matrix(f"fattree{k}"), PMCOptions(alpha=2, beta=1)
         )
         assert len(result.shards) == k // 2
         assert len({shard.digest for shard in result.shards}) == 1
@@ -110,7 +106,7 @@ class TestReplayEqualsSolvingEverything:
 
     @pytest.mark.parametrize("fabric", ["vl2", "bcube"])
     def test_single_component_fabrics_gain_and_lose_nothing(self, fabric):
-        matrix = _matrix(fabric, Backend.NUMPY)
+        matrix = _matrix(fabric)
         on, off = (
             construct_probe_matrix(matrix, PMCOptions(alpha=2, beta=1, use_symmetry=flag))
             for flag in (True, False)
@@ -118,16 +114,13 @@ class TestReplayEqualsSolvingEverything:
         assert len(on.shards) == 1 and not on.shards[0].reused
         assert on.stats.cost_counters() == off.stats.cost_counters()
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
-    def test_digest_is_backend_identical(self, backend):
-        reference = construct_probe_matrix(
-            _matrix("fattree6", Backend.NUMPY), PMCOptions(alpha=2, beta=1)
-        )
-        result = construct_probe_matrix(_matrix("fattree6", backend), PMCOptions(alpha=2, beta=1))
-        assert [s.digest for s in result.shards] == [s.digest for s in reference.shards]
+    def test_digest_is_pinned(self):
+        result = construct_probe_matrix(_matrix("fattree6"), PMCOptions(alpha=2, beta=1))
+        digest = "ab0a39a2b93c17b758da804e68b03985b2c4cb0a130199777221c13c3e707e06"
+        assert [s.digest for s in result.shards] == [digest] * 3
 
     def test_capped_run_replays_across_its_one_subproblem_batches(self):
-        matrix = _matrix("fattree8", Backend.NUMPY)
+        matrix = _matrix("fattree8")
         on, off = (
             construct_probe_matrix(
                 matrix, PMCOptions(alpha=2, beta=1, max_paths=150, use_symmetry=flag)
@@ -143,13 +136,9 @@ class TestReplayEqualsSolvingEverything:
 # ---------------------------------------------------------------------------
 
 class TestReplayThroughTheSubproblemsOwnIds:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=[b.value for b in BACKENDS])
-    def test_two_dead_links_are_each_uncoverable_under_their_own_id(
-        self, fattree4, backend, monkeypatch
-    ):
+    def test_two_dead_links_are_each_uncoverable_under_their_own_id(self, fattree4):
         """Two path-less singleton subproblems share one canonical digest; the
         second replays the first and must still report its *own* link."""
-        monkeypatch.setenv("REPRO_BACKEND", backend.value)
         controller = Controller(fattree4, ControllerConfig(alpha=2, beta=1))
         controller.run_cycle()
         dead = tuple(sorted(link.link_id for link in fattree4.switch_links[5:30:17]))
@@ -208,7 +197,7 @@ class TestReplayThroughTheSubproblemsOwnIds:
 class TestSolveSpansCarryTheDigest:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_span_digest_is_the_shard_digest(self, jobs):
-        matrix = _matrix("fattree6", Backend.NUMPY)
+        matrix = _matrix("fattree6")
         links = list(matrix.link_ids)
         tracer = Tracer()
         with activated(tracer):
@@ -229,7 +218,7 @@ class TestSolveSpansCarryTheDigest:
 
 @functools.lru_cache(maxsize=None)
 def _fattree_frame(k: int):
-    matrix = _matrix(f"fattree{k}", Backend.NUMPY)
+    matrix = _matrix(f"fattree{k}")
     index = matrix.incidence
     row_of = {index.row_link_set(row): row for row in range(index.num_paths)}
     return matrix, row_of

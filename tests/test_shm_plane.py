@@ -3,10 +3,10 @@
 Three layers of guarantees, in rough order of blast radius:
 
 * **share/attach correctness** -- an attached index is a faithful read-only
-  view of the exported one, the python backend keeps its pickle path, and
-  repeated ``share()`` calls reuse one segment.
+  view of the exported one, and repeated ``share()`` calls reuse one segment.
 * **persistent pools** -- keyed :func:`repro.parallel.pool_map` calls reuse a
-  warm executor, and a broken pool is retired and respawned.
+  warm executor, a broken pool is retired and respawned, and a PMC solve
+  inside a pool worker never dispatches (it solves inline).
 * **no leaks** -- subprocess scenarios (clean exit, Ctrl-C, worker crash)
   leave no ``/dev/shm`` segment behind and trigger no resource-tracker
   warnings, which is the property the atexit sweeps exist for.
@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from repro import parallel
+from repro.core import PMCOptions, construct_probe_matrix
 from repro.core.incidence import (
-    Backend,
     IncidenceIndex,
     SharedIncidence,
     release_all_shares,
@@ -39,6 +39,8 @@ from repro.parallel import (
     resolve_start_method,
     shutdown_pools,
 )
+from repro.routing import RoutingMatrix, enumerate_candidate_paths
+from repro.topology import build_fattree
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,7 +56,7 @@ PATHS = [
 
 
 def _numpy_index() -> IncidenceIndex:
-    return IncidenceIndex(PATHS, LINKS, backend=Backend.NUMPY)
+    return IncidenceIndex(PATHS, LINKS)
 
 
 @pytest.fixture(autouse=True)
@@ -132,11 +134,6 @@ class TestShareAttach:
         assert share.closed
         assert _segment_is_gone(name)
 
-    def test_python_backend_keeps_pickle_path(self):
-        index = IncidenceIndex(PATHS, LINKS, backend=Backend.PYTHON)
-        with pytest.raises(RuntimeError, match="python backend"):
-            index.share()  # repro: allow[REP008] -- the call raises; nothing is acquired
-
     def test_attached_index_cannot_reshare(self):
         index = _numpy_index()
         with index.share() as share:
@@ -168,9 +165,8 @@ class TestShareAttach:
 # ---------------------------------------------------------------------------
 
 class TestCoverageCache:
-    @pytest.mark.parametrize("backend", [Backend.NUMPY, Backend.PYTHON])
-    def test_vector_computed_once_but_still_ticked(self, backend):
-        index = IncidenceIndex(PATHS, LINKS, backend=backend)
+    def test_vector_computed_once_but_still_ticked(self):
+        index = _numpy_index()
         first = index.coverage_counts()
         second = index.coverage_counts()
         assert second is first  # the cached vector, not a recompute
@@ -200,6 +196,21 @@ def _square(x: int) -> int:
 
 def _die(_x: int) -> int:
     os._exit(13)  # simulate a worker crash, not an exception
+
+
+def _plan_fattree4(jobs: int):
+    """A Fattree(4) cold plan with every component solved (two tasks to dispatch)."""
+    topology = build_fattree(4)
+    matrix = RoutingMatrix(topology, enumerate_candidate_paths(topology, ordered=False))
+    spawns = pool_telemetry()["pool_spawns"]
+    result = construct_probe_matrix(
+        matrix, PMCOptions(alpha=2, beta=1, use_symmetry=False, jobs=jobs)
+    )
+    return (
+        result.selected_indices,
+        result.stats.cost_counters(),
+        pool_telemetry()["pool_spawns"] - spawns,
+    )
 
 
 class TestPersistentPool:
@@ -243,6 +254,13 @@ class TestPersistentPool:
         assert shutdown_pools() == 1
         assert shutdown_pools() == 0
 
+    def test_nested_pmc_dispatch_solves_inline(self):
+        """``jobs=2`` inside a pool worker: the worker's cores are taken, so the
+        solve runs inline -- same cover and counters, no pool of its own."""
+        selection, counters, _ = _plan_fattree4(1)
+        for nested in pool_map(_plan_fattree4, [2, 2], jobs=2):
+            assert nested == (selection, counters, 0)
+
     def test_resolve_start_method(self, monkeypatch):
         monkeypatch.delenv("REPRO_MP_START", raising=False)
         assert resolve_start_method() is None
@@ -262,11 +280,11 @@ class TestPersistentPool:
 
 _CLEAN_EXIT_SCRIPT = r"""
 import sys
-from repro.core.incidence import Backend, IncidenceIndex
+from repro.core.incidence import IncidenceIndex
 
 
 def main():
-    index = IncidenceIndex([{1, 2}, {2, 3}], [1, 2, 3], backend=Backend.NUMPY)
+    index = IncidenceIndex([{1, 2}, {2, 3}], [1, 2, 3])
     share = index.share()  # never released: the atexit sweep must catch it
     sys.stdout.write(share.name)
 
@@ -279,7 +297,7 @@ _SIGINT_SCRIPT = r"""
 import os
 import signal
 import sys
-from repro.core.incidence import Backend, IncidenceIndex
+from repro.core.incidence import IncidenceIndex
 from repro.parallel import pool_map
 
 
@@ -288,7 +306,7 @@ def _identity(x):
 
 
 def main():
-    index = IncidenceIndex([{1, 2}, {2, 3}], [1, 2, 3], backend=Backend.NUMPY)
+    index = IncidenceIndex([{1, 2}, {2, 3}], [1, 2, 3])
     share = index.share()
     pool_map(_identity, [1, 2, 3], jobs=2, context_key="lifecycle.sigint")
     sys.stdout.write(share.name)
@@ -304,7 +322,7 @@ _WORKER_CRASH_SCRIPT = r"""
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from repro.core.incidence import Backend, IncidenceIndex
+from repro.core.incidence import IncidenceIndex
 from repro.parallel import pool_map
 
 _INDEX = None
@@ -320,7 +338,7 @@ def _crash(x):
 
 
 def main():
-    index = IncidenceIndex([{1, 2}, {2, 3}], [1, 2, 3], backend=Backend.NUMPY)
+    index = IncidenceIndex([{1, 2}, {2, 3}], [1, 2, 3])
     share = index.share()
     try:
         pool_map(_crash, [1, 2], jobs=2,
