@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,11 +244,12 @@ class DynamicFaultModel:
         )
         self.transitions: List[FaultTransition] = []
         self.fault_intervals: Dict[int, List[List[Optional[float]]]] = {}
-        # Per-link count of episodes currently holding the link faulty:
-        # overlapping episodes (e.g. two switch outages sharing a link, or a
-        # flap inside an outage) compose -- the link only heals when the last
+        # Per-link stack of the episodes currently holding the link faulty, as
+        # (kind, failure): overlapping episodes (e.g. two switch outages
+        # sharing a link, or a flap on a gray link) compose -- the newest
+        # holder's failure is in force, and the link only heals when the last
         # holder releases it.
-        self._active_holds: Dict[int, int] = {}
+        self._holders: Dict[int, List[Tuple[str, LinkFailure]]] = {}
 
     # ------------------------------------------------------------- factories
     @classmethod
@@ -270,15 +271,16 @@ class DynamicFaultModel:
     def activate(self, link_id: int, failure: LinkFailure, kind: str) -> None:
         """Turn a fault on at the loop's current instant.
 
-        Episode holds on a link are counted: a second episode activating an
-        already-faulty link overrides the drop behaviour (latest failure
-        wins) but the link stays faulty until *every* holder deactivates.
+        Episode holds on a link stack up: a second episode activating an
+        already-faulty link overrides the drop behaviour while it holds the
+        link (the newest failure is in force), and the link stays faulty until
+        *every* holder deactivates.
         """
         now = self._now()
         self.scenario.add(failure)
-        holds = self._active_holds.get(link_id, 0)
-        self._active_holds[link_id] = holds + 1
-        if holds == 0:  # the transitions log records actual state changes only
+        holders = self._holders.setdefault(link_id, [])
+        holders.append((kind, failure))
+        if len(holders) == 1:  # the transitions log records actual state changes only
             self.transitions.append(FaultTransition(now, link_id, True, kind))
             tracing.record("fault.transition", link=link_id, faulty=True, kind=kind)
         intervals = self.fault_intervals.setdefault(link_id, [])
@@ -286,15 +288,25 @@ class DynamicFaultModel:
             intervals.append([now, None])
 
     def deactivate(self, link_id: int, kind: str) -> None:
-        """Release one episode's hold; the fault clears with the last hold."""
-        now = self._now()
-        holds = self._active_holds.get(link_id, 0)
-        if holds == 0:
+        """Release the newest hold of episode kind ``kind`` on the link.
+
+        Releasing the hold in force puts the newest remaining holder's failure
+        back in force; the fault clears with the last hold.  A kind holding
+        nothing on the link is a no-op.
+        """
+        holders = self._holders.get(link_id, [])
+        released = next(
+            (i for i in reversed(range(len(holders))) if holders[i][0] == kind), None
+        )
+        if released is None:
             return
-        self._active_holds[link_id] = holds - 1
-        if holds > 1:
-            return  # another episode still holds the link down
-        del self._active_holds[link_id]
+        del holders[released]
+        if holders:
+            if released == len(holders):  # the failure in force was released
+                self.scenario.add(holders[-1][1])
+            return
+        del self._holders[link_id]
+        now = self._now()
         self.transitions.append(FaultTransition(now, link_id, False, kind))
         tracing.record("fault.transition", link=link_id, faulty=False, kind=kind)
         self.scenario.remove(link_id)

@@ -16,8 +16,9 @@ and jitter are drawn per firing in pop order, but the round-robin expansion
 to ``(path, count, start_sequence)`` rows, the sequence-counter bumps and the
 probing itself run as columnar numpy passes through
 :meth:`~repro.simulation.ProbeSimulator.probe_paths_bulk`, which answers
-clean and deterministic-loss rows without per-row Python and random-loss rows
-one compiled kernel call each, in row order.  Outcomes leave as one columnar
+clean and deterministic-loss rows without per-row Python and all random-loss
+rows of the drain in one plain-Python pass, in row order, over one block of
+uniform variates.  Outcomes leave as one columnar
 ``sink(paths, times, sent, lost)`` call per drain (the engine wires
 :meth:`~repro.engine.aggregator.StreamAggregator.record_batch` here).
 

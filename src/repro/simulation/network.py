@@ -15,22 +15,27 @@ Two probing kernels share one semantics.  :meth:`ProbeSimulator.probe_path_batch
 answers one ``(path, count)`` row per call and is the reference: the per-event
 oracle scheduler of ``tests/per_event_oracle.py`` probes with it, and no engine
 code path calls it.  :meth:`ProbeSimulator.probe_paths_bulk` answers a whole
-drain of rows from a plan compiled once per scenario version -- clean rows by
-a mask, rows crossing only full-loss / deterministic-partial links closed-form
-from a per-port "first link that drops it" table, rows crossing a
-random-partial link with exactly the reference's ``Generator.random(n)``
-sequence.  The two agree on ``(sent, lost)``, ``drops_per_link`` and the
-generator state after every call (``docs/INVARIANTS.md``).
+drain of rows from a plan compiled per primed path table and patched per
+scenario version (only the rows crossing a changed link are recompiled) --
+clean rows by a mask, rows crossing only full-loss / deterministic-partial
+links closed-form from a per-port "first link that drops it" table, rows
+crossing a random-partial link in one plain-Python pass over one block of
+uniform variates per drain, consumed in exactly the reference's
+``Generator.random(n)`` sequence.  The two agree on ``(sent, lost)``,
+``drops_per_link`` and the generator state after every call
+(``docs/INVARIANTS.md``).
 """
 
 from __future__ import annotations
 
+import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..contracts import trace_record
+from ..contracts import informational_wall, trace_record
 from ..core import ProbeMatrix
 from ..localization import ObservationSet, PathObservation
 from ..routing import ECMPRouter, Path, ProbePacket
@@ -122,41 +127,95 @@ def _group_rows(rows: np.ndarray, signatures: List[_Signature], config_of: np.nd
     return [(signature, group) for signature, group in groups if len(group)]
 
 
+def _set_bits(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+class _SlotMask:
+    """A deterministic-partial link's per-port-slot decisions as an int bitmask.
+
+    Bit ``s`` of ``bits`` is set when the link drops a probe sent from port
+    slot ``s``.  ``periodic`` repeats that pattern over ``span`` bits, so the
+    fate of any run of consecutive probes is one shift and one mask.
+    """
+
+    __slots__ = ("bits", "period", "periodic", "span")
+
+    def __init__(self, pattern: Sequence[bool]):
+        self.period = self.span = len(pattern)
+        self.bits = self.periodic = sum(1 << slot for slot, drops in enumerate(pattern) if drops)
+
+    def window(self, start_sequence: int, size: int) -> int:
+        """Bit ``i`` set when probe ``start_sequence + i`` is dropped."""
+        offset = start_sequence % self.period
+        while self.span < offset + size:
+            self.periodic |= self.periodic << self.span
+            self.span *= 2
+        return (self.periodic >> offset) & ((1 << size) - 1)
+
+
+class _HitLists(dict):
+    """Per loss rate, the positions of a random block that drop a probe --
+    the variates below the rate -- ascending, closed by a ``len(block)``
+    sentinel; built on first lookup."""
+
+    def __init__(self, block: np.ndarray):
+        super().__init__()
+        self.block = block
+
+    def __missing__(self, rate: float) -> List[int]:
+        hits = self[rate] = np.flatnonzero(self.block < rate).tolist() + [len(self.block)]
+        return hits
+
+
 class _SignatureTables(NamedTuple):
     """A plan's dirty paths compiled for one port-entropy signature.
 
-    A deterministic path owns row ``table_of_path[path]`` of ``first_drop``:
-    per port slot, the link that drops a probe sent from that port -- the
-    first match walking the path forward, then back -- or -1 when it is
-    delivered.  A stochastic path owns ``walks[path] = (walk, port_range or
-    0)``: the same walk flattened to ``(link_id, kind, argument)`` steps, the
-    argument being the loss rate of a random step and the per-slot pattern of
-    a deterministic-partial one (0 when no step needs the slots).
+    ``first_drop[path, s]`` is the link dropping a deterministic path's probe
+    sent from port slot ``s`` -- the first match walking the path forward,
+    then back -- and -1 when it is delivered (and on every path that is not
+    deterministic).  A stochastic path owns ``walks[path]``: the same walk as
+    ``(link_id, kind, argument)`` steps, the argument being the loss rate of a
+    random step and the :class:`_SlotMask` of a deterministic-partial one.
     """
 
-    table_of_path: np.ndarray
     first_drop: np.ndarray
-    walks: Dict[int, Tuple[list, int]]
+    walks: Dict[int, tuple]
 
 
 class _ScenarioPlan:
-    """One scenario version compiled against the primed path table.
+    """The primed path table compiled against one scenario object.
 
-    ``dirty`` marks the primed paths crossing a failed link, ``stochastic``
-    those of them crossing a random-partial one, and ``failures[row]`` is a
-    dirty path's ``(link_id, LinkFailure)`` list in the order the scalar
-    kernel walks it.  ``tables`` holds one :class:`_SignatureTables` per
-    port-entropy signature met since the compile.
+    ``failing`` is the snapshot of ``scenario.failures`` the plan matches, as
+    of ``version``.  ``dirty`` marks the primed paths crossing a failed link,
+    ``stochastic`` those of them crossing a random-partial one,
+    ``random_steps[path]`` counts the random steps of a path's round trip, and
+    ``failures[row]`` is a dirty path's ``(link_id, LinkFailure)`` list in the
+    order the scalar kernel walks it.  ``tables`` holds one
+    :class:`_SignatureTables` per port-entropy signature met since the plan
+    was created.  A plan starts empty and is brought to every version it
+    meets by recompiling the rows that cross a changed link.
     """
 
-    __slots__ = ("scenario", "version", "dirty", "stochastic", "failures", "tables")
+    __slots__ = (
+        "scenario", "version", "failing", "dirty", "stochastic", "random_steps", "failures",
+        "tables",
+    )
 
-    def __init__(self, scenario, dirty, stochastic, failures):
+    def __init__(self, scenario: FailureScenario, num_paths: int):
         self.scenario = scenario
-        self.version = scenario.version
-        self.dirty = dirty
-        self.stochastic = stochastic
-        self.failures = failures
+        self.version: Optional[int] = None
+        self.failing: Dict[int, LinkFailure] = {}
+        self.dirty = np.zeros(num_paths, dtype=bool)
+        self.stochastic = np.zeros(num_paths, dtype=bool)
+        self.random_steps = np.zeros(num_paths, dtype=np.int64)
+        self.failures: Dict[int, List[Tuple[int, LinkFailure]]] = {}
         self.tables: Dict[_Signature, _SignatureTables] = {}
 
 
@@ -177,18 +236,19 @@ class ProbeSimulator:
         self.drops_per_link: Dict[int, int] = {}
         # Bulk-probing state (prime_paths): the probe matrix's path table, a
         # link -> path-rows reverse index, the plan compiled for the current
-        # (scenario, version), and the per-port decisions of every
+        # scenario object, and the per-port decisions of every
         # deterministic-partial failure met since the last prime.
         self._primed_paths: Optional[List[Path]] = None
         self._rows_by_link: Dict[int, np.ndarray] = {}
         self._plan_cache: Optional[_ScenarioPlan] = None
-        self._flow_memo: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        self._flow_memo: Dict[tuple, Tuple[_SlotMask, _SlotMask]] = {}
         # Run totals of the bulk kernel (telemetry()).
         self._bulk_totals = {
             "rows_clean": 0,
             "rows_deterministic": 0,
             "rows_stochastic": 0,
             "scenario_compiles": 0,
+            "rows_compiled": 0,
             "random_draws": 0,
         }
 
@@ -211,11 +271,13 @@ class ProbeSimulator:
         """Run totals of the bulk kernel, shaped for a metrics-registry source.
 
         Rows answered per class (clean / deterministic / stochastic), plans
-        compiled (one per scenario version the kernel met) and uniform
-        variates drawn.  Only :meth:`probe_paths_bulk` ticks them: they
-        describe what the engine's scheduler drained and read zero for rows
-        probed through the reference kernel (:meth:`probe_path_batch`, the
-        tests' oracle) -- informational, like the scheduler's drain statistics.
+        compiled (one per scenario version the kernel met), plan rows
+        compiled (every dirty row of a fresh plan, the rows crossing a changed
+        link on a version bump) and uniform variates drawn.  Only
+        :meth:`probe_paths_bulk` ticks them: they describe what the engine's
+        scheduler drained and read zero for rows probed through the reference
+        kernel (:meth:`probe_path_batch`, the tests' oracle) -- informational,
+        like the scheduler's drain statistics.
         """
         return dict(self._bulk_totals)
 
@@ -224,10 +286,10 @@ class ProbeSimulator:
         """Register a probe matrix's path table for :meth:`probe_paths_bulk`.
 
         Builds a link -> path-rows reverse index once per controller cycle so
-        that scenario changes re-compile the plan in time proportional to the
-        *affected* rows, not the whole matrix.  Drops the compiled plan and
-        the per-port decision memo: a long ``serve()`` holds at most one
-        controller cycle's ``(failure, src, dst)`` patterns.
+        that a scenario change recompiles only the rows crossing the links it
+        touched.  Drops the compiled plan (the next drain compiles every dirty
+        row from scratch) and the per-port decision memo: a long ``serve()``
+        holds at most one controller cycle's ``(failure, src, dst)`` patterns.
         """
         self._primed_paths = list(paths)
         rows_by_link: Dict[int, List[int]] = {}
@@ -244,42 +306,62 @@ class ProbeSimulator:
     def _plan(self) -> _ScenarioPlan:
         """The plan of the current ``(scenario, scenario.version)``.
 
-        Compiled on first use and dropped wherever the scenario or the path
-        table can have changed: :meth:`set_scenario`, :meth:`prime_paths`, and
-        a version bump (the fault model bumps it on every in-place
-        activation/deactivation).
+        A new path table or scenario object (:meth:`prime_paths`,
+        :meth:`set_scenario`) starts an empty plan, which the first patch
+        fills with every dirty row.  A version bump -- the fault model bumps
+        it on every in-place activation/deactivation -- patches the plan.
         """
         scenario = self._scenario
         plan = self._plan_cache
-        if plan is not None and plan.scenario is scenario and plan.version == scenario.version:
-            return plan
-        failing = scenario.failures
-        dirty = np.zeros(len(self._primed_paths), dtype=bool)
-        stochastic = np.zeros(len(self._primed_paths), dtype=bool)
-        for link_id, failure in failing.items():
-            rows = self._rows_by_link.get(link_id)
-            if rows is not None:
-                dirty[rows] = True
-                if failure.mode is LossMode.RANDOM_PARTIAL:
-                    stochastic[rows] = True
-        paths = self._primed_paths
-        # Same link iteration order as the scalar transmit() loop, so drop
-        # attribution (which failed link gets charged) matches that regime.
-        failures = {
-            row: [
-                (link_id, failing[link_id])
-                for link_id in paths[row].link_ids
-                if link_id in failing
-            ]
-            for row in np.flatnonzero(dirty).tolist()
-        }
-        self._bulk_totals["scenario_compiles"] += 1
-        self._plan_cache = plan = _ScenarioPlan(scenario, dirty, stochastic, failures)
+        if plan is None or plan.scenario is not scenario:
+            plan = self._plan_cache = _ScenarioPlan(scenario, len(self._primed_paths))
+        if plan.version != scenario.version:
+            self._patch(plan)
         return plan
 
-    def _flow_patterns(
+    def _patch(self, plan: _ScenarioPlan) -> None:
+        """Recompile the rows crossing a link whose failure changed since the
+        plan's snapshot (added, removed or replaced)."""
+        live = plan.scenario.failures
+        before = plan.failing
+        changed = list(before.keys() - live.keys()) + [
+            link_id
+            for link_id, failure in live.items()
+            if before.get(link_id) is not failure and before.get(link_id) != failure
+        ]
+        plan.failing = dict(live)
+        plan.version = plan.scenario.version
+        crossing = [self._rows_by_link[link] for link in changed if link in self._rows_by_link]
+        rows = np.unique(np.concatenate(crossing)).tolist() if crossing else []
+        for row in rows:
+            self._compile_row(plan, row)
+        self._bulk_totals["scenario_compiles"] += 1
+        self._bulk_totals["rows_compiled"] += len(rows)
+
+    def _compile_row(self, plan: _ScenarioPlan, row: int) -> None:
+        """Bring one primed row of ``plan`` up to the plan's failure snapshot."""
+        failing = plan.failing
+        # Same link iteration order as the scalar transmit() loop, so drop
+        # attribution (which failed link gets charged) matches that regime.
+        failures = [
+            (link_id, failing[link_id])
+            for link_id in self._primed_paths[row].link_ids
+            if link_id in failing
+        ]
+        random_links = sum(failure.mode is LossMode.RANDOM_PARTIAL for _, failure in failures)
+        plan.dirty[row] = bool(failures)
+        plan.stochastic[row] = random_links > 0
+        plan.random_steps[row] = random_links * (2 if self._probe_reverse_path else 1)
+        if failures:
+            plan.failures[row] = failures
+        else:
+            plan.failures.pop(row, None)
+        for signature, tables in plan.tables.items():
+            self._compile_row_tables(plan, tables, signature, row)
+
+    def _slot_masks(
         self, failure: LinkFailure, src: str, dst: str, signature: _Signature
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[_SlotMask, _SlotMask]:
         """Per-port-slot ``drops_flow`` decisions, forward and reverse.
 
         The flow key varies only through the source port, so ``port_range``
@@ -287,66 +369,60 @@ class ProbeSimulator:
         pair.  Memoized across scenario versions until the next prime.
         """
         key = (failure, src, dst, signature)
-        patterns = self._flow_memo.get(key)
-        if patterns is None:
+        masks = self._flow_memo.get(key)
+        if masks is None:
             base_port, port_range, dst_port = signature
             ports = range(base_port, base_port + port_range)
-            patterns = (
-                np.fromiter(
-                    (failure.drops_flow((src, dst, port, dst_port, 17)) for port in ports),
-                    bool,
-                    port_range,
-                ),
-                np.fromiter(
-                    (failure.drops_flow((dst, src, dst_port, port, 17)) for port in ports),
-                    bool,
-                    port_range,
-                ),
+            masks = self._flow_memo[key] = (
+                _SlotMask([failure.drops_flow((src, dst, port, dst_port, 17)) for port in ports]),
+                _SlotMask([failure.drops_flow((dst, src, dst_port, port, 17)) for port in ports]),
             )
-            self._flow_memo[key] = patterns
-        return patterns
+        return masks
 
     def _tables(self, plan: _ScenarioPlan, signature: _Signature) -> _SignatureTables:
         """``plan``'s dirty paths compiled for ``signature``, on first use."""
         tables = plan.tables.get(signature)
-        if tables is not None:
-            return tables
+        if tables is None:
+            first_drop = np.full((len(self._primed_paths), signature[1]), -1, dtype=np.int64)
+            tables = plan.tables[signature] = _SignatureTables(first_drop, {})
+            for row in plan.failures:
+                self._compile_row_tables(plan, tables, signature, row)
+        return tables
+
+    def _compile_row_tables(
+        self, plan: _ScenarioPlan, tables: _SignatureTables, signature: _Signature, row: int
+    ) -> None:
+        """One row's walk (stochastic) or first-drop slots (deterministic)."""
+        tables.walks.pop(row, None)
         port_range = signature[1]
-        directions = (0, 1) if self._probe_reverse_path else (0,)
-        table_of_path = np.full(len(self._primed_paths), -1, dtype=np.int64)
-        first_rows: List[np.ndarray] = []
-        walks: Dict[int, Tuple[list, int]] = {}
-        for row, failures in plan.failures.items():
+        first = [-1] * port_range
+        failures = plan.failures.get(row)
+        if failures is not None:
             path = self._primed_paths[row]
             walk = []
-            matching = False
-            for direction in directions:
+            for direction in (0, 1) if self._probe_reverse_path else (0,):
                 for link_id, failure in failures:
                     if failure.mode is LossMode.FULL:
                         walk.append((link_id, _FULL, None))
                     elif failure.mode is LossMode.DETERMINISTIC_PARTIAL:
-                        matching = True
-                        patterns = self._flow_patterns(failure, path.src, path.dst, signature)
-                        walk.append((link_id, _MATCH, patterns[direction]))
+                        masks = self._slot_masks(failure, path.src, path.dst, signature)
+                        walk.append((link_id, _MATCH, masks[direction]))
                     else:
                         walk.append((link_id, _RANDOM, failure.loss_rate))
             if plan.stochastic[row]:
-                walks[row] = (walk, port_range if matching else 0)
-                continue
-            first = np.full(port_range, -1, dtype=np.int64)
-            for link_id, kind, pattern in walk:
-                if kind == _FULL:
-                    first[first < 0] = link_id
-                    break  # nothing gets past a full-loss link
-                first[pattern & (first < 0)] = link_id
-            table_of_path[row] = len(first_rows)
-            first_rows.append(first)
-        first_drop = (
-            np.array(first_rows) if first_rows else np.zeros((0, port_range), dtype=np.int64)
-        )
-        plan.tables[signature] = tables = _SignatureTables(table_of_path, first_drop, walks)
-        return tables
+                tables.walks[row] = tuple(walk)
+            else:
+                delivered = (1 << port_range) - 1  # the slots no link has dropped yet
+                for link_id, kind, slots in walk:
+                    dropped = delivered if kind == _FULL else delivered & slots.bits
+                    for slot in _set_bits(dropped):
+                        first[slot] = link_id
+                    delivered ^= dropped
+                    if not delivered:
+                        break
+        tables.first_drop[row] = first
 
+    @informational_wall("the sim.bulk span's wall_seconds is informational; its labels are the record")
     def probe_paths_bulk(
         self,
         path_indices: np.ndarray,
@@ -362,7 +438,7 @@ class ProbeSimulator:
         starting at sequence ``start_sequences[i]``; ``configs[config_of[i]]``
         and ``confirms[config_of[i]]`` supply the row's probe entropy and
         loss-confirmation settings (one entry per firing pinger).  Rows are
-        answered by class, from the plan compiled for the scenario version:
+        answered by class, from the plan of the scenario version:
 
         * *clean* rows (no failed link; the overwhelming majority in steady
           state) are ``(count, 0)`` wholesale;
@@ -371,49 +447,52 @@ class ProbeSimulator:
           ``(count, start_sequence)``, a slot's fate from the compiled
           first-drop table, every loss re-sent and lost again ``confirm``
           times, drops charged per link by one ``bincount``;
-        * *stochastic* rows (at least one random-partial link) one kernel call
-          each, in row order, drawing ``Generator.random(n)`` exactly where
-          :meth:`probe_path_batch` does.
+        * *stochastic* rows (at least one random-partial link) in one
+          plain-Python pass, in row order, over one block of uniform variates
+          drawn for the whole drain (:meth:`_probe_stochastic_rows`).
 
         No randomness is consumed by the first two classes, so ``(sent,
         lost)``, ``drops_per_link`` and the generator state equal issuing the
-        same rows one :meth:`probe_path_batch` call at a time.  Returns
+        same rows one :meth:`probe_path_batch` call at a time.  Emits one
+        informational ``sim.bulk`` span per call, labelled with the rows of
+        each class, the variates drawn and the plan rows compiled.  Returns
         ``(sent, lost)`` int64 arrays including confirmation resends.
         """
+        started = time.perf_counter()
         if self._primed_paths is None:
             raise RuntimeError("prime_paths() must be called before probe_paths_bulk()")
         counts = np.asarray(counts, dtype=np.int64)
         sent = counts.copy()
         lost = np.zeros(len(counts), dtype=np.int64)
+        totals = self._bulk_totals
+        compiled = totals["rows_compiled"]
         plan = self._plan()
+        compiled = totals["rows_compiled"] - compiled
         dirty_rows = np.flatnonzero(plan.dirty[path_indices])
         stochastic = plan.stochastic[path_indices[dirty_rows]]
+        draws = 0
         if len(dirty_rows):
             signatures = [(c.base_port, c.port_range, c.destination_port) for c in configs]
             confirm_of = np.asarray(confirms, dtype=np.int64)
             rows = dirty_rows[~stochastic]
             for signature, group in _group_rows(rows, signatures, config_of):
-                tables = self._tables(plan, signature)
                 sent[group], lost[group] = self._probe_deterministic_rows(
-                    tables.first_drop[tables.table_of_path[path_indices[group]]],
+                    self._tables(plan, signature).first_drop[path_indices[group]],
                     counts[group],
                     start_sequences[group],
                     confirm_of[config_of[group]],
                 )
             rows = dirty_rows[stochastic]
-            outcomes = []
-            for path, count, start, firing in zip(
-                path_indices[rows].tolist(),
-                counts[rows].tolist(),
-                start_sequences[rows].tolist(),
-                config_of[rows].tolist(),
-            ):
-                walk, port_range = self._tables(plan, signatures[firing]).walks[path]
-                outcomes.append(
-                    self._probe_stochastic_row(walk, port_range, count, start, confirms[firing])
+            if len(rows):
+                sent[rows], lost[rows], draws = self._probe_stochastic_rows(
+                    plan,
+                    path_indices[rows],
+                    counts[rows],
+                    start_sequences[rows],
+                    config_of[rows],
+                    signatures,
+                    confirm_of,
                 )
-            if outcomes:
-                sent[rows], lost[rows] = np.asarray(outcomes, dtype=np.int64).T
         num_stochastic = int(np.count_nonzero(stochastic))
         row_classes = {
             "rows_clean": len(counts) - len(dirty_rows),
@@ -421,8 +500,16 @@ class ProbeSimulator:
             "rows_stochastic": num_stochastic,
         }
         for name, rows in row_classes.items():
-            self._bulk_totals[name] += rows
-        trace_record("sim.bulk", informational=True, **row_classes)
+            totals[name] += rows
+        totals["random_draws"] += draws
+        trace_record(
+            "sim.bulk",
+            wall_seconds=time.perf_counter() - started,
+            informational=True,
+            draws=draws,
+            compiled=compiled,
+            **row_classes,
+        )
         return sent, lost
 
     def _probe_deterministic_rows(
@@ -450,56 +537,91 @@ class ProbeSimulator:
             drops[link_id] = drops.get(link_id, 0) + int(charged[link_id])
         return counts + confirms * lost_once, (1 + confirms) * lost_once
 
-    def _probe_stochastic_row(
-        self, walk: list, port_range: int, count: int, start_sequence: int, confirm_losses: int
-    ) -> Tuple[int, int]:
-        """One row crossing a random-partial link, from its compiled walk.
+    def _probe_stochastic_rows(
+        self,
+        plan: _ScenarioPlan,
+        paths: np.ndarray,
+        counts: np.ndarray,
+        starts: np.ndarray,
+        firings: np.ndarray,
+        signatures: List[_Signature],
+        confirm_of: np.ndarray,
+    ) -> Tuple[List[int], List[int], int]:
+        """Rows crossing a random-partial link, in row order, from one block.
 
-        Draw for draw what :meth:`probe_path_batch` does: one
-        ``random(n)`` per random link reached, ``n`` the size of the
-        transmission (dead probes included), nothing drawn once every probe
-        is dead; then ``confirm_losses`` re-transmissions of the probes the
-        first transmission lost.
+        Draw for draw what one :meth:`probe_path_batch` call per row does: a
+        random step consumes one variate per probe of its transmission (dead
+        probes included), nothing is drawn once every probe is dead, and a
+        row's ``confirm`` re-transmissions of the probes it lost follow it.
+        The variates come from one ``random(bound)`` block, ``bound`` being
+        the most the rows can consume (random steps x count x (1 + confirm));
+        afterwards the generator is rewound and exactly the consumed variates
+        are redrawn, which leaves it where the per-row calls leave it
+        (``advance`` would drop a buffered 32-bit half).  Alive sets are int
+        bitmasks; a random step's losses are the block positions below its
+        loss rate, found by bisection in a per-rate hit list.  Returns
+        ``(sent, lost, variates consumed)``.
         """
-        random = self._rng.random
+        confirms = confirm_of[firings]
+        bound = int((plan.random_steps[paths] * counts * (1 + confirms)).sum())
+        rng = self._rng
+        state = rng.bit_generator.state
+        block = rng.random(bound)
+        hit_lists = _HitLists(block)
+        walks = {signature: self._tables(plan, signature).walks for signature in set(signatures)}
+        walks_of = [walks[signature] for signature in signatures]
         drops = self.drops_per_link
-        slots = (
-            np.arange(start_sequence, start_sequence + count) % port_range if port_range else None
-        )
-        sent = size = count
-        lost = draws = 0
-        for attempt in range(1 + confirm_losses):
-            if attempt:
-                sent += size
-            alive = None  # mask of the survivors once a probe has died
-            remaining = size
-            for link_id, kind, argument in walk:
-                if kind == _FULL:
-                    dropped = remaining
-                else:
+        cursor = 0
+        sent: List[int] = []
+        lost: List[int] = []
+        for path, count, start, firing, confirm in zip(
+            paths.tolist(), counts.tolist(), starts.tolist(), firings.tolist(), confirms.tolist()
+        ):
+            walk = walks_of[firing][path]
+            # The probes of a transmission, as positions in the row and as a
+            # mask: the whole row first, then the probes it lost, re-sent.
+            positions = range(count)
+            sending = (1 << count) - 1
+            lost_once = row_lost = 0
+            for attempt in range(1 + confirm):
+                alive = sending
+                size = len(positions)
+                for link_id, kind, argument in walk:
                     if kind == _RANDOM:
-                        dead = random(size) < argument
-                        draws += size
-                    else:
-                        dead = argument[slots]
-                    if alive is not None:
+                        # Variate k of the step decides the probe at positions[k].
+                        hits = hit_lists[argument]
+                        end = cursor + size
+                        at = bisect_left(hits, cursor)
+                        dead = 0
+                        while hits[at] < end:
+                            dead |= 1 << positions[hits[at] - cursor]
+                            at += 1
+                        cursor = end
                         dead &= alive
-                    dropped = int(np.count_nonzero(dead))
-                if dropped:
-                    drops[link_id] = drops.get(link_id, 0) + dropped
-                    remaining -= dropped
-                    if not remaining:
-                        break
-                    alive = ~dead if alive is None else alive ^ dead
-            lost += size - remaining
-            if not attempt:
-                if remaining == size:
+                    elif kind == _FULL:
+                        dead = alive
+                    else:
+                        dead = alive & argument.window(start, count)
+                    if dead:
+                        drops[link_id] = drops.get(link_id, 0) + dead.bit_count()
+                        alive ^= dead
+                        if not alive:
+                            break
+                missing = sending ^ alive
+                if attempt:
+                    row_lost += missing.bit_count()
+                elif missing:
+                    lost_once = row_lost = missing.bit_count()
+                    positions = _set_bits(missing)
+                    sending = missing
+                else:
                     break  # nothing to confirm
-                if remaining and slots is not None:
-                    slots = slots[~alive]
-                size -= remaining
-        self._bulk_totals["random_draws"] += draws
-        return sent, lost
+            sent.append(count + confirm * lost_once)
+            lost.append(row_lost)
+        if cursor < bound:
+            rng.bit_generator.state = state
+            rng.random(cursor)
+        return sent, lost, cursor
 
     # ------------------------------------------------------------ primitives
     def _dropped_on_link(self, failure: LinkFailure, flow_key: Tuple) -> bool:

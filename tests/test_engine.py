@@ -377,6 +377,33 @@ class TestDynamicFaultModel:
         assert shared.link_id not in model.active_fault_links()
         assert model.fault_intervals[shared.link_id] == [[0.0, 100.0]]
 
+    def test_released_override_hands_the_link_back_to_the_remaining_holder(self, fattree4):
+        """A flap on a gray link drops everything while it is down; once it is
+        back up the link is gray again, not stuck at full loss."""
+        link = 5
+        gray = GrayFailure(link_id=link, start_time=0.0, end_time=400.0)
+        model = DynamicFaultModel(fattree4, episodes=[
+            gray,
+            FlappingLink(link_id=link, start_time=10.0, end_time=300.0,
+                         half_life_up_seconds=10.0, half_life_down_seconds=5.0),
+        ], rng=SeededStreams(3).generator("fault-dynamics"))
+        loop = EventLoop()
+        model.install(loop, horizon=500.0)
+        modes = []
+        for step in range(1, 500):
+            loop.run_until(step * 1.0)
+            failure = model.scenario.failure_on(link)
+            modes.append(None if failure is None else failure.mode)
+        gray_mode, full = LossMode.DETERMINISTIC_PARTIAL, LossMode.FULL
+        assert full in modes[:300]
+        assert modes[300:399] == [gray_mode] * 99  # the last flap is up, gray holds
+        assert modes[400:] == [None] * 99
+        # A flap going up hands the link back to gray; it never heals early.
+        assert set(modes[:399]) == {gray_mode, full}
+        assert modes[0] is gray_mode
+        assert model.fault_intervals[link] == [[0.0, 400.0]]
+        assert [t.active for t in model.transitions if t.link_id == link] == [True, False]
+
     def test_static_model_carries_ground_truth(self, fattree4):
         scenario = FailureScenario.single_link(4)
         model = DynamicFaultModel.static(fattree4, scenario)

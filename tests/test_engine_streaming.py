@@ -200,6 +200,65 @@ class TestBulkProbeKernel:
         assert full.sum() == 40 * len(crossing)
         assert sim.telemetry()["scenario_compiles"] == 4
 
+    def test_a_flipped_link_recompiles_exactly_the_rows_crossing_it(
+        self, fattree4, fattree4_probe_matrix
+    ):
+        """A version bump patches the plan: only the primed rows crossing a
+        changed link are recompiled, ``prime_paths`` recompiles every dirty
+        row, ``scenario_compiles`` ticks once per version met, and the patched
+        plan equals one compiled from scratch."""
+        paths = fattree4_probe_matrix.paths
+        links = sorted({link for path in paths for link in path.link_ids})
+        scenario = FailureScenario()
+        scenario.add(LinkFailure(links[0], LossMode.FULL))
+        scenario.add(LinkFailure(links[1], LossMode.DETERMINISTIC_PARTIAL, match_fraction=0.5))
+        scenario.add(LinkFailure(links[2], LossMode.RANDOM_PARTIAL, loss_rate=0.2))
+        sim = ProbeSimulator(fattree4, scenario, np.random.default_rng(5))
+        sim.prime_paths(paths)
+
+        def crossing(*changed):
+            return sum(1 for path in paths if path.link_ids & set(changed))
+
+        def compiled_by(step):
+            before = sim.telemetry()
+            step()
+            self._probe_all(sim, paths)
+            self._probe_all(sim, paths)  # same version: nothing to compile
+            after = sim.telemetry()
+            return (
+                after["rows_compiled"] - before["rows_compiled"],
+                after["scenario_compiles"] - before["scenario_compiles"],
+            )
+
+        assert compiled_by(lambda: None) == (crossing(*links[:3]), 1)
+        flipped = links[3]
+        assert compiled_by(lambda: scenario.add(LinkFailure(flipped, LossMode.FULL))) == (
+            crossing(flipped), 1
+        )
+        assert compiled_by(lambda: scenario.remove(flipped)) == (crossing(flipped), 1)
+
+        def replace_and_flap():  # three bumps, one version met
+            scenario.add(LinkFailure(links[1], LossMode.RANDOM_PARTIAL, loss_rate=0.5))
+            scenario.add(LinkFailure(flipped, LossMode.FULL))
+            scenario.remove(flipped)
+
+        assert compiled_by(replace_and_flap) == (crossing(links[1]), 1)
+        assert compiled_by(lambda: sim.prime_paths(paths)) == (crossing(*links[:3]), 1)
+
+        fresh = ProbeSimulator(fattree4, scenario, np.random.default_rng(5))
+        fresh.prime_paths(paths)
+        self._probe_all(fresh, paths)
+        patched, scratch = sim._plan_cache, fresh._plan_cache
+        for column in ("dirty", "stochastic", "random_steps"):
+            assert getattr(patched, column).tolist() == getattr(scratch, column).tolist()
+        assert patched.failures == scratch.failures
+        [signature] = patched.tables
+        assert (
+            patched.tables[signature].first_drop.tolist()
+            == scratch.tables[signature].first_drop.tolist()
+        )
+        assert patched.tables[signature].walks.keys() == scratch.tables[signature].walks.keys()
+
     def test_reprimed_simulator_drops_plan_and_memo(self, fattree4, fattree4_probe_matrix):
         paths = fattree4_probe_matrix.paths
         link = sorted(paths[0].link_ids)[0]
@@ -229,9 +288,12 @@ class TestBulkProbeKernel:
         self, fattree4, monkeypatch
     ):
         """All three fault classes active on Fattree(4): the drains make no
-        ``probe_path_batch`` call and one kernel call per stochastic row."""
-        calls = {"scalar": 0, "stochastic": 0}
-        scalar, stochastic = ProbeSimulator.probe_path_batch, ProbeSimulator._probe_stochastic_row
+        ``probe_path_batch`` call, and every drain with stochastic rows answers
+        them all in one batched call."""
+        calls = {"scalar": 0, "stochastic": 0, "stochastic_drains": 0}
+        scalar = ProbeSimulator.probe_path_batch
+        stochastic = ProbeSimulator._probe_stochastic_rows
+        bulk = ProbeSimulator.probe_paths_bulk
 
         def spy(name, function):
             def wrapped(self, *args, **kwargs):
@@ -239,15 +301,20 @@ class TestBulkProbeKernel:
                 return function(self, *args, **kwargs)
             return wrapped
 
+        def drain(self, *args, **kwargs):
+            before = self.telemetry()["rows_stochastic"]
+            outcome = bulk(self, *args, **kwargs)
+            calls["stochastic_drains"] += self.telemetry()["rows_stochastic"] > before
+            return outcome
+
         monkeypatch.setattr(ProbeSimulator, "probe_path_batch", spy("scalar", scalar))
-        monkeypatch.setattr(
-            ProbeSimulator, "_probe_stochastic_row", spy("stochastic", stochastic)
-        )
+        monkeypatch.setattr(ProbeSimulator, "_probe_stochastic_rows", spy("stochastic", stochastic))
+        monkeypatch.setattr(ProbeSimulator, "probe_paths_bulk", drain)
         engine = _build_engine(fattree4, episodes=_storm_episodes())
         result = engine.run(60.0)
         rows = engine.system.simulator.telemetry()
         assert calls["scalar"] == 0
-        assert 0 < calls["stochastic"] == rows["rows_stochastic"]
+        assert 0 < calls["stochastic"] == calls["stochastic_drains"] < rows["rows_stochastic"]
         assert rows["rows_deterministic"] > 0 and rows["rows_clean"] > 0
         assert rows["random_draws"] > 0
         assert result.probes_lost > 0

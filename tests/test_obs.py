@@ -534,17 +534,25 @@ class TestEngineObservability:
         assert all("build_info" not in name for name in snapshot["gauges"])
 
     def test_bulk_kernel_row_classes_are_exported(self):
-        """One informational ``sim.bulk`` span per columnar drain, its row
-        classes summing to the registry's informational ``sim_bulk_*`` totals."""
+        """One informational ``sim.bulk`` span per columnar drain, carrying its
+        wall time, its row classes, the variates it drew and the plan rows it
+        compiled -- summing to the registry's informational ``sim_bulk_*``
+        totals."""
         engine, obs = _build_traced_engine()
         engine.run(90.0)
         spans = [span for span in obs.tracer.finished_spans() if span.name == "sim.bulk"]
         assert spans and all(span.informational for span in spans)
+        assert all(span.wall_seconds > 0 for span in spans)
         counters = obs.registry.snapshot()["counters"]
-        for row_class in ("rows_clean", "rows_deterministic", "rows_stochastic"):
-            assert counters[f"sim_bulk_{row_class}"] == sum(
-                span.labels[row_class] for span in spans
-            )
+        for label, total in (
+            ("rows_clean", "rows_clean"),
+            ("rows_deterministic", "rows_deterministic"),
+            ("rows_stochastic", "rows_stochastic"),
+            ("draws", "random_draws"),
+            ("compiled", "rows_compiled"),
+        ):
+            assert counters[f"sim_bulk_{total}"] == sum(span.labels[label] for span in spans)
+        assert counters["sim_bulk_rows_compiled"] > 0
         # The congestion episode and the flapper both reached probed paths.
         assert counters["sim_bulk_rows_stochastic"] > 0
         assert counters["sim_bulk_rows_deterministic"] > 0

@@ -459,11 +459,17 @@ probe_configs = st.builds(
 )
 
 
+#: What happens to the scenario between two drains: a failure added on any
+#: link, the failure on a failing link removed, or replaced by another one.
+scenario_mutations = st.tuples(st.sampled_from(["add", "remove", "replace"]), link_failures)
+
+
 @st.composite
 def probe_drains(draw):
-    """Two drains of ``(path, count, start, firing)`` rows over a path table
-    whose first path crosses every link, so any mix of failed links -- a
-    full-loss link before and after a random one included -- shares a path."""
+    """Four to six drains of ``(path, count, start, firing)`` rows over a path
+    table whose first path crosses every link, so any mix of failed links -- a
+    full-loss link before and after a random one included -- shares a path.
+    Every drain probes that path first; counts run past 64 probes."""
     link_sets = [frozenset(range(8))] + draw(
         st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=5)
     )
@@ -471,39 +477,72 @@ def probe_drains(draw):
         Path(i, (f"s{i}", f"d{i}"), frozenset(links), f"s{i}", f"d{i}")
         for i, links in enumerate(link_sets)
     ]
-    row = st.tuples(
-        st.integers(0, len(paths) - 1), st.integers(0, 45), st.integers(0, 100), st.integers(0, 1)
+    counts, starts, firings = st.integers(0, 150), st.integers(0, 100), st.integers(0, 1)
+    row = st.tuples(st.integers(0, len(paths) - 1), counts, starts, firings)
+    first = st.tuples(st.just(0), counts, starts, firings)
+    drains = draw(
+        st.lists(
+            st.builds(lambda head, tail: [head] + tail, first, st.lists(row, max_size=24)),
+            min_size=4,
+            max_size=6,
+        )
     )
-    drains = [draw(st.lists(row, min_size=1, max_size=25)) for _ in range(2)]
     return paths, drains
+
+
+def _mutate(scenario: FailureScenario, mutation) -> None:
+    """Apply one of :data:`scenario_mutations`; a remove or replace names a
+    failing link by position, so it always changes the scenario."""
+    op, failure = mutation
+    failing = sorted(scenario.failures)
+    if op == "add" or not failing:
+        scenario.add(failure)
+        return
+    link = failing[failure.link_id % len(failing)]
+    if op == "remove":
+        scenario.remove(link)
+    else:
+        scenario.add(LinkFailure(link, failure.mode, failure.loss_rate,
+                                 failure.match_fraction, failure.salt))
 
 
 @given(
     probe_drains(),
-    st.lists(link_failures, min_size=1, max_size=8, unique_by=lambda f: f.link_id),
-    link_failures,
+    st.lists(link_failures, min_size=2, max_size=8, unique_by=lambda f: f.link_id),
+    st.lists(st.sampled_from([0.0, 0.05, 0.5, 1.0]), min_size=2, max_size=2, unique=True),
+    st.lists(scenario_mutations, min_size=6, max_size=6),
     st.tuples(probe_configs, probe_configs),
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.booleans(),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
 def test_bulk_probing_equals_row_by_row_scalar(
-    drains, failures, readded, configs, confirms, reverse, seed
+    drains, failures, rates, mutations, configs, confirms, reverse, buffered, seed
 ):
     """``probe_paths_bulk`` == one ``probe_path_batch`` call per row on sent,
-    lost, ``drops_per_link`` and the generator state -- before and after a
-    failed link is re-``add``ed with another failure (only ``version`` tells
-    the compiled plan that the scenario object changed)."""
-    paths, (first, second) = drains
+    lost, ``drops_per_link`` and the generator state -- with two distinct
+    random loss rates (0 and 1 among the choices) on the path every drain
+    probes, a generator that may hold a buffered 32-bit half, and an add,
+    remove or replace between every two drains (only ``version`` tells the
+    patched plan that the scenario object changed)."""
+    paths, drains = drains
     topology = line_topology(8)
     scenario = FailureScenario()
-    for failure in failures:
+    for failure, rate in zip(failures, rates):
+        scenario.add(LinkFailure(failure.link_id, LossMode.RANDOM_PARTIAL, loss_rate=rate))
+    for failure in failures[2:]:
         scenario.add(failure)
-    bulk = ProbeSimulator(topology, scenario, np.random.default_rng(seed), reverse)
+    generators = [np.random.default_rng(seed) for _ in range(2)]
+    if buffered:
+        for generator in generators:
+            generator.integers(0, 7, dtype=np.uint32)
+        assert generators[0].bit_generator.state["has_uint32"] == 1
+    bulk = ProbeSimulator(topology, scenario, generators[0], reverse)
     bulk.prime_paths(paths)
-    scalar = ProbeSimulator(topology, scenario, np.random.default_rng(seed), reverse)
-    for drain in (first, second):
+    scalar = ProbeSimulator(topology, scenario, generators[1], reverse)
+    for drain, mutation in zip(drains, mutations):
         rows, counts, starts, firings = (
             np.asarray(column, dtype=np.int64) for column in zip(*drain)
         )
@@ -517,8 +556,7 @@ def test_bulk_probing_equals_row_by_row_scalar(
         assert list(zip(sent.tolist(), lost.tolist())) == expected
         assert bulk.drops_per_link == scalar.drops_per_link
         assert bulk._rng.bit_generator.state == scalar._rng.bit_generator.state
-        scenario.add(LinkFailure(failures[0].link_id, readded.mode, readded.loss_rate,
-                                 readded.match_fraction, readded.salt))
+        _mutate(scenario, mutation)
 
 
 # ---------------------------------------------------------------------------
