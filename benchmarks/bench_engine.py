@@ -11,12 +11,12 @@ Drives the discrete-event engine over a flapping-link scenario and measures
   reported separately so a slow re-plan cannot mask probe-path speed.
 
 The default configuration runs Fattree(16), the fabric of Table 5's scale
-discussion; the acceptance bar there is >= 2M probe events/sec -- enforced in
-CI via ``--min-rate 2000000``, which exits non-zero below the floor.  The CI
+discussion; the acceptance bar there is >= 5M probe events/sec -- enforced in
+CI via ``--min-rate 5000000``, which exits non-zero below the floor.  The CI
 benchmark-smoke job runs quick mode (Fattree(8)); run the full gated
 configuration locally with::
 
-    PYTHONPATH=src python benchmarks/bench_engine.py --min-rate 2000000 [--out BENCH_engine.json]
+    PYTHONPATH=src python benchmarks/bench_engine.py --min-rate 5000000 [--out BENCH_engine.json]
 """
 
 from __future__ import annotations

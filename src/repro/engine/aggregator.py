@@ -138,6 +138,7 @@ class StreamAggregator:
         self._reset_counters()
         self._probes_sent = 0
         self._probes_lost = 0
+        self._accepted = 0
         self._rejected = 0
         self.total_rejected = 0
 
@@ -196,6 +197,7 @@ class StreamAggregator:
         self._shard_lost[shard][path_index] += lost
         self._probes_sent += sent
         self._probes_lost += lost
+        self._accepted += 1
         self.cost.add("aggregator_events_accepted")
         self.cost.add("aggregator_probes_folded", sent)
         return True
@@ -244,30 +246,25 @@ class StreamAggregator:
         accepted = n - num_late
         if accepted == 0:
             return 0
-        if self._shard_of is None:
-            self._fold(0, path_indices, sent, lost, num_paths)
-        else:
-            shard_ids = self._shard_of[path_indices]
-            for shard in range(self.num_shards):
-                mask = shard_ids == shard
-                if mask.any():
-                    self._fold(shard, path_indices[mask], sent[mask], lost[mask], num_paths)
+        # One scatter-add over the flat (shard, path) index of the shard
+        # counters (a loss-free batch skips the lost one).  bincount-with-
+        # weights returns float64; the sums are exact well past any realistic
+        # probe volume (2**53), so the int64 cast is lossless.
+        flat = path_indices if self._shard_of is None else (
+            self._shard_of[path_indices] * num_paths + path_indices
+        )
+        for counters, values in ((self._shard_sent, sent), (self._shard_lost, lost)):
+            if not values.any():
+                continue
+            folded = np.bincount(flat, weights=values, minlength=counters.size)
+            counters += folded.astype(np.int64).reshape(counters.shape)
         total_sent = int(sent.sum())
         self._probes_sent += total_sent
         self._probes_lost += int(lost.sum())
+        self._accepted += accepted
         self.cost.add("aggregator_events_accepted", accepted)
         self.cost.add("aggregator_probes_folded", total_sent)
         return accepted
-
-    def _fold(self, shard: int, idx, sent, lost, num_paths: int) -> None:
-        # bincount-with-weights returns float64; the sums are exact well past
-        # any realistic probe volume (2**53), so the int64 cast is lossless.
-        self._shard_sent[shard] += np.bincount(
-            idx, weights=sent, minlength=num_paths
-        ).astype(np.int64)
-        self._shard_lost[shard] += np.bincount(
-            idx, weights=lost, minlength=num_paths
-        ).astype(np.int64)
 
     def ingest_report(self, report: "PingerReport", time: float) -> int:
         """Fold a whole legacy pinger report at one timestamp; returns #accepted."""
@@ -293,7 +290,8 @@ class StreamAggregator:
             "aggregator.close",
             window=self._window_index,
             shards=self.num_shards,
-            events=self.cost.get("aggregator_events_accepted"),
+            events=self._accepted,
+            rejected=self._rejected,
         ):
             # Each link kernel runs exactly once on the *merged* per-path
             # arrays, so the kernel-invocation counters are invariant in the
@@ -318,5 +316,6 @@ class StreamAggregator:
         self._reset_counters()
         self._probes_sent = 0
         self._probes_lost = 0
+        self._accepted = 0
         self._rejected = 0
         return report

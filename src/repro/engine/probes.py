@@ -9,16 +9,27 @@ entries from a persistent cursor -- over time every entry receives its fair
 share, matching the paper's "loop over the pinglist" behaviour (§3.1) at any
 rate.
 
-The scheduler is the event loop's *batch source*: it keeps the streams in a
-private mini-heap keyed ``(time, tie)`` and the loop lets it drain every
-firing falling strictly before the next regular event in one pass.  Budgets
-and jitter are drawn per firing in pop order, but the round-robin expansion
-to ``(path, count, start_sequence)`` rows, the sequence-counter bumps and the
-probing itself run as columnar numpy passes through
-:meth:`~repro.simulation.ProbeSimulator.probe_paths_bulk`, which answers
-clean and deterministic-loss rows without per-row Python and all random-loss
-rows of the drain in one plain-Python pass, in row order, over one block of
-uniform variates.  Outcomes leave as one columnar
+The scheduler is the event loop's *batch source*: it keeps the streams as
+per-stream arrays (next firing time, tie number, rate, carry, probes spent,
+last firing, pinglist length and slice of the shared per-entry path table)
+and the loop lets it drain every firing falling strictly before the next
+regular event in one pass.  A drain walks *slabs* of simulated time
+``batch_seconds * (1 - jitter_fraction)`` wide -- the shortest interval a
+jittered re-arm can draw -- so no stream fires twice inside one slab: within a
+slab the firings are the due streams in ``(time, tie)`` order (one
+``lexsort``), their budgets, carries, probe totals and next times update
+elementwise and their jitter comes from one block of uniform variates, which
+equals one scalar draw per firing in that order.
+
+The round-robin deals a stream's probes to its entries one at a time in
+pinglist order, so the ``k``-th probe a stream spends goes to entry
+``k mod n``: the cursor is the stream's probe total modulo ``n``, and an
+entry's next sequence number is the count of earlier probes dealt to it, a
+closed form of that total.  The expansion to ``(path, count, start_sequence)``
+rows and the probing itself run as columnar numpy passes through :meth:`~repro.simulation.ProbeSimulator.probe_paths_bulk`, which
+answers clean and deterministic-loss rows without per-row Python and all
+random-loss rows of the drain in one plain-Python pass, in row order, over one
+block of uniform variates.  Outcomes leave as one columnar
 ``sink(paths, times, sent, lost)`` call per drain (the engine wires
 :meth:`~repro.engine.aggregator.StreamAggregator.record_batch` here).
 
@@ -29,19 +40,18 @@ differential tests require every observable -- probe outcomes, random draws,
 counters -- to match it byte for byte at any drain size.
 
 When the controller installs a new cycle the engine calls
-:meth:`ProbeScheduler.set_pingers`: the mini-heap and the per-entry tables
-are rebuilt from the new pingers, which retires every stream of the previous
-cycle, and fresh streams start at the current instant.
+:meth:`ProbeScheduler.set_pingers`: the per-stream arrays and the per-entry
+tables are rebuilt from the new pingers, which retires every stream of the
+previous cycle, and fresh streams start at the current instant.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Callable, Dict, List, Mapping, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from ..obs import tracing
 from .loop import EventLoop
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,34 +69,8 @@ PRIORITY_WINDOW = 10
 PRIORITY_CYCLE = 20
 PRIORITY_PROBE = 30
 
-
-class _PingerStream:
-    """Per-pinger probing state: rate, budget carry and entry cursor.
-
-    The per-entry sequence counters live in the scheduler's shared columnar
-    array; ``slice_start`` locates this stream's slice of it.
-    """
-
-    __slots__ = (
-        "num_entries",
-        "config",
-        "confirm_losses",
-        "rate",
-        "carry",
-        "cursor",
-        "last_fired",
-        "slice_start",
-    )
-
-    def __init__(self, pinger: "Pinger", rate: float, start_time: float, slice_start: int):
-        self.num_entries = len(pinger.pinglist.entries)
-        self.config = pinger.probe_config()
-        self.confirm_losses = pinger.confirm_losses
-        self.rate = rate
-        self.carry = 0.0
-        self.cursor = 0
-        self.last_fired = start_time
-        self.slice_start = slice_start
+_EMPTY_INT = np.zeros(0, dtype=np.int64)
+_EMPTY_FLOAT = np.zeros(0, dtype=np.float64)
 
 
 class ProbeScheduler:
@@ -115,13 +99,25 @@ class ProbeScheduler:
         self.batch_seconds = float(batch_seconds)
         self.jitter_fraction = float(jitter_fraction)
         self.coalesce_horizon = coalesce_horizon
-        self._streams: Dict[str, _PingerStream] = {}
-        # A private (time, tie, stream) mini-heap plus columnar per-entry
-        # tables shared by all streams of one controller cycle.
-        self._tier_heap: List[tuple] = []
-        self._tie = itertools.count()
-        self._entry_paths = np.zeros(0, dtype=np.int64)
-        self._entry_seq = np.zeros(0, dtype=np.int64)
+        # The shortest interval a re-arm can draw, computed with the very
+        # operations of `_intervals` at the variate -1.0: rounding is
+        # monotone, so every drawn interval is at least this wide.
+        self._slab_width = self.batch_seconds * (1.0 + self.jitter_fraction * -1.0)
+        # Per-stream state, positional over the streams of one controller
+        # cycle, plus the columnar per-entry tables they share.
+        self._next_time = _EMPTY_FLOAT
+        self._tie = _EMPTY_INT
+        self._rate = _EMPTY_FLOAT
+        self._carry = _EMPTY_FLOAT
+        self._spent = _EMPTY_INT
+        self._last_fired = _EMPTY_FLOAT
+        self._num_entries = _EMPTY_INT
+        self._slice_start = _EMPTY_INT
+        self._configs: List = []
+        self._confirms: List[int] = []
+        self._next_tie = 0
+        self._head: Optional[float] = None  # earliest pending firing
+        self._entry_paths = _EMPTY_INT
         self._simulator: Optional["ProbeSimulator"] = None
         self.sink: Optional[
             Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
@@ -140,174 +136,175 @@ class ProbeScheduler:
     def set_pingers(self, pingers: Mapping[str, "Pinger"]) -> None:
         """Install the pingers of a (new) controller cycle.
 
-        The mini-heap and the per-entry tables are rebuilt from scratch, so
-        no stream of the previous cycle can fire again.  Every new stream's
-        first firing lands one jittered batch interval from now, staggered
-        per pinger.
+        The per-stream arrays and the per-entry tables are rebuilt from
+        scratch, so no stream of the previous cycle can fire again.  Every
+        new stream's first firing lands one jittered batch interval from now,
+        staggered per pinger.
         """
         now = self._loop.clock.now
-        streams: Dict[str, _PingerStream] = {}
+        rates: List[float] = []
+        lengths: List[int] = []
         paths: List[int] = []
+        self._configs = []
+        self._confirms = []
         self._simulator = None
-        for name, pinger in pingers.items():
+        for pinger in pingers.values():
             entries = pinger.pinglist.entries
             if not entries:
                 continue
             rate = self._rate_override
             if rate is None:
                 rate = pinger.pinglist.probes_per_second
-            streams[name] = _PingerStream(pinger, rate, now, len(paths))
+            rates.append(rate)
+            lengths.append(len(entries))
             paths.extend(entry.path_index for entry in entries)
+            self._configs.append(pinger.probe_config())
+            self._confirms.append(pinger.confirm_losses)
             self._simulator = pinger.simulator
-        self._streams = streams
+        num_streams = len(rates)
+        self._rate = np.asarray(rates, dtype=np.float64)
+        self._num_entries = np.asarray(lengths, dtype=np.int64)
+        self._slice_start = np.cumsum(self._num_entries) - self._num_entries
+        self._carry = np.zeros(num_streams, dtype=np.float64)
+        self._spent = np.zeros(num_streams, dtype=np.int64)
+        self._last_fired = np.full(num_streams, now, dtype=np.float64)
         self._entry_paths = np.asarray(paths, dtype=np.int64)
-        self._entry_seq = np.zeros(len(paths), dtype=np.int64)
-        self._tier_heap = []
-        for stream in streams.values():
-            heapq.heappush(
-                self._tier_heap,
-                (now + self._jittered_interval(), next(self._tie), stream),
-            )
+        self._next_time = now + self._intervals(num_streams)
+        self._tie = self._next_tie + np.arange(num_streams, dtype=np.int64)
+        self._next_tie += num_streams
+        self._head = float(self._next_time.min()) if num_streams else None
 
-    def _jittered_interval(self) -> float:
+    def _intervals(self, count: int) -> np.ndarray:
+        """``count`` jittered batch intervals, one variate each, in order."""
         jitter = self.jitter_fraction
-        if jitter == 0.0:
-            return self.batch_seconds
-        return self.batch_seconds * (1.0 + jitter * float(self._rng.uniform(-1.0, 1.0)))
+        if jitter == 0.0 or count == 0:
+            return np.full(count, self.batch_seconds)
+        return self.batch_seconds * (1.0 + jitter * self._rng.uniform(-1.0, 1.0, size=count))
 
     # ------------------------------------------------- batch-source protocol
     def next_time(self) -> Optional[float]:
         """Earliest pending probe firing (the loop's batch-source protocol)."""
-        return self._tier_heap[0][0] if self._tier_heap else None
+        return self._head
 
     def drain(self, until: float, strict: bool = False, limit: Optional[int] = None) -> int:
         """Process every stream firing due before ``until`` in one pass.
 
-        Budget, carry, cursor, and jitter draws are computed per firing in
-        mini-heap pop order -- exactly the order a one-event-per-firing
-        scheduler fires in -- but nothing probes until the end of the drain,
-        when all accumulated firings expand into one columnar
+        Firings are taken slab by slab: the streams due before the head time
+        plus one slab width fire in ``(time, tie)`` order -- exactly the order
+        a one-event-per-firing scheduler fires in, since a re-armed stream
+        lands at or past the slab's end -- but nothing probes until the end
+        of the drain, when all accumulated firings expand into one columnar
         ``(path, count, start_sequence)`` batch.  ``strict`` excludes firings
         at exactly ``until`` (used by the loop to stop before a regular event
         at that timestamp); ``coalesce_horizon`` caps a single drain's time
-        span.
+        span and ``limit`` its number of firings.
         """
-        heap = self._tier_heap
-        if not heap:
+        if self._head is None:
             return 0
         bound = until
         inclusive = not strict
         if self.coalesce_horizon is not None:
-            cap = heap[0][0] + self.coalesce_horizon
+            cap = self._head + self.coalesce_horizon
             if cap < bound:
                 bound, inclusive = cap, True
-        loop = self._loop
-        clock = loop.clock
-        fired = 0
-        f_streams: List[_PingerStream] = []
-        f_times: List[float] = []
-        f_base: List[int] = []
-        f_extra: List[int] = []
-        f_cursor: List[int] = []
-        while heap:
-            head = heap[0][0]
-            if head > bound or (not inclusive and head == bound):
+        next_time, tie = self._next_time, self._tie
+        fired = slabs = 0
+        chunks = []
+        while True:
+            start = self._head
+            if start > bound or (not inclusive and start == bound):
                 break
             if limit is not None and fired >= limit:
                 break
-            time, _, stream = heapq.heappop(heap)
-            clock.advance(time)
-            loop.events_processed += 1
-            fired += 1
-            elapsed = time - stream.last_fired
-            stream.last_fired = time
-            budget = stream.carry + stream.rate * elapsed
-            probes = int(budget)
-            stream.carry = budget - probes
-            if probes > 0:
-                self.batches_fired += 1
-                # Round-robin from the persistent cursor: the first
-                # (probes % n) entries after the cursor get one extra probe.
-                base, extra = divmod(probes, stream.num_entries)
-                f_streams.append(stream)
-                f_times.append(time)
-                f_base.append(base)
-                f_extra.append(extra)
-                f_cursor.append(stream.cursor)
-                stream.cursor = (stream.cursor + extra) % stream.num_entries
-            heapq.heappush(
-                heap, (time + self._jittered_interval(), next(self._tie), stream)
-            )
-        if f_streams:
-            self._emit(f_streams, f_times, f_base, f_extra, f_cursor)
+            end = start + self._slab_width
+            if end == start:  # the width vanishes at this magnitude
+                end = np.nextafter(start, np.inf)
+            due = next_time < end
+            due &= (next_time <= bound) if inclusive else (next_time < bound)
+            due = np.flatnonzero(due)
+            order = due[np.lexsort((tie[due], next_time[due]))]
+            if limit is not None:
+                order = order[: limit - fired]
+            count = len(order)
+            times = next_time[order]
+            budget = self._carry[order] + self._rate[order] * (times - self._last_fired[order])
+            probes = budget.astype(np.int64)
+            self._carry[order] = budget - probes
+            self._last_fired[order] = times
+            spent = self._spent[order]
+            self._spent[order] = spent + probes
+            next_time[order] = times + self._intervals(count)
+            tie[order] = self._next_tie + np.arange(count, dtype=np.int64)
+            self._next_tie += count
+            self._head = float(next_time.min())
+            spends = probes > 0
+            chunks.append((order[spends], times[spends], probes[spends], spent[spends]))
+            fired += count
+            slabs += 1
+        if not fired:
+            return 0
+        self._loop.clock.advance(float(times[-1]))
+        self._loop.events_processed += fired
+        columns = [np.concatenate(column) for column in zip(*chunks)]
+        rows = 0
+        if len(columns[0]):
+            self.batches_fired += len(columns[0])
+            rows = self._emit(*columns)
+        tracing.record(
+            "scheduler.drain", informational=True, firings=fired, slabs=slabs, rows=rows
+        )
         return fired
 
     def _emit(
-        self,
-        streams: List[_PingerStream],
-        times: List[float],
-        bases: List[int],
-        extras: List[int],
-        cursors: List[int],
-    ) -> None:
-        """Expand accumulated firings into one columnar probe batch."""
-        num_firings = len(streams)
-        n_entries = np.fromiter((s.num_entries for s in streams), np.int64, num_firings)
-        base = np.fromiter(bases, np.int64, num_firings)
-        extra = np.fromiter(extras, np.int64, num_firings)
-        # A firing touches all n entries when every entry's share is >= 1,
-        # otherwise only the `extra` entries after the cursor.
+        self, streams: np.ndarray, times: np.ndarray, probes: np.ndarray, spent: np.ndarray
+    ) -> int:
+        """Expand accumulated firings into one columnar probe batch.
+
+        The arrays are per firing, in firing order: the stream index, the
+        firing time, the probes it spends and the probes its stream spent
+        before it.  Returns the number of rows probed.
+        """
+        n_entries = self._num_entries[streams]
+        # Round-robin from the cursor (spent % n): every entry gets `base`
+        # probes and the first `extra` entries after the cursor one more, so
+        # a firing touches all n entries when base >= 1, otherwise `extra`.
+        base, extra = np.divmod(probes, n_entries)
         rows_per_firing = np.where(base > 0, n_entries, extra)
         total_rows = int(rows_per_firing.sum())
         self.drains += 1
         self.drain_rows_total += total_rows
         if total_rows > self.drain_rows_max:
             self.drain_rows_max = total_rows
-        cursor = np.fromiter(cursors, np.int64, num_firings)
-        t_arr = np.fromiter(times, np.float64, num_firings)
-        firing_of_row = np.repeat(np.arange(num_firings), rows_per_firing)
+        firing_of_row = np.repeat(np.arange(len(streams)), rows_per_firing)
         row_start = np.cumsum(rows_per_firing) - rows_per_firing
         offset = np.arange(total_rows, dtype=np.int64) - row_start[firing_of_row]
         count = base[firing_of_row] + (offset < extra[firing_of_row])
-        position = (cursor[firing_of_row] + offset) % n_entries[firing_of_row]
-        slice_start = np.fromiter((s.slice_start for s in streams), np.int64, num_firings)
-        entry_index = slice_start[firing_of_row] + position
-        # Start sequences: rows hitting the same entry within one drain must
-        # chain (each starts where the previous left off).  Group rows by
-        # entry (stable, so firing order is preserved inside a group) and
-        # prefix-sum the counts within each group.
-        order = np.argsort(entry_index, kind="stable")
-        entry_sorted = entry_index[order]
-        count_sorted = count[order]
-        before = np.cumsum(count_sorted) - count_sorted
-        group_first = np.ones(total_rows, dtype=bool)
-        group_first[1:] = entry_sorted[1:] != entry_sorted[:-1]
-        # `before` is globally non-decreasing, so propagating each group's
-        # first value with a running maximum yields the group baseline.
-        group_base = np.maximum.accumulate(np.where(group_first, before, -1))
-        start_seq = np.empty(total_rows, dtype=np.int64)
-        start_seq[order] = self._entry_seq[entry_sorted] + (before - group_base)
-        self._entry_seq += np.bincount(
-            entry_index, weights=count, minlength=len(self._entry_seq)
-        ).astype(np.int64)
-        path_indices = self._entry_paths[entry_index]
+        spent_before = spent[firing_of_row]
+        n = n_entries[firing_of_row]
+        position = (spent_before + offset) % n
+        # The entry's start sequence: how many of the stream's earlier probes
+        # were dealt to it, i.e. the k < spent with k = position (mod n).
+        start_seq = (spent_before - position + n - 1) // n
+        stream_of_row = streams[firing_of_row]
+        path_indices = self._entry_paths[self._slice_start[stream_of_row] + position]
         sent, lost = self._simulator.probe_paths_bulk(
             path_indices,
             count,
             start_seq,
-            configs=[s.config for s in streams],
-            config_of=firing_of_row,
-            confirms=[s.confirm_losses for s in streams],
+            configs=self._configs,
+            config_of=stream_of_row,
+            confirms=self._confirms,
         )
         self.probes_sent += int(sent.sum())
         self.probes_lost += int(lost.sum())
         if self.sink is not None:
-            self.sink(path_indices, t_arr[firing_of_row], sent, lost)
+            self.sink(path_indices, times[firing_of_row], sent, lost)
+        return total_rows
 
     # ------------------------------------------------------------------ views
     @property
     def num_streams(self) -> int:
-        return len(self._streams)
+        return len(self._rate)
 
     def telemetry(self) -> Dict[str, int]:
         """Deterministic probe counters, shaped for a metrics-registry source.

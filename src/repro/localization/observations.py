@@ -12,9 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..contracts import informational_fields
 
 __all__ = ["PathObservation", "ObservationSet", "LocalizationResult", "merge_observations"]
+
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -44,10 +48,25 @@ class PathObservation:
 
 
 class ObservationSet:
-    """A collection of per-path observations keyed by probe-matrix path index."""
+    """Per-path observations keyed by probe-matrix path index, stored columnar.
+
+    The representation is three int64 columns -- ``paths`` (sorted, unique),
+    ``sent`` and ``lost`` -- so the window close and the diagnoser run as
+    array passes: :meth:`from_counters` is one ``flatnonzero`` over the
+    aggregator's counter vectors and pre-processing and PLL read the columns
+    directly.  :class:`PathObservation` objects exist only for the consumers
+    that ask for them, by iterating or calling :meth:`get`.
+
+    :meth:`add` keeps the merge semantics of the small builders (pingers, the
+    latency adapter, the snapshot simulator): observations of one path sum.
+    Added rows are staged and folded into the columns by the next read.
+    """
 
     def __init__(self, observations: Iterable[PathObservation] = ()):
-        self._by_path: Dict[int, PathObservation] = {}
+        self._paths = _EMPTY
+        self._sent = _EMPTY
+        self._lost = _EMPTY
+        self._staged: List[Tuple[int, int, int]] = []
         for obs in observations:
             self.add(obs)
 
@@ -63,60 +82,109 @@ class ObservationSet:
         """
         if len(sent) != len(lost):
             raise ValueError("sent and lost counter vectors must have equal length")
+        sent = np.asarray(sent, dtype=np.int64)
+        lost = np.asarray(lost, dtype=np.int64)
+        paths = np.flatnonzero(sent)
+        return cls.from_columns(paths, sent[paths], lost[paths])
+
+    @classmethod
+    def from_columns(cls, paths, sent, lost) -> "ObservationSet":
+        """Wrap sorted, unique ``paths`` with their ``sent`` / ``lost`` counts.
+
+        The counts are validated as :class:`PathObservation` would validate
+        each row.
+        """
+        paths = np.asarray(paths, dtype=np.int64)
+        sent = np.asarray(sent, dtype=np.int64)
+        lost = np.asarray(lost, dtype=np.int64)
+        invalid = (sent < 0) | (lost < 0) | (lost > sent)
+        if invalid.any():
+            row = int(np.argmax(invalid))
+            PathObservation(int(paths[row]), int(sent[row]), int(lost[row]))  # raises
         observations = cls()
-        for index, count in enumerate(sent):
-            if count:
-                observations.add(
-                    PathObservation(path_index=index, sent=int(count), lost=int(lost[index]))
-                )
+        observations._paths, observations._sent, observations._lost = paths, sent, lost
         return observations
 
     def add(self, observation: PathObservation) -> None:
-        existing = self._by_path.get(observation.path_index)
-        if existing is None:
-            self._by_path[observation.path_index] = observation
-        else:
-            self._by_path[observation.path_index] = PathObservation(
-                path_index=observation.path_index,
-                sent=existing.sent + observation.sent,
-                lost=existing.lost + observation.lost,
-            )
+        self._staged.append((observation.path_index, observation.sent, observation.lost))
 
+    def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The columns, with staged rows merged in (sums per path)."""
+        if self._staged:
+            staged = np.asarray(self._staged, dtype=np.int64).reshape(-1, 3)
+            self._staged = []
+            paths = np.concatenate((self._paths, staged[:, 0]))
+            order = np.argsort(paths, kind="stable")
+            paths = paths[order]
+            first = np.flatnonzero(np.r_[True, paths[1:] != paths[:-1]])
+            self._paths = paths[first]
+            self._sent = np.add.reduceat(np.concatenate((self._sent, staged[:, 1]))[order], first)
+            self._lost = np.add.reduceat(np.concatenate((self._lost, staged[:, 2]))[order], first)
+        return self._paths, self._sent, self._lost
+
+    # ------------------------------------------------------------- columns
+    @property
+    def paths(self) -> np.ndarray:
+        """Observed path indices, ascending."""
+        return self._columns()[0]
+
+    @property
+    def sent(self) -> np.ndarray:
+        """Probes sent per observed path (positional over :attr:`paths`)."""
+        return self._columns()[1]
+
+    @property
+    def lost(self) -> np.ndarray:
+        """Probes lost per observed path (positional over :attr:`paths`)."""
+        return self._columns()[2]
+
+    # ------------------------------------------------------------- objects
     def __len__(self) -> int:
-        return len(self._by_path)
+        return len(self.paths)
 
     def __iter__(self):
-        return iter(sorted(self._by_path.values(), key=lambda o: o.path_index))
+        paths, sent, lost = self._columns()
+        return map(PathObservation, paths.tolist(), sent.tolist(), lost.tolist())
+
+    def _row(self, path_index: int) -> Optional[int]:
+        paths = self.paths
+        row = int(np.searchsorted(paths, path_index))
+        return row if row < len(paths) and paths[row] == path_index else None
 
     def __contains__(self, path_index: int) -> bool:
-        return path_index in self._by_path
+        return self._row(path_index) is not None
 
     def get(self, path_index: int) -> Optional[PathObservation]:
-        return self._by_path.get(path_index)
+        row = self._row(path_index)
+        if row is None:
+            return None
+        return PathObservation(int(self._paths[row]), int(self._sent[row]), int(self._lost[row]))
 
     def path_indices(self) -> List[int]:
-        return sorted(self._by_path)
+        return self.paths.tolist()
 
     def lossy_paths(self) -> List[int]:
         """Paths with at least one lost probe."""
-        return sorted(i for i, obs in self._by_path.items() if obs.is_lossy)
+        paths, _, lost = self._columns()
+        return paths[lost > 0].tolist()
 
     def losses(self) -> Dict[int, int]:
         """Map path index -> number of lost probes (lossy paths only)."""
-        return {i: obs.lost for i, obs in self._by_path.items() if obs.is_lossy}
+        paths, _, lost = self._columns()
+        lossy = lost > 0
+        return dict(zip(paths[lossy].tolist(), lost[lossy].tolist()))
 
     def total_sent(self) -> int:
-        return sum(obs.sent for obs in self._by_path.values())
+        return int(self.sent.sum())
 
     def total_lost(self) -> int:
-        return sum(obs.lost for obs in self._by_path.values())
+        return int(self.lost.sum())
 
     def restrict(self, path_indices: Iterable[int]) -> "ObservationSet":
         """The subset of observations for the given paths (for decomposition)."""
-        wanted = set(path_indices)
-        return ObservationSet(
-            obs for i, obs in self._by_path.items() if i in wanted
-        )
+        paths, sent, lost = self._columns()
+        keep = np.isin(paths, np.fromiter(path_indices, dtype=np.int64))
+        return ObservationSet.from_columns(paths[keep], sent[keep], lost[keep])
 
 
 def merge_observations(reports: Iterable[ObservationSet]) -> ObservationSet:

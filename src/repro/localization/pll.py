@@ -96,8 +96,11 @@ class PLLLocalizer:
         start = time.perf_counter()
         config = self.config
 
-        observed_paths = observations.path_indices()
-        losses = observations.losses()  # lossy path -> lost packet count
+        # Step 2's inputs, gathered from the observation columns.
+        observed_paths, sent, lost = observations.paths, observations.sent, observations.lost
+        lossy_rows = np.flatnonzero(lost)
+        lossy_list = observed_paths[lossy_rows].tolist()
+        losses = dict(zip(lossy_list, lost[lossy_rows].tolist()))  # path -> lost
         lossy_paths = set(losses)
 
         suspected: List[int] = []
@@ -111,7 +114,7 @@ class PLLLocalizer:
             observed_mask = np.zeros(index.num_paths, dtype=bool)
             observed_mask[observed_paths] = True
             lossy_mask = np.zeros(index.num_paths, dtype=bool)
-            lossy_mask[sorted(lossy_paths)] = True
+            lossy_mask[lossy_list] = True
 
             components = self._components(probe_matrix, observed_paths)
             for component_links, component_paths in components:
@@ -131,7 +134,9 @@ class PLLLocalizer:
 
         estimates: Dict[int, float] = {}
         if config.estimate_loss_rates and suspected:
-            estimates = self._estimate_loss_rates(probe_matrix, observations, suspected)
+            estimates = self._estimate_loss_rates(
+                probe_matrix, lossy_list, sent[lossy_rows].tolist(), losses, suspected
+            )
 
         elapsed = time.perf_counter() - start
         return LocalizationResult(
@@ -144,11 +149,11 @@ class PLLLocalizer:
 
     # ------------------------------------------------------------------ steps
     def _components(
-        self, probe_matrix: ProbeMatrix, observed_paths: Sequence[int]
+        self, probe_matrix: ProbeMatrix, observed_paths: np.ndarray
     ) -> List[Tuple[Sequence[int], Sequence[int]]]:
         """Step 1: split (links, paths) into independent components."""
         if not self.config.use_decomposition:
-            return [(list(probe_matrix.link_ids), list(observed_paths))]
+            return [(list(probe_matrix.link_ids), observed_paths.tolist())]
         return probe_matrix.incidence.components(observed_paths)
 
     def _solve_component(
@@ -222,26 +227,28 @@ class PLLLocalizer:
     @staticmethod
     def _estimate_loss_rates(
         probe_matrix: ProbeMatrix,
-        observations: ObservationSet,
+        lossy_paths: Sequence[int],
+        sent: Sequence[int],
+        losses: Dict[int, int],
         suspected: Sequence[int],
     ) -> Dict[int, float]:
         """Attribute each path's loss rate to the single suspect on it (if any).
 
-        A path that crosses exactly one suspected link gives a direct sample
-        of that link's loss rate; averaging those samples is a simple,
-        unbiased estimator when failures are sparse (the common case per the
-        failure measurements cited in §6.4).  Paths crossing several suspects
-        are skipped -- they only bound the combined rate.
+        ``lossy_paths`` are the observed paths with losses, ascending, with
+        their ``sent`` counts; ``losses`` maps each to its lost count.  A path that crosses exactly one
+        suspected link gives a direct sample of that link's loss rate;
+        averaging those samples is a simple, unbiased estimator when failures
+        are sparse (the common case per the failure measurements cited in
+        §6.4).  Paths crossing several suspects are skipped -- they only bound
+        the combined rate.
         """
         suspect_set = set(suspected)
         samples: Dict[int, List[float]] = {link: [] for link in suspected}
-        for obs in observations:
-            if not obs.is_lossy:
-                continue
-            on_path = probe_matrix.links_on(obs.path_index) & suspect_set
+        for path_index, path_sent in zip(lossy_paths, sent):
+            on_path = probe_matrix.links_on(path_index) & suspect_set
             if len(on_path) == 1:
                 (link,) = tuple(on_path)
-                samples[link].append(obs.loss_rate)
+                samples[link].append(losses[path_index] / path_sent)
         estimates: Dict[int, float] = {}
         for link, values in samples.items():
             if values:

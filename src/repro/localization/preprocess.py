@@ -14,7 +14,9 @@ Two classes of observations must be removed before localization:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional
+
+import numpy as np
 
 from ..core import ProbeMatrix
 from .observations import ObservationSet, PathObservation
@@ -55,13 +57,18 @@ class PreprocessConfig:
 
     def path_is_lossy(self, observation: PathObservation) -> bool:
         """Decide whether an observation indicates a genuine failure."""
-        if observation.lost == 0:
-            return False
-        if self.min_losses is not None and observation.lost >= self.min_losses:
-            return True
-        if observation.sent >= self.min_probes_for_ratio:
-            return observation.loss_rate >= self.loss_ratio_threshold
-        return False
+        return bool(self.genuine_loss(observation.sent, observation.lost))
+
+    def genuine_loss(self, sent, lost):
+        """:meth:`path_is_lossy`, elementwise over ``sent`` / ``lost`` columns."""
+        sent = np.asarray(sent, dtype=np.int64)
+        lost = np.asarray(lost, dtype=np.int64)
+        genuine = np.zeros(lost.shape, dtype=bool)
+        if self.min_losses is not None:
+            genuine |= lost >= self.min_losses
+        by_ratio = (lost > 0) & (sent >= self.min_probes_for_ratio)
+        genuine[by_ratio] |= lost[by_ratio] / sent[by_ratio] >= self.loss_ratio_threshold
+        return genuine
 
 
 @dataclass
@@ -85,6 +92,12 @@ def preprocess_observations(
 ) -> PreprocessReport:
     """Apply §5.1 pre-processing and return the cleaned observation set.
 
+    Runs as array passes over the observation columns: the noise rule
+    (:meth:`PreprocessConfig.genuine_loss`) elementwise, and the outlier drop
+    -- a row mask from the probe table's endpoint columns -- only when
+    ``unhealthy_servers`` names someone.  Dropped and filtered paths are
+    reported in ascending path order.
+
     Parameters
     ----------
     probe_matrix:
@@ -100,26 +113,18 @@ def preprocess_observations(
     """
     config = config or PreprocessConfig()
     unhealthy = set(unhealthy_servers)
-
-    cleaned = ObservationSet()
-    dropped: List[int] = []
-    filtered: List[int] = []
-    for obs in observations:
-        path = probe_matrix.path(obs.path_index)
-        if path.src in unhealthy or path.dst in unhealthy:
-            dropped.append(obs.path_index)
-            continue
-        if obs.is_lossy and not config.path_is_lossy(obs):
-            # Background noise: keep the path but zero out its losses so it
-            # counts as evidence of health, exactly like a lossless path.
-            filtered.append(obs.path_index)
-            cleaned.add(
-                PathObservation(path_index=obs.path_index, sent=obs.sent, lost=0)
-            )
-            continue
-        cleaned.add(obs)
+    paths, sent, lost = observations.paths, observations.sent, observations.lost
+    dropped = np.zeros(len(paths), dtype=bool)
+    if unhealthy:
+        dropped = probe_matrix.paths.rows_with_endpoint(unhealthy)[paths]
+    # Background noise: the path stays, its losses zeroed, so it counts as
+    # evidence of health exactly like a lossless path.
+    noise = ~dropped & (lost > 0) & ~config.genuine_loss(sent, lost)
+    kept = ~dropped
     return PreprocessReport(
-        observations=cleaned,
-        dropped_outlier_paths=dropped,
-        filtered_noise_paths=filtered,
+        observations=ObservationSet.from_columns(
+            paths[kept], sent[kept], np.where(noise, 0, lost)[kept]
+        ),
+        dropped_outlier_paths=paths[dropped].tolist(),
+        filtered_noise_paths=paths[noise].tolist(),
     )

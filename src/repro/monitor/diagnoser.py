@@ -122,7 +122,10 @@ class Diagnoser:
         aggregator folds timestamped probe batches into exactly this merged
         per-path view, so window diagnosis no longer requires materialising
         per-pinger reports.  :meth:`run_window` is now the thin legacy wrapper
-        that merges pending reports and delegates here.
+        that merges pending reports and delegates here.  Pre-processing and
+        PLL run as passes over the observation columns; ``PathObservation``
+        objects are built only for the loss-pattern classifier, on the paths
+        through the suspects.
         """
         probes_analyzed = merged.total_sent() if probes_analyzed is None else probes_analyzed
         preprocess = preprocess_observations(

@@ -18,7 +18,7 @@ Instrumentation sites call the module-level free functions::
 Both are no-ops (one attribute load + ``is None`` test) unless a
 :class:`Tracer` is installed, which the engine does around :meth:`run` /
 serve advances via :func:`activated` -- the hot probe path pays nothing when
-tracing is off, preserving the 2M events/s serve gate.
+tracing is off, preserving the 5M events/s serve gate.
 
 Some instrumentation sites are inherently machine- or ``jobs``-dependent:
 ``pool.spawn`` only fires when a process pool is actually provisioned and

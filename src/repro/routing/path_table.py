@@ -233,6 +233,12 @@ class PathTable(_SequenceABC):
         """``(row_indptr, hop link ids)``: the flat input of the incidence build."""
         return self._link_indptr, self._links
 
+    def rows_with_endpoint(self, names: Iterable[str]):
+        """Boolean row mask: rows sourced at or targeted to any of *names*."""
+        names = set(names)
+        codes = [code for code, name in enumerate(self._node_names) if name in names]
+        return _np.isin(self._src, codes) | _np.isin(self._dst, codes)
+
     def _walk(self, row: int) -> Tuple[str, ...]:
         names = self._node_names
         return tuple(names[code] for code in self._row(self._node_indptr, self._nodes, row))

@@ -1,7 +1,8 @@
 """The per-event probe scheduler: the reference the product is held to.
 
-:class:`repro.engine.ProbeScheduler` drains many firings at once and expands
-them columnar.  :class:`PerEventProbeScheduler` does the same job the obvious
+:class:`repro.engine.ProbeScheduler` drains many firings at once, slab by slab
+over per-stream arrays, and expands them columnar.
+:class:`PerEventProbeScheduler` does the same job the obvious
 way -- one self-rescheduling heap event per firing, a scalar round-robin loop
 over the pinglist, one :meth:`~repro.simulation.ProbeSimulator.probe_path_batch`
 call per row -- so a test that swaps it in with::

@@ -567,7 +567,7 @@ class TestProbeScheduler:
         scheduler = ProbeScheduler(
             loop, np.random.default_rng(0), batch_seconds=2.0, jitter_fraction=0.25
         )
-        intervals = [scheduler._jittered_interval() for _ in range(200)]
+        intervals = scheduler._intervals(200).tolist()
         assert all(1.5 <= i <= 2.5 for i in intervals)
         assert len({round(i, 9) for i in intervals}) > 1
 

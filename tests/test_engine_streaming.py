@@ -32,6 +32,7 @@ from repro.engine import (
     StreamAggregator,
     TelemetryEngine,
 )
+from repro.engine.probes import PRIORITY_CYCLE
 from repro.monitor import ControllerConfig, DetectorSystem
 from repro.simulation import (
     ChurnSchedule,
@@ -541,10 +542,46 @@ def _canonical(result):
 
 def _observe(engine, duration=130.0):
     """Everything a run leaves behind: the canonical result, the per-link drop
-    attribution and the probing generator's state."""
+    attribution and the states of the probing and the probe-jitter
+    generators."""
     result = engine.run(duration)
     simulator = engine.system.simulator
-    return _canonical(result), simulator.drops_per_link, simulator._rng.bit_generator.state
+    return (
+        _canonical(result),
+        simulator.drops_per_link,
+        simulator._rng.bit_generator.state,
+        engine._rng.bit_generator.state,
+    )
+
+
+def _single_stepped(engine):
+    """Drive ``engine`` through :meth:`EventLoop.step` alone: one regular event
+    or one probe firing (a ``limit=1`` drain) per call."""
+    loop = engine.loop
+
+    def run_until(deadline):
+        processed = 0
+        while (due := loop.next_event_time()) is not None and due <= deadline:
+            processed += loop.step()
+        if deadline > loop.clock.now:
+            loop.clock.advance(deadline)
+        return processed
+
+    loop.run_until = run_until
+    return engine
+
+
+def _rearmed_mid_window(engine, times=(12.5, 47.25, 47.25)):
+    """Re-install the pingers at instants no window or cycle falls on (twice
+    at one of them)."""
+    scheduler = engine._scheduler
+
+    def rearm():
+        scheduler.set_pingers(engine.system.build_pingers())
+
+    for at in times:
+        engine.loop.schedule_at(at, rearm, PRIORITY_CYCLE)
+    return engine
 
 
 def _build_oracle_engine(monkeypatch, topology, **kwargs):
@@ -573,6 +610,44 @@ class TestBatchedSchedulingDifferential:
         assert engine.system.simulator.telemetry()["rows_stochastic"] > 0
 
     @pytest.mark.parametrize(
+        "timing",
+        [
+            # Every stream fires on the same grid: only the tie order decides.
+            {"jitter_fraction": 0.0},
+            # Slabs a tenth of a batch wide, so a drain walks many of them.
+            {"jitter_fraction": 0.9, "probe_batch_seconds": 0.3},
+        ],
+    )
+    def test_slab_edges_are_byte_identical_to_per_event(self, fattree4, monkeypatch, timing):
+        settings = dict(timing, episodes=_storm_episodes())
+        baseline = _observe(_build_oracle_engine(monkeypatch, fattree4, **settings))
+        assert _observe(_build_engine(fattree4, **settings)) == baseline
+
+    @pytest.mark.parametrize("jitter", [0.1, 0.0])
+    def test_single_stepped_run_is_byte_identical_to_per_event(
+        self, fattree4, monkeypatch, jitter
+    ):
+        """Without jitter every stream is due at the head time at once, so
+        only ``limit=1`` keeps a step to one firing."""
+        settings = dict(episodes=_storm_episodes(), jitter_fraction=jitter)
+        baseline = _observe(
+            _single_stepped(_build_oracle_engine(monkeypatch, fattree4, **settings)), 70.0
+        )
+        engine = _single_stepped(_build_engine(fattree4, **settings))
+        assert _observe(engine, 70.0) == baseline
+        # Every drain was one firing: one columnar emit per firing that spent.
+        scheduler = engine._scheduler
+        assert scheduler.drains == scheduler.batches_fired > 0
+
+    def test_mid_window_set_pingers_is_byte_identical_to_per_event(self, fattree4, monkeypatch):
+        settings = dict(episodes=_storm_episodes())
+        baseline = _observe(
+            _rearmed_mid_window(_build_oracle_engine(monkeypatch, fattree4, **settings))
+        )
+        assert _observe(_rearmed_mid_window(_build_engine(fattree4, **settings))) == baseline
+        assert baseline != _observe(_build_engine(fattree4, **settings))
+
+    @pytest.mark.parametrize(
         "timing, duration, chained",
         [
             # Default one-second batches cut into drains of a few firings.
@@ -597,14 +672,18 @@ class TestBatchedSchedulingDifferential:
         drains = []
         emit = ProbeScheduler._emit
 
-        def spy(self, streams, times, bases, extras, cursors):
+        def spy(self, streams, times, probes, spent):
+            # A firing deals its probes round-robin from the cursor (spent % n).
             touched = [
-                (id(stream), (cursor + offset) % stream.num_entries)
-                for stream, base, extra, cursor in zip(streams, bases, extras, cursors)
-                for offset in range(stream.num_entries if base else extra)
+                (stream, (before + offset) % entries)
+                for stream, entries, dealt, before in zip(
+                    streams.tolist(), self._num_entries[streams].tolist(),
+                    probes.tolist(), spent.tolist(),
+                )
+                for offset in range(min(dealt, entries))
             ]
             drains.append((len(touched), len(set(touched)) < len(touched)))
-            return emit(self, streams, times, bases, extras, cursors)
+            return emit(self, streams, times, probes, spent)
 
         monkeypatch.setattr(ProbeScheduler, "_emit", spy)
         assert _observe(_build_engine(fattree4, **settings), duration) == baseline

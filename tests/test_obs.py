@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -562,6 +563,48 @@ class TestEngineObservability:
         deterministic = obs.registry.snapshot(deterministic=True)["counters"]
         assert not any(name.startswith("sim_bulk_") for name in deterministic)
         assert "sim.bulk" not in obs.tracer.export_jsonl()
+
+    def test_aggregator_close_counts_its_own_window(self):
+        """``aggregator.close`` labels the window's own accepted and rejected
+        rows; the run total stays in the shared cost model."""
+        engine, obs = _build_traced_engine()
+        accepted = Counter()
+
+        def sink(*columns):
+            accepted[len(engine._windows)] += engine._aggregator.record_batch(*columns)
+
+        engine._scheduler.sink = sink
+        result = engine.run(150.0)
+        closes = [span for span in obs.tracer.finished_spans() if span.name == "aggregator.close"]
+        events = [span.labels["events"] for span in closes]
+        assert events == [accepted[index] for index in range(len(result.windows))]
+        assert sum(events) == result.counters["aggregator_events_accepted"]
+        assert [span.labels["rejected"] for span in closes] == [
+            window.report.rejected_events for window in result.windows
+        ]
+
+    def test_scheduler_drain_spans_count_firings_and_rows(self):
+        """One informational ``scheduler.drain`` span per drain that fired."""
+        engine, obs = _build_traced_engine()
+        scheduler = engine._scheduler
+        fired = []
+        drain = scheduler.drain
+
+        def counting_drain(*args, **kwargs):
+            fired.append(drain(*args, **kwargs))
+            return fired[-1]
+
+        scheduler.drain = counting_drain
+        engine.run(90.0)
+        spans = [span for span in obs.tracer.finished_spans() if span.name == "scheduler.drain"]
+        assert spans and all(span.informational for span in spans)
+        assert len(spans) == sum(1 for count in fired if count)
+        assert sum(span.labels["firings"] for span in spans) == sum(fired)
+        assert sum(span.labels["rows"] for span in spans) == (
+            scheduler.drain_telemetry()["coalesced_rows_total"]
+        )
+        assert all(1 <= span.labels["slabs"] <= span.labels["firings"] for span in spans)
+        assert "scheduler.drain" not in obs.tracer.export_jsonl()
 
     def test_untraced_run_has_no_tracer_and_same_result(self):
         traced_engine, traced_obs = _build_traced_engine()
