@@ -390,6 +390,94 @@ PLL_PINS = {
 }
 
 
+BETA_OPTIONS = {
+    "a1b2": PMCOptions(alpha=1, beta=2),
+    "a2b2": PMCOptions(alpha=2, beta=2),
+    "eager-b2": PMCOptions(alpha=1, beta=2, use_lazy_update=False),
+    "textbook-b2": PMCOptions(alpha=1, beta=2, skip_zero_gain=False),
+    "a1b3": PMCOptions(alpha=1, beta=3),
+}
+
+
+def _counters(discarded, evaluations, iterations, cells, queries, splits, reused, subproblems):
+    return {
+        "candidates_discarded": discarded,
+        "greedy_evaluations": evaluations,
+        "greedy_iterations": iterations,
+        "lazy_skips": 0,
+        "partition_cells_created": cells,
+        "partition_gain_queries": queries,
+        "partition_splits": splits,
+        "reused_subproblems": reused,
+        "subproblems": subproblems,
+    }
+
+
+#: The virtual-link greedy (beta >= 2) and its eager / textbook variants:
+#: ``(sha256 of the selection, fully_refined, cost_counters())`` per case,
+#: over Table 4's (1,2) and (1,3) on Fattree(6) and the beta = 2 plans of
+#: Fattree(8) and VL2(12,8,2).  Every case reaches its coverage target and
+#: has no uncoverable link.
+BETA_PINS = {
+    ("fattree6", "a1b2"): (
+        "982fab929cca058defdabb2eb2eeace2f1d9c637e0807a0eaa1ab2f4be5b7d89",
+        True,
+        _counters(91, 180, 86, 665, 177, 86, 2, 3),
+    ),
+    ("fattree6", "a1b3"): (
+        "d233e9a81c965e79d2efb704ad8c2c9a157e0decb237a4c0fe1264eb8d1ce6ca",
+        False,
+        _counters(286, 462, 173, 7799, 459, 173, 2, 3),
+    ),
+    ("fattree8", "a1b2"): (
+        "40af3538b56dc12234ad5315f13d1da2d09359fd5666f2d434d9a817806feffb",
+        True,
+        _counters(390, 568, 171, 2079, 561, 171, 3, 4),
+    ),
+    ("vl2_12_8_2", "a1b2"): (
+        "037da045825903044bbebac597076d2ad384e0ee85efb1e610f33518a4758fdd",
+        True,
+        _counters(317, 542, 223, 4655, 540, 223, 0, 1),
+    ),
+    ("fattree4", "a2b2"): (
+        "6d2e7cd61cdcd728b244278ea728edfc2c243e234b7d37a50e36da784c556e88",
+        False,
+        _counters(29, 59, 27, 131, 56, 27, 1, 2),
+    ),
+    ("fattree4", "eager-b2"): (
+        "16aa42eb980a513a4c40490f8a5185ed6a8b2b4b1bb968fe7b60f9094ab76bbe",
+        False,
+        _counters(44, 1596, 12, 131, 56, 12, 1, 2),
+    ),
+    ("fattree4", "textbook-b2"): (
+        "e604e0b960c4455c0f5d24811b84e0db5d44f914fe66f078ac921c1c39ca2a0b",
+        False,
+        _counters(0, 59, 56, 131, 56, 56, 1, 2),
+    ),
+    ("bcube41", "a2b2"): (
+        "4af9b06c865410237d23e06f0b64f858b42d63348ae67a6ae3b3b05348c17c8c",
+        True,
+        _counters(75, 130, 54, 527, 129, 54, 0, 1),
+    ),
+    ("bcube41", "eager-b2"): (
+        "c0311851a6d6340dadc19e5086d799643c9a618dc088ab9f1be220c4e8fac652",
+        True,
+        _counters(7, 9020, 34, 527, 41, 34, 0, 1),
+    ),
+    ("bcube41", "textbook-b2"): (
+        "bab5f174cd007fcec1a7d8cb8dcb50d5febddc704950e1416fde77c7add20aee",
+        True,
+        _counters(0, 130, 129, 527, 129, 129, 0, 1),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _routing(fabric: str) -> RoutingMatrix:
+    topology = build_bcube(4, 1) if fabric == "bcube41" else FABRICS[fabric]()
+    return RoutingMatrix(topology, enumerate_candidate_paths(topology, ordered=False))
+
+
 class TestPMCSelectionsPinned:
     @pytest.mark.parametrize("name", ["fattree4", "bcube41"])
     @pytest.mark.parametrize("option", list(OPTIONS))
@@ -399,6 +487,16 @@ class TestPMCSelectionsPinned:
         assert _sha(list(result.selected_indices)) == digest
         assert result.stats.subproblems == subproblems
         assert result.stats.fully_refined is fully_refined
+        assert result.stats.uncoverable_links == ()
+
+    @pytest.mark.parametrize("name, option", list(BETA_PINS))
+    def test_virtual_link_selection(self, name, option):
+        result = construct_probe_matrix(_routing(name), BETA_OPTIONS[option])
+        digest, fully_refined, counters = BETA_PINS[name, option]
+        assert _sha(list(result.selected_indices)) == digest
+        assert result.stats.cost_counters() == counters
+        assert result.stats.fully_refined is fully_refined
+        assert result.stats.coverage_satisfied is True
         assert result.stats.uncoverable_links == ()
 
 
