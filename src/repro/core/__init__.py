@@ -10,7 +10,7 @@ from .decomposition import (
     pod_shards_for_matrix,
 )
 from .incidence import IncidenceIndex, RefinablePartition, RowProjection
-from .lazy_greedy import LazyMinHeap, ShardedSolutionCache
+from .lazy_greedy import ShardedSolutionCache
 from .pmc import (
     PMCOptions,
     PMCResult,
@@ -43,7 +43,6 @@ __all__ = [
     "IncidenceIndex",
     "RefinablePartition",
     "RowProjection",
-    "LazyMinHeap",
     "ShardedSolutionCache",
     "ShardOutcome",
     "ExtendedLinkSpace",

@@ -1144,8 +1144,8 @@ class RefinablePartition:
     """Array-backed refinement partition over dense ids ``0..n-1`` (§4.2).
 
     The vectorized sibling of the set-based seed class the tests keep as its
-    oracle (``tests/link_set_oracle.py``): the greedy's three
-    partition queries (``cells_touched``, ``splits_gained``, ``split``) on
+    oracle (``tests/link_set_oracle.py``): the greedy's three partition
+    queries (``cells_touched_segmented``, ``splits_gained``, ``split``) on
     flat label arrays instead of dict-of-set cells.  Which side of a split
     keeps the old cell id differs from the seed class, but the *partition*
     (which ids share a cell) evolves identically, and all three queries only
@@ -1160,6 +1160,9 @@ class RefinablePartition:
         self._cell_size = _np.zeros(2 * num_ids + 1, dtype=_np.int64)
         if num_ids:
             self._cell_size[0] = num_ids
+        # Scratch for split: old cell -> its new cell while one split runs,
+        # 0 otherwise (new cells are numbered from 1).
+        self._new_cell = _np.zeros_like(self._cell_size)
         self._num_cells = 1 if num_ids else 0
         self._next_cell_id = 1
         # Work counters (the partition evolves like the set-based oracle's,
@@ -1183,16 +1186,12 @@ class RefinablePartition:
     def cell_of(self, member: int) -> int:
         return int(self._cell_of[member])
 
-    def cells_touched(self, members) -> int:
-        """Distinct cells containing at least one member ("link sets on path")."""
-        return int(_np.unique(self._cell_of[members]).size)
-
     def cells_touched_segmented(self, segments, members, num_segments: int):
-        """Vectorized :meth:`cells_touched` for many member sets at once.
+        """Distinct cells holding a member ("link sets on path"), per segment.
 
         ``segments``/``members`` are parallel flat arrays (the output of
-        :meth:`RowProjection.batch`); returns the per-segment distinct-cell
-        count.
+        :meth:`RowProjection.batch`, or its extended gather); a member listed
+        twice in one segment counts once.
         """
         if len(members) == 0:
             return _np.zeros(num_segments, dtype=_np.int64)
@@ -1206,37 +1205,36 @@ class RefinablePartition:
         _np.not_equal(keys[1:], keys[:-1], out=first[1:])
         return _np.bincount(keys[first] // stride, minlength=num_segments)
 
-    def _touched(self, members) -> List[Tuple[int, object]]:
-        """Group members by cell: ``[(cell, members_in_cell), ...]``."""
-        members = _np.asarray(members)
-        cells, inverse = _np.unique(self._cell_of[members], return_inverse=True)
-        return [(int(cell), members[inverse == k]) for k, cell in enumerate(cells)]
-
     def splits_gained(self, members) -> int:
-        """How many new cells :meth:`split` would create for this member set."""
+        """How many new cells :meth:`split` would create for this (unique) member set."""
         self.gain_queries += 1
-        gained = 0
-        for cell, inside in self._touched(members):
-            if len(inside) < int(self._cell_size[cell]):
-                gained += 1
-        return gained
+        cells, inside = _np.unique(self._cell_of[members], return_counts=True)
+        return int(_np.count_nonzero(inside < self._cell_size[cells]))
 
     def split(self, members) -> int:
-        """Refine by the member set; return the number of new cells created."""
+        """Refine by the (unique) member set; return the number of new cells created.
+
+        Every cell the members hit without covering hands them to a new
+        cell; new ids are allocated in ascending old-cell order.
+        """
         self.splits_performed += 1
-        created = 0
-        for cell, inside in self._touched(members):
-            n_inside = len(inside)
-            cell_size = int(self._cell_size[cell])
-            if n_inside == cell_size:
-                continue  # the whole cell lies on the path: nothing to split
-            new_cell = self._next_cell_id
-            self._next_cell_id += 1
-            self._cell_of[inside] = new_cell
-            self._cell_size[new_cell] = n_inside
-            self._cell_size[cell] = cell_size - n_inside
-            self._num_cells += 1
-            created += 1
+        members = _np.asarray(members, dtype=_np.int64)
+        member_cells = self._cell_of[members]
+        cells, inside = _np.unique(member_cells, return_counts=True)
+        partial = inside < self._cell_size[cells]
+        created = int(_np.count_nonzero(partial))
+        if created:
+            cells, inside = cells[partial], inside[partial]
+            new_cells = _np.arange(self._next_cell_id, self._next_cell_id + created)
+            self._new_cell[cells] = new_cells
+            relabel = self._new_cell[member_cells]
+            moved = relabel > 0
+            self._cell_of[members[moved]] = relabel[moved]
+            self._new_cell[cells] = 0
+            self._cell_size[new_cells] = inside
+            self._cell_size[cells] -= inside
+            self._next_cell_id += created
+            self._num_cells += created
         self.cells_created += created
         return created
 

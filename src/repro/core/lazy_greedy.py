@@ -7,11 +7,17 @@ it at the top, it is selected without touching the other candidates.  This is
 the standard CELF optimisation of Leskovec et al., adapted to a minimisation
 objective.
 
-:class:`LazyMinHeap` is agnostic about what a "score" is and rescores one
-candidate per step; it serves ``beta >= 2`` and the eager pops, and it is
-the reference.  :class:`BucketQueue`, the lazy queue at ``beta <= 1``, keeps
-one FIFO per integer Eq. (1) score and rescores in batches, with the same
-selections and logical counters.
+Both queues of the greedy pop through one ``pop(rescore_batch)`` call and
+keep the same logical counters (``evaluations``, ``lazy_skips``), at every
+``beta``:
+
+* :class:`BucketQueue`, the lazy queue, keeps one FIFO per integer Eq. (1)
+  score and rescores in batches;
+* :class:`EagerQueue`, the strawman's, rescores every surviving row in one
+  batch per pop and selects through a heap.
+
+Their oracle is the one-candidate-at-a-time CELF heap of
+``tests/lazy_heap_oracle.py``, which rescores one row per evaluation.
 """
 
 from __future__ import annotations
@@ -19,109 +25,48 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections import OrderedDict
-from typing import Callable, Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as _np
 
-__all__ = ["LazyMinHeap", "BucketQueue", "ShardedSolutionCache"]
-
-T = TypeVar("T")
+__all__ = ["BucketQueue", "EagerQueue", "ShardedSolutionCache"]
 
 
-class LazyMinHeap(Generic[T]):
-    """Min-heap with deferred score refresh.
+class EagerQueue:
+    """The strawman queue (no lazy update): every pop rescores every surviving row.
 
-    Parameters
-    ----------
-    items:
-        Iterable of (initial_score, item) pairs.
+    A pop rescores the survivors in one ``rescore_batch`` call, heapifies
+    the fresh ``(score, insertion order, row)`` entries and pops the
+    smallest: the oracle heap's eager pop, batch-scored.  An eager pop never
+    pushes an entry back, so insertion order breaks ties exactly as the
+    oracle's counter does, and the queue needs no initial scores.
+
+    The selection is a heap of Python tuples, as in the one-candidate
+    greedy, rather than a vectorised ``argmin``: this queue is the
+    unoptimised baseline that Table 2 and the lazy-update ablation measure
+    CELF against, and an ``argmin`` would optimise the baseline itself (on
+    Fattree(6) it then runs as fast as the lazy queue).
     """
 
-    def __init__(self, items: Iterable[Tuple[float, T]] = ()):
-        self._heap: List[Tuple[float, int, int, T]] = []
-        self._counter = 0
-        # Logical work counters: one *evaluation* per candidate whose score
-        # was (re)computed for a selection decision, one *lazy skip* per pop
-        # that trusted a score cached earlier in the same iteration.  These
-        # count decisions, not kernel work, so they are identical for every
-        # implementation of the same CELF pop sequence (see BucketQueue).
+    def __init__(self, rows):
+        self._heap = [(0, order, row) for order, row in enumerate(_np.asarray(rows).tolist())]
         self.evaluations = 0
-        self.lazy_skips = 0
-        for score, item in items:
-            self.push(score, item, stamp=-1)
+        self.lazy_skips = 0  # always 0: nothing is cached between pops
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, score: float, item: T, stamp: int) -> None:
-        """Insert *item* with the given score, recorded at iteration *stamp*."""
-        heapq.heappush(self._heap, (score, self._counter, stamp, item))
-        self._counter += 1
-
-    def pop_lazy(
-        self,
-        current_iteration: int,
-        rescore: Callable[[T], float],
-    ) -> Optional[Tuple[float, T]]:
-        """Pop the item with the smallest *up-to-date* score.
-
-        The entry at the top of the heap is refreshed with *rescore* unless it
-        was already scored in *current_iteration*.  If the refreshed score no
-        longer keeps it at the top it is pushed back and the process repeats.
-        The popped item is removed from the heap (the caller decides whether
-        to select or discard it).
-
-        Returns ``None`` when the heap is empty.
-        """
-        while self._heap:
-            score, _, stamp, item = heapq.heappop(self._heap)
-            if stamp == current_iteration:
-                self.lazy_skips += 1
-                return score, item
-            fresh = rescore(item)
-            self.evaluations += 1
-            if not self._heap or fresh <= self._heap[0][0]:
-                return fresh, item
-            self.push(fresh, item, stamp=current_iteration)
-        return None
-
-    def pop_eager(self, rescore: Callable[[T], float]) -> Optional[Tuple[float, T]]:
-        """Strawman behaviour: re-score *every* remaining item, pop the minimum.
-
-        Used when the lazy-update optimisation is disabled so that the
-        running-time comparison of Table 2 can be reproduced with the same
-        code path.
-        """
+    def pop(self, rescore_batch: Callable[[object], object]) -> Optional[Tuple[int, int]]:
+        """Pop the row with the smallest fresh score: ``(score, row)``, or ``None`` if empty."""
         if not self._heap:
             return None
         self.evaluations += len(self._heap)
-        rescored = [(rescore(item), counter, stamp, item) for _, counter, stamp, item in self._heap]
-        heapq.heapify(rescored)
-        best_score, _, _, best_item = heapq.heappop(rescored)
-        self._heap = rescored
-        return best_score, best_item
-
-    def pop_eager_batch(
-        self, rescore_batch: Callable[[List[T]], List[float]]
-    ) -> Optional[Tuple[float, T]]:
-        """:meth:`pop_eager` with all candidates refreshed in one batch call.
-
-        Selections are identical to :meth:`pop_eager` (same scores, same
-        counters); the batch signature lets an array kernel rescore the
-        whole candidate set in one vectorized kernel per iteration.
-        """
-        if not self._heap:
-            return None
-        self.evaluations += len(self._heap)
-        fresh = rescore_batch([entry[3] for entry in self._heap])
-        rescored = [
-            (score, counter, stamp, item)
-            for score, (_, counter, stamp, item) in zip(fresh, self._heap)
-        ]
-        heapq.heapify(rescored)
-        best_score, _, _, best_item = heapq.heappop(rescored)
-        self._heap = rescored
-        return best_score, best_item
+        rows = _np.array([row for _, _, row in self._heap], dtype=_np.int64)
+        fresh = _np.asarray(rescore_batch(rows)).tolist()
+        self._heap = [(score, order, row) for score, (_, order, row) in zip(fresh, self._heap)]
+        heapq.heapify(self._heap)
+        score, _, row = heapq.heappop(self._heap)
+        return score, row
 
 
 #: Stands in for "no score": above every Eq. (1) score, so it never wins a comparison.
@@ -167,17 +112,18 @@ class _Fifo:
 class BucketQueue:
     """CELF queue over integer scores: one FIFO per score, batch-rescored pops.
 
-    The lazy queue of the PMC greedy at ``beta <= 1``.  It pops
-    the same entries, with the same logical counters, as
-    :meth:`LazyMinHeap.pop_lazy` called at a new iteration for every pop.  One
-    FIFO per score *is* that heap:
+    The lazy queue of the PMC greedy at every ``beta``.  It pops the same
+    entries, with the same logical counters, as the oracle heap's lazy pop
+    called at a new iteration for every pop.  One FIFO per score *is* that
+    heap:
 
     * the heap orders entries by ``(score, counter)``, and a pushed-back entry
       gets a counter newer than every live one, so appending it to the FIFO
       of its score keeps every FIFO in counter order, and the heap's minimum
       is the head of the lowest non-empty FIFO;
-    * the Eq. (1) score is a small integer (every non-empty row starts at
-      -1), so there are a dozen or so FIFOs.
+    * the Eq. (1) score is an integer (every non-empty row starts at -1), so
+      there is one FIFO per distinct score: a dozen or so at ``beta <= 1``,
+      more in the virtual-link space, where a row touches more cells.
 
     **Contract: one pop per greedy iteration**, so every entry is stale when
     a pop starts and none carries a stamp.  A pop walks the entries in
@@ -200,11 +146,12 @@ class BucketQueue:
     unbatched loop's rescores.
     """
 
-    def __init__(self, rows, scores):
+    def __init__(self, rows, scores, batch_size: int = 32):
+        self.batch_size = batch_size  # the first chunk of every pop
         self._buckets: Dict[int, _Fifo] = {}
         self._keys: List[int] = []  # scores of the non-empty FIFOs, ascending
         self._size = 0
-        # Logical counters, identical to LazyMinHeap's for the same pops.
+        # Logical counters, identical to the oracle's for the same pops.
         self.evaluations = 0
         self.lazy_skips = 0
         self._push(_np.asarray(rows, dtype=_np.int64), _np.asarray(scores, dtype=_np.int64))
@@ -267,9 +214,7 @@ class BucketQueue:
             yield _concat(rows), _concat(cached), _INF if pending is None else pending[0]
             size *= 2
 
-    def pop(
-        self, rescore_batch: Callable[[object], object], batch_size: int = 32
-    ) -> Optional[Tuple[int, int]]:
+    def pop(self, rescore_batch: Callable[[object], object]) -> Optional[Tuple[int, int]]:
         """Pop the row with the smallest up-to-date score: ``(score, row)``, or ``None`` if empty.
 
         ``rescore_batch`` maps an int64 array of rows to the int64 array of
@@ -280,7 +225,7 @@ class BucketQueue:
         walked_rows: List[object] = []
         walked_fresh: List[object] = []
         best, best_at, offset = _INF, -1, 0
-        for rows, cached, after in self._chunks(batch_size):
+        for rows, cached, after in self._chunks(self.batch_size):
             fresh = _np.asarray(rescore_batch(rows), dtype=_np.int64)
             walked_rows.append(rows)
             walked_fresh.append(fresh)

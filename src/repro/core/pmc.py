@@ -16,13 +16,18 @@ The greedy repeatedly picks the candidate path with the lowest score
 where ``w[link]`` counts how many selected paths already cross the link and
 the "link sets" are the cells of the refinement partition described in §4.2
 (over the extended link space that includes virtual links for ``beta >= 2``).
+The score is one batch kernel at every ``beta``: a batch's rows, projected
+onto the subproblem's links, are gathered through the containing CSR of
+:class:`~repro.core.virtual_links.ExtendedLinkSpace` (the identity at
+``beta <= 1``), and the partition counts each row's distinct cells.  The lazy
+and the eager greedy both pop through one ``pop(rescore_batch)`` call.
 
 Three optional optimisations reproduce §4.3:
 
 * **decomposition** -- split into independent subproblems (connected
   components of the path/link bipartite graph) and solve each separately,
 * **lazy update** -- CELF-style deferred re-scoring (a bucket queue of
-  integer scores at ``beta <= 1``, a min-heap otherwise),
+  integer scores; off, every pop rescores every candidate),
 * **symmetry** -- isomorphic subproblems (the same incidence in *rank
   coordinates*: rows by position, links by rank among the subproblem's link
   ids) are one greedy run, so the first occurrence solves and the others
@@ -91,7 +96,7 @@ from .incidence import (
     RowProjection,
     clear_if_reached,
 )
-from .lazy_greedy import BucketQueue, LazyMinHeap, ShardedSolutionCache
+from .lazy_greedy import BucketQueue, EagerQueue, ShardedSolutionCache
 from .probe_matrix import ProbeMatrix
 from .virtual_links import ExtendedLinkSpace
 
@@ -133,7 +138,7 @@ class PMCOptions:
         useless paths when the identifiability target is unachievable.
     max_paths:
         Optional hard cap on the number of selected paths (safety valve for
-        experiments; ``None`` means unlimited).
+        experiments; ``None`` means unlimited, a negative cap is rejected).
     shard_by_pods:
         Replace the exact connected-component decomposition with the pod
         sharding of :func:`~repro.core.decomposition.pod_shards_for_matrix`:
@@ -164,6 +169,8 @@ class PMCOptions:
             raise ValueError("alpha must be non-negative")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
+        if self.max_paths is not None and self.max_paths < 0:
+            raise ValueError("max_paths must be non-negative")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -197,8 +204,9 @@ class PMCStats:
 
     ``greedy_evaluations`` is its deterministic sibling: the number of
     *logical* candidate evaluations the (unbatched) greedy performs -- chunk
-    overshoot excluded -- so it equals the one-candidate-at-a-time
-    :class:`~repro.core.lazy_greedy.LazyMinHeap` count on every machine.
+    overshoot excluded -- so it equals the count of a one-candidate-at-a-time
+    CELF heap (the tests' oracle) on every machine, lazy or eager, at every
+    ``beta``.
     ``lazy_skips`` counts pops resolved from a score cached earlier in the
     same iteration (the CELF saving),
     ``partition_splits`` / ``partition_cells_created`` /
@@ -881,7 +889,7 @@ def _solve_subproblem(
     The loop ends when ``goals_met``: the partition has ``reachable_cells``
     cells (identifiability requested) and every coverable link lies on
     ``min(alpha, its candidates)`` selected paths.
-    One rule for every heap flavour and dispatch mode; see the
+    One rule for both queues and every dispatch mode; see the
     comments at ``progress`` and ``reachable_cells`` for why stopping there
     returns the selection an exhaustive drain of the heap returns.
     """
@@ -901,30 +909,14 @@ def _solve_subproblem(
     # The subproblem is solved on the dense local universe 0..n-1 (links in
     # sorted-id order, matching the physical numbering of ExtendedLinkSpace):
     # weights, coverage targets and the refinement partition are flat vectors
-    # and every per-path query is a gather over the projected CSR row.
+    # and every per-path query is a gather over the projected CSR row -- and,
+    # in the virtual-link space of beta >= 2, over the extended space's
+    # containing CSR (the identity at beta <= 1).
     num_local = len(link_ids)
     proj = index.projection(link_ids)
-
     extended = ExtendedLinkSpace(link_ids, options.beta)
     partition = RefinablePartition(extended.num_extended)
     weights = _np.zeros(num_local, dtype=_np.int64)
-
-    if options.beta >= 2:
-        # Virtual-link ids per path, computed on demand and cached (the lazy
-        # greedy revisits candidates).  For beta <= 1 the extended space *is*
-        # the local physical space, so the projected row doubles as ext row.
-        ext_cache: Dict[int, object] = {}
-
-        def ext_row(path_index: int):
-            cached = ext_cache.get(path_index)
-            if cached is None:
-                covered = extended.extended_links_on_path(index.row_link_set(path_index))
-                cached = _np.array(sorted(covered), dtype=_np.int64)
-                ext_cache[path_index] = cached
-            return cached
-
-    else:
-        ext_row = proj.row
 
     coverable_locals = [local for local in range(num_local) if shard_counts[local]]
     stats.uncoverable_links = tuple(
@@ -956,42 +948,31 @@ def _solve_subproblem(
         if short_links:
             progress = _np.array(deficits, dtype=_np.int64)
 
-    def score(path_index: int) -> int:
-        stats.candidates_scored += 1
-        weight_term = int(weights[proj.row(path_index)].sum())
-        return weight_term - partition.cells_touched(ext_row(path_index))
-
-    # Batched rescoring (physical link space): the whole batch is scored with
-    # two segmented kernels instead of per-candidate gathers.  For beta >= 2
-    # the virtual-link rows are not CSR slices, so scoring stays per-candidate
-    # there.
-    use_batch_scoring = options.beta <= 1
-
-    def rescore_batch(items):
-        """Fresh scores of *items* (rows) as an int64 array."""
-        stats.candidates_scored += len(items)
-        segments, locals_ = proj.batch(items)
+    def rescore_batch(rows):
+        """Fresh Eq. (1) scores of *rows* as an int64 array: two segmented kernels."""
+        stats.candidates_scored += len(rows)
+        segments, locals_ = proj.batch(rows)
         weight_terms = _np.bincount(
-            segments, weights=weights[locals_], minlength=len(items)
+            segments, weights=weights[locals_], minlength=len(rows)
         ).astype(_np.int64)
-        cells = partition.cells_touched_segmented(segments, locals_, len(items))
-        return weight_terms - cells
+        ext_segments, members = extended.gather(segments, locals_)
+        return weight_terms - partition.cells_touched_segmented(ext_segments, members, len(rows))
 
     # Every non-empty path initially touches the single cell with zero weight,
     # so its initial score is exactly -1; empty paths score 0 and will be
     # discarded on pop.  Every queue holds one live entry per row, so a
-    # selected row is never popped again.
-    row_lengths = index.row_lengths()
-    use_bucket_queue = use_batch_scoring and options.use_lazy_update
-    if use_bucket_queue:
-        rows = _np.asarray(path_indices, dtype=_np.int64)
-        heap = BucketQueue(rows, _np.where(row_lengths[rows] > 0, -1, 0))
+    # selected row is never popped again.  A lazy chunk costs its rows'
+    # gathered extended width, ``containing_width`` times their length, so
+    # the first chunk holds about what 32 rows hold at ``beta <= 1``.
+    rows = _np.asarray(path_indices, dtype=_np.int64)
+    if options.use_lazy_update:
+        initial = _np.where(index.row_lengths()[rows] > 0, -1, 0)
+        heap = BucketQueue(rows, initial, batch_size=max(1, 32 // extended.containing_width))
     else:
-        heap = LazyMinHeap(((-1 if row_lengths[i] else 0), i) for i in path_indices)
+        heap = EagerQueue(rows)
 
     selected: List[int] = []
     identifiability_needed = options.beta > 0
-    iteration = 0
 
     # The cell count at which refinement is over.  Selections only ever group
     # links by which selected rows cross them, so no selection can separate
@@ -1006,7 +987,8 @@ def _solve_subproblem(
     # greedy, which selects such candidates) the target stays the trivial
     # bound "every id alone"; so it does in the virtual-link space of
     # ``beta >= 2``, where counting distinct unions of signatures costs more
-    # than the drain it would save at the scales that space is usable at.
+    # than the drain it would save at the scales that space is usable at
+    # (the drain pops the same batch-scored queue as every other run).
     reachable_cells = extended.num_extended
     if options.beta == 1 and options.skip_zero_gain:
         reachable_cells = index.distinct_column_signatures(link_ids, path_indices)
@@ -1020,14 +1002,14 @@ def _solve_subproblem(
         covers = int(_np.count_nonzero(under_covered[proj.row(path_index)]))
         splits = 0
         if identifiability_needed and partition.num_cells < reachable_cells:
-            splits = partition.splits_gained(ext_row(path_index))
+            splits = partition.splits_gained(extended.on_locals(proj.row(path_index)))
         return splits, covers
 
     def apply_selection(path_index: int) -> None:
         nonlocal under_count
         cols = proj.row(path_index)
         if identifiability_needed:
-            partition.split(ext_row(path_index))
+            partition.split(extended.on_locals(cols))
         # Column positions within a row are unique, so fancy-index add is safe.
         weights[cols] += 1
         if progress is not weights:
@@ -1039,15 +1021,7 @@ def _solve_subproblem(
     while not goals_met():
         if options.max_paths is not None and len(selected) >= options.max_paths:
             break
-        iteration += 1
-        if use_bucket_queue:
-            popped = heap.pop(rescore_batch)
-        elif options.use_lazy_update:
-            popped = heap.pop_lazy(iteration, score)
-        elif use_batch_scoring:
-            popped = heap.pop_eager_batch(lambda items: rescore_batch(items).tolist())
-        else:
-            popped = heap.pop_eager(score)
+        popped = heap.pop(rescore_batch)
         if popped is None:
             break
         _, path_index = popped

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core import (
     ExtendedLinkSpace,
-    LazyMinHeap,
     ProbeMatrix,
     check_coverage,
     check_identifiability,
@@ -18,6 +17,7 @@ from repro.core import (
     find_confusable_failure_sets,
     identifiability_level,
 )
+from lazy_heap_oracle import LazyMinHeap
 from link_set_oracle import LinkSetPartition
 from repro.routing import Path, RoutingMatrix
 from repro.topology import Tier, TopologyBuilder

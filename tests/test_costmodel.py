@@ -16,7 +16,8 @@ import pytest
 
 from repro.core import CostModel, KernelCounters, PMCOptions, construct_probe_matrix
 from repro.core.incidence import IncidenceIndex, RefinablePartition
-from repro.core.lazy_greedy import BucketQueue, LazyMinHeap
+from lazy_heap_oracle import LazyMinHeap
+from repro.core.lazy_greedy import BucketQueue, EagerQueue
 from repro.routing import RoutingMatrix, enumerate_candidate_paths
 
 
@@ -110,6 +111,9 @@ class TestHeapCounters:
         heap.pop_eager(lambda item: {"a": 3, "b": 1, "c": 2}[item])
         assert heap.evaluations == 3
         assert heap.lazy_skips == 0
+        queue = EagerQueue([0, 1, 2])
+        assert queue.pop(lambda rows: [[3, 1, 2][row] for row in rows]) == (1, 1)
+        assert (queue.evaluations, queue.lazy_skips) == (3, 0)
 
     def test_lazy_and_batched_heaps_agree_on_logical_counters(self):
         """Drive both heap flavours through the same CELF schedule: the

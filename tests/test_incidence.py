@@ -233,7 +233,8 @@ class TestRefinablePartition:
                     rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
                 )
                 idx = np.array(members, dtype=np.int64)
-                assert array_partition.cells_touched(idx) == set_partition.cells_touched(members)
+                touched = array_partition.cells_touched_segmented(np.zeros_like(idx), idx, 1)
+                assert touched.tolist() == [set_partition.cells_touched(members)]
                 assert array_partition.splits_gained(idx) == set_partition.splits_gained(members)
                 assert array_partition.split(idx) == set_partition.split(members)
                 assert array_partition.fully_refined == set_partition.fully_refined

@@ -180,7 +180,8 @@ def check_partition(c: Case) -> None:
     for members in c.q.split_sets:
         cell_of = [partition.cell_of(i) for i in range(n)]
         idx = np.array(members, dtype=np.int64)
-        assert partition.cells_touched(idx) == oracle.cells_touched(cell_of, members)
+        touched = partition.cells_touched_segmented(np.zeros_like(idx), idx, 1)
+        assert touched.tolist() == [oracle.cells_touched(cell_of, members)]
         assert partition.splits_gained(idx) == oracle.splits_gained(cell_of, members)
         seg = np.arange(len(members), dtype=np.int64) % 3
         assert partition.cells_touched_segmented(seg, idx, 3).tolist() == (

@@ -29,6 +29,11 @@ class TestOptions:
         with pytest.raises(ValueError):
             PMCOptions(**kwargs)
 
+    def test_negative_max_paths_rejected(self):
+        with pytest.raises(ValueError, match="max_paths"):
+            PMCOptions(max_paths=-1)
+        assert PMCOptions(max_paths=0).max_paths == 0
+
     def test_label(self):
         assert "strawman" in PMCOptions(
             use_decomposition=False, use_lazy_update=False, use_symmetry=False
