@@ -7,10 +7,14 @@ well-formed tables with the expected columns and reference data.
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.experiments import (
     ExperimentTable,
+    default_suite,
     figure4,
     figure5,
     figure6,
@@ -18,10 +22,13 @@ from repro.experiments import (
     table2,
     table3,
     table4,
+    run_all,
     table5,
 )
 from repro.experiments.common import format_value
-from repro.topology import build_fattree
+from repro.monitor import DetectorSystem
+from repro.simulation import FailureScenario, LinkFailure, LossMode
+from repro.topology import build_bcube, build_fattree, build_vl2
 
 
 class TestExperimentTable:
@@ -186,3 +193,115 @@ class TestPLLComparison:
         pll_row = table.rows[0]
         assert pll_row["accuracy_pct"] >= 70.0
         assert pll_row["mean_runtime_ms"] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Output pins: the quick suite and the pinger window, digested
+# ---------------------------------------------------------------------------
+
+#: Wall-clock columns: the only cells of the quick suite that may differ
+#: between two runs at one seed.
+TIMING_COLUMNS = {
+    "table2": {"strawman", "decomposition", "lazy_update", "symmetry"},
+    "pll_comparison": {"mean_runtime_ms"},
+}
+
+#: sha256 of every non-timing cell, per experiment of ``default_suite("quick")``
+#: at root seed 2017.
+QUICK_SUITE_DIGESTS = {
+    "table2": "205f3429e2a1689da9e04f20c35586f286d9da9890919e49f50fbf2560c04140",
+    "table3": "e68dc7a2050882d86fc69976e9a69cb7cb0df77d0e442a50588bbedb4d272bfd",
+    "table4": "57f30d8b18888fcb53d6aee7d5aaf957e98b2fc368aaf1257ef58c0aa5d18289",
+    "table5": "80016a722db488112f85f4ad6749f2371505568fca12bad487f858e64f15faf3",
+    "figure4": "dee7e2b5a8731964ead85e05fd0a7b4359cddefb98ad09bc59138ff67279734d",
+    "figure5": "3a30f8b3704bd6bf39835121c4f4798807005d65277f6a3940682d7e4bf64852",
+    "figure6": "507c65897c384a5a1ce5c05eeebf21bee05d8ffea6be81148ef24d01b16cbe0b",
+    "pll_comparison": "a4aa533c86c9037c7003f2649d6965ac6f54e78b10b664f6197764c5366764ff",
+}
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+
+
+def _table_digest(name, table) -> str:
+    kept = [column for column in table.columns if column not in TIMING_COLUMNS.get(name, ())]
+    return _digest([kept] + [[row.get(column) for column in kept] for row in table.rows])
+
+
+@pytest.fixture(scope="module")
+def quick_suite_runs():
+    return {run.name: run for run in run_all(default_suite("quick"), verbose=False, seed=2017)}
+
+
+class TestQuickSuitePins:
+    @pytest.mark.parametrize("name", sorted(QUICK_SUITE_DIGESTS))
+    def test_non_timing_columns(self, quick_suite_runs, name):
+        assert _table_digest(name, quick_suite_runs[name].table) == QUICK_SUITE_DIGESTS[name]
+
+
+def _random_partial_scenarios(topology):
+    """Two windows' scenarios: three, then two random-partial switch links."""
+    links = [link.link_id for link in topology.switch_links]
+    picks = ((1, 0.05), (len(links) // 2, 0.2), (len(links) - 2, 0.5)), ((3, 0.1), (7, 0.3))
+    return [
+        FailureScenario(
+            failures={
+                links[i]: LinkFailure(links[i], LossMode.RANDOM_PARTIAL, loss_rate=rate, salt=i)
+                for i, rate in window
+            }
+        )
+        for window in picks
+    ]
+
+
+#: Per topology: each window's suspects and probes sent, then a sha256 of
+#: every window's per-pinger ``(server, sent, lost)`` with its per-path
+#: observations, and the generator's next draw.
+RUN_WINDOW_PINS = {
+    "fattree4": (
+        [[32, 46, 1], [11, 3]],
+        [5210, 5006],
+        "4250cc2b20732a8efb541fb06d55b138343cdd60ce1ca53f10ce75e533549f9e",
+    ),
+    "vl2": (
+        [[140, 48, 1], [7, 3]],
+        [13204, 12276],
+        "6d643107bc8d2fc59680e2683138b83ff0aee23761e5e15cc6fdf2e17cb4f61e",
+    ),
+    # BCube models its servers as switches and has no ToR tier, so the
+    # controller places no pinger: the window is empty and draws nothing.
+    "bcube": (
+        [[], []],
+        [0, 0],
+        "28b085ef292e234a45f7c0e565bf35229081f00b879c5a5cf280a6a6b870ad91",
+    ),
+}
+
+_TOPOLOGIES = {
+    "fattree4": lambda: build_fattree(4),
+    "vl2": lambda: build_vl2(12, 8, 2),
+    "bcube": lambda: build_bcube(4, 1),
+}
+
+
+class TestRunWindowPins:
+    @pytest.mark.parametrize("name", sorted(RUN_WINDOW_PINS))
+    def test_random_partial_windows(self, name):
+        topology = _TOPOLOGIES[name]()
+        system = DetectorSystem(topology, np.random.default_rng(2017))
+        system.run_controller_cycle()
+        suspects, probes_sent, reports = [], [], []
+        for scenario in _random_partial_scenarios(topology):
+            outcome = system.run_window(scenario)
+            suspects.append(outcome.suspected_links)
+            probes_sent.append(outcome.probes_sent)
+            reports.append(
+                [
+                    (r.pinger_server, r.probes_sent, r.probes_lost)
+                    + tuple((o.path_index, o.sent, o.lost) for o in r.observations)
+                    for r in outcome.pinger_reports
+                ]
+            )
+        digest = _digest((reports, float(system.rng.random())))
+        assert (suspects, probes_sent, digest) == RUN_WINDOW_PINS[name]
