@@ -59,33 +59,33 @@ class Netbouncer:
             them (the paths Pingmesh's probes may have taken).  When a probe
             budget was configured, probing stops as soon as it is exhausted --
             remaining paths simply go untested.
+
+        The probed paths are primed on the simulator and probed in one
+        :meth:`~repro.simulation.ProbeSimulator.probe_rows` call, pair by
+        pair and path by path.
         """
-        probes_sent = 0
-        probed_paths = 0
-        lossy_paths: List[Path] = []
-        healthy_links: Set[int] = set()
-        config = ProbeConfig(probes_per_path=self._probes_per_path)
-
-        for paths in candidate_paths_by_pair.values():
-            for path in paths:
-                if self._max_probes is not None and probes_sent >= self._max_probes:
-                    break
-                probed_paths += 1
-                lost = 0
-                for sequence in range(self._probes_per_path):
-                    packet = config.packet_for(path, sequence)
-                    if not self._simulator.round_trip(path, packet):
-                        lost += 1
-                probes_sent += self._probes_per_path
-                if lost:
-                    lossy_paths.append(path)
-                else:
-                    healthy_links.update(path.link_ids)
-
+        probes_per_path = self._probes_per_path
+        paths = [path for pair_paths in candidate_paths_by_pair.values() for path in pair_paths]
+        if self._max_probes is not None:
+            # The budget counts probes, not outcomes: a path goes out while
+            # fewer than ``max_probes`` probes went out before it.
+            paths = paths[: -(-self._max_probes // probes_per_path)]
+        self._simulator.prime_paths(paths)
+        _, lost = self._simulator.probe_rows(
+            np.arange(len(paths)),
+            np.full(len(paths), probes_per_path),
+            [ProbeConfig(probes_per_path=probes_per_path)],
+            np.zeros(len(paths)),
+            [0],
+        )
+        lossy_paths = [path for path, lossy in zip(paths, lost.tolist()) if lossy]
+        healthy_links = {
+            link for path, lossy in zip(paths, lost.tolist()) if not lossy for link in path.link_ids
+        }
         return NetbouncerResult(
             suspected_links=self._explain(lossy_paths, healthy_links),
-            probes_sent=probes_sent,
-            probed_paths=probed_paths,
+            probes_sent=probes_per_path * len(paths),
+            probed_paths=len(paths),
         )
 
     @staticmethod

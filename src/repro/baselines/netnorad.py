@@ -81,12 +81,14 @@ class NetNORADSystem:
 
         detection_probes = 0
         suspects: List[SuspectedPair] = []
-        for src, dst in self.monitored_pairs():
-            outcome = simulator.probe_pair_ecmp(self._router, src, dst, probes_per_pair)
+        pairs = self.monitored_pairs()
+        for outcome in simulator.probe_pairs_ecmp(self._router, pairs, probes_per_pair):
             detection_probes += outcome.sent
             if config.pair_is_suspect(outcome.sent, outcome.lost):
                 suspects.append(
-                    SuspectedPair(src=src, dst=dst, sent=outcome.sent, lost=outcome.lost)
+                    SuspectedPair(
+                        src=outcome.src, dst=outcome.dst, sent=outcome.sent, lost=outcome.lost
+                    )
                 )
 
         suspected_links: List[int] = []

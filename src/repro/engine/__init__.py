@@ -24,7 +24,6 @@ from .engine import (
     EngineResult,
     EngineWindow,
     ServedWindow,
-    SnapshotWindow,
     TelemetryEngine,
 )
 from .loop import BatchEventSource, EventHandle, EventLoop, SimClock
@@ -51,6 +50,5 @@ __all__ = [
     "EngineWindow",
     "EngineResult",
     "ServedWindow",
-    "SnapshotWindow",
     "TelemetryEngine",
 ]

@@ -1,9 +1,8 @@
 """Tumbling-window aggregation of probe outcome streams.
 
 The diagnoser of §3.1 consumes 30-second aggregation windows; under the
-discrete-event engine those windows are no longer "whatever one call to
-``Pinger.run_window`` produced" but a *stream* of timestamped probe batches
-arriving from many pingers.  :class:`StreamAggregator` folds that stream into
+discrete-event engine those windows are not one merge of per-pinger reports
+but a *stream* of timestamped probe batches arriving from many pingers.  :class:`StreamAggregator` folds that stream into
 flat per-path counters and, through the vectorized
 :class:`~repro.core.incidence.IncidenceIndex` kernels, into per-link
 sent/lost/lossy-path counters -- the quantities detection latency is defined
@@ -21,9 +20,9 @@ Window semantics:
 * :meth:`close_window` emits a :class:`WindowReport` (observations plus
   per-link counter snapshots) and opens the next window.
 
-On a frozen clock with every event at the window start, one fold plus one
-:meth:`close_window` reproduces the merged observation set of the legacy
-snapshot path exactly (tested in ``tests/test_engine.py``).
+Folding every observation of a window's pinger reports at one instant, then
+one :meth:`close_window`, reproduces the merge of those reports exactly
+(tested in ``tests/test_engine.py``).
 
 **Sharding.**  With ``num_shards > 1`` the open window's per-path counters
 are split across shards (the serve-mode analogue of running one aggregator
@@ -42,7 +41,7 @@ before it folds any of it: a batch that raises leaves no trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -50,9 +49,6 @@ from ..core.costmodel import CostModel
 from ..core.incidence import IncidenceIndex
 from ..localization import ObservationSet
 from ..obs import tracing
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (monitor imports engine)
-    from ..monitor.pinger import PingerReport
 
 __all__ = ["WindowReport", "StreamAggregator"]
 
@@ -264,15 +260,6 @@ class StreamAggregator:
         self._accepted += accepted
         self.cost.add("aggregator_events_accepted", accepted)
         self.cost.add("aggregator_probes_folded", total_sent)
-        return accepted
-
-    def ingest_report(self, report: "PingerReport", time: float) -> int:
-        """Fold a whole legacy pinger report at one timestamp; returns #accepted."""
-        self.cost.add("aggregator_reports_ingested")
-        accepted = 0
-        for obs in report.observations:
-            if self.record(obs.path_index, time, obs.sent, obs.lost):
-                accepted += 1
         return accepted
 
     # ---------------------------------------------------------------- rollover

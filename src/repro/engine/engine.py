@@ -24,11 +24,10 @@ One driver advances time: :meth:`TelemetryEngine.serve` streams windows as
 they close, and :meth:`TelemetryEngine.run` is that stream drained to its
 horizon and snapshotted by :meth:`TelemetryEngine.build_result`.
 
-The legacy snapshot pipeline is the one-tick special case
-(:meth:`TelemetryEngine.run_snapshot_window`): a frozen clock, every pinger's
-whole window fired in one event, one window close.
-``DetectorSystem.run_window`` delegates to it, so the static path and the
-timed path share one implementation.
+The static window (``DetectorSystem.run_window``) and the timed one probe
+through the same kernel,
+:meth:`~repro.simulation.ProbeSimulator.probe_paths_bulk`, and diagnose
+through the same ``Diagnoser.diagnose``.
 """
 
 from __future__ import annotations
@@ -48,17 +47,15 @@ from ..parallel import pool_telemetry, resolve_jobs
 from ..simulation.rng import SeededStreams
 from .aggregator import StreamAggregator, WindowReport
 from .dynamics import DynamicFaultModel
-from .loop import EventLoop, SimClock
+from .loop import EventLoop
 from .probes import (
     PRIORITY_CYCLE,
-    PRIORITY_PROBE,
     PRIORITY_WINDOW,
     ProbeScheduler,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..monitor.diagnoser import DiagnosisReport
-    from ..monitor.pinger import PingerReport
     from ..monitor.system import DetectorSystem
 
 __all__ = [
@@ -68,7 +65,6 @@ __all__ = [
     "EngineWindow",
     "EngineResult",
     "ServedWindow",
-    "SnapshotWindow",
     "TelemetryEngine",
 ]
 
@@ -317,20 +313,6 @@ class ServedWindow:
         if self.wall_seconds <= 0.0:
             return float("inf")
         return self.report.duration / self.wall_seconds
-
-
-@dataclass
-class SnapshotWindow:
-    """Result of the one-tick (frozen clock) engine run behind ``run_window``.
-
-    ``window`` is ``None`` when the caller opted out of the stream fold
-    (``fold_stream=False``): the legacy pipeline only needs reports and the
-    diagnosis, so it skips the aggregator's per-link counter kernels.
-    """
-
-    reports: List["PingerReport"]
-    diagnosis: "DiagnosisReport"
-    window: Optional[WindowReport]
 
 
 class TelemetryEngine:
@@ -727,56 +709,3 @@ class TelemetryEngine:
         if math.isfinite(rate):  # keep the informational export strict JSON
             self._g_rate.set(rate)
         return served
-
-    # ------------------------------------------------------------- snapshot
-    @classmethod
-    def run_snapshot_window(
-        cls,
-        system: "DetectorSystem",
-        window_seconds: Optional[float] = None,
-        fold_stream: bool = True,
-    ) -> SnapshotWindow:
-        """The legacy static pipeline as a one-tick engine run.
-
-        A frozen clock, one probe event firing every healthy pinger's whole
-        window budget (in pinglist order, through the same scalar probing loop
-        the pre-engine code used, so random draws are consumed identically),
-        and one window-close event running the diagnoser.  This *is* the
-        implementation of ``DetectorSystem.run_window``; the timed engine is
-        the same dataflow with real intervals between the events.
-
-        ``fold_stream=False`` skips the aggregator fold (and its per-link
-        counter kernels) when the caller only needs reports + diagnosis.
-        """
-        clock = SimClock(0.0)
-        clock.freeze()
-        loop = EventLoop(clock)
-        window = window_seconds or system.controller.config.report_interval_seconds
-        aggregator = (
-            StreamAggregator(
-                system.probe_matrix.incidence, window_seconds=window, start_time=0.0
-            )
-            if fold_stream
-            else None
-        )
-        reports: List["PingerReport"] = []
-        state: Dict[str, object] = {"window": None}
-
-        def probe_event() -> None:
-            for report in system.iter_pinger_reports():
-                reports.append(report)
-                if aggregator is not None:
-                    aggregator.ingest_report(report, 0.0)
-                system.diagnoser.ingest(report)
-
-        def close_event() -> None:
-            if aggregator is not None:
-                state["window"] = aggregator.close_window(0.0)
-            state["diagnosis"] = system.diagnoser.run_window()
-
-        loop.schedule_at(0.0, probe_event, PRIORITY_PROBE)
-        loop.schedule_at(0.0, close_event, PRIORITY_PROBE + 1)
-        loop.run()
-        return SnapshotWindow(
-            reports=reports, diagnosis=state["diagnosis"], window=state["window"]
-        )

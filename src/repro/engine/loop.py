@@ -10,8 +10,7 @@ byte-identical detection timelines.
 
 A *frozen* clock turns the loop into a zero-duration executor: events may be
 scheduled and run at the current instant but any attempt to advance time
-raises.  The legacy snapshot pipeline (``DetectorSystem.run_window``) runs as
-exactly that -- a one-tick engine run on a frozen clock.
+raises.
 
 A *batch source* (:meth:`EventLoop.set_batch_source`) is a coalescing timer
 tier for homogeneous high-rate events (the probe streams).  The loop asks it
@@ -57,7 +56,7 @@ class SimClock:
         if self._frozen and to > self._now:
             raise RuntimeError(
                 f"frozen clock cannot advance from {self._now} to {to}; "
-                "snapshot runs must schedule every event at the current instant"
+                "a frozen loop must schedule every event at the current instant"
             )
         self._now = to
 

@@ -2,7 +2,7 @@
 
 from .controller import Controller, ControllerConfig, ControllerCycle
 from .diagnoser import Alert, Diagnoser, DiagnosisReport
-from .pinger import Pinger, PingerReport
+from .pinger import Pinger, PingerReport, probe_window
 from .pinglist import Pinglist, PinglistEntry
 from .responder import Responder
 from .system import DetectorSystem, WindowOutcome
@@ -16,6 +16,7 @@ __all__ = [
     "PinglistEntry",
     "Pinger",
     "PingerReport",
+    "probe_window",
     "Responder",
     "Diagnoser",
     "DiagnosisReport",

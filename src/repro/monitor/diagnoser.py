@@ -1,7 +1,7 @@
 """The diagnoser (§3.1): aggregates pinger reports and runs PLL.
 
-Every 30 seconds the diagnoser merges the reports received from all pingers,
-pre-processes them (outlier removal, noise filtering), runs the PLL algorithm
+Every 30 seconds the diagnoser takes the merge of the reports received from
+all pingers, pre-processes it (outlier removal, noise filtering), runs the PLL algorithm
 and emits alerts naming the suspected links together with estimated loss
 rates.  Reports are also kept in a small in-memory log ("database" in the
 paper) so operators can query past windows.
@@ -9,8 +9,8 @@ paper) so operators can query past windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..core import ProbeMatrix
 from ..localization import (
@@ -20,11 +20,9 @@ from ..localization import (
     PLLConfig,
     PLLLocalizer,
     PreprocessConfig,
-    merge_observations,
     preprocess_observations,
 )
 from ..topology import Topology
-from .pinger import PingerReport
 from .watchdog import Watchdog
 
 __all__ = ["Alert", "DiagnosisReport", "Diagnoser"]
@@ -86,43 +84,22 @@ class Diagnoser:
         self._preprocess_config = preprocess_config or PreprocessConfig()
         self._watchdog = watchdog or Watchdog(topology)
         self._classifier = LossPatternClassifier() if classify_loss_patterns else None
-        self._pending_reports: List[PingerReport] = []
         self._window_index = 0
         self.history: List[DiagnosisReport] = []
-
-    # ------------------------------------------------------------- ingestion
-    def ingest(self, report: PingerReport) -> None:
-        """Accept one pinger's report for the current window."""
-        self._pending_reports.append(report)
-
-    def ingest_many(self, reports: Sequence[PingerReport]) -> None:
-        for report in reports:
-            self.ingest(report)
-
-    def pending_report_count(self) -> int:
-        return len(self._pending_reports)
 
     # ------------------------------------------------------------- diagnosis
     def update_probe_matrix(self, probe_matrix: ProbeMatrix) -> None:
         """Install the probe matrix of a new controller cycle."""
         self.probe_matrix = probe_matrix
 
-    def run_window(self) -> DiagnosisReport:
-        """Merge pending reports, run pre-processing and PLL, emit alerts."""
-        merged = merge_observations([r.observations for r in self._pending_reports])
-        self._pending_reports = []
-        return self.diagnose(merged)
-
     def diagnose(
         self, merged: ObservationSet, probes_analyzed: Optional[int] = None
     ) -> DiagnosisReport:
         """Run pre-processing and PLL over one window's merged observations.
 
-        The report-free entry point the telemetry engine uses: its stream
-        aggregator folds timestamped probe batches into exactly this merged
-        per-path view, so window diagnosis no longer requires materialising
-        per-pinger reports.  :meth:`run_window` is now the thin legacy wrapper
-        that merges pending reports and delegates here.  Pre-processing and
+        The telemetry engine's stream aggregator folds timestamped probe
+        batches into this merged per-path view; ``DetectorSystem.run_window``
+        passes the merge of its pinger reports.  Pre-processing and
         PLL run as passes over the observation columns; ``PathObservation``
         objects are built only for the loss-pattern classifier, on the paths
         through the suspects.

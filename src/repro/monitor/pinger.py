@@ -4,7 +4,8 @@ Each pinger owns the probe paths its pinglist assigns to it.  During an
 aggregation window (30 seconds in the paper) it loops over its paths, sends
 source-routed UDP probes with varying source ports and DSCP values, counts
 losses (a probe unanswered within 100 ms is a loss) and posts an aggregate
-report to the diagnoser.
+report to the diagnoser.  :func:`probe_window` sends one window of every
+pinger through the probe simulator's bulk kernel, one row per probe.
 
 The probing budget is expressed exactly as in the paper: the pinger sends
 ``probes_per_second`` packets in total, looping over its pinglist, so each of
@@ -15,15 +16,16 @@ probe content to confirm the loss pattern (§3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from ..localization import ObservationSet, PathObservation
-from ..routing import Path
 from ..simulation import ProbeConfig, ProbeSimulator
 from .pinglist import Pinglist
 
-__all__ = ["PingerReport", "Pinger"]
+__all__ = ["PingerReport", "Pinger", "probe_window"]
 
 
 @dataclass
@@ -42,17 +44,17 @@ class PingerReport:
 
 
 class Pinger:
-    """Sends probes according to a pinglist and aggregates the outcomes."""
+    """One pinger: its pinglist, per-path budget, probe entropy and loss
+    confirmation.  :func:`probe_window` (static windows) and the telemetry
+    engine's scheduler (timed streams) send its probes."""
 
     def __init__(
         self,
         pinglist: Pinglist,
-        paths_by_index: Dict[int, Path],
         simulator: ProbeSimulator,
         confirm_losses: int = 2,
     ):
         self.pinglist = pinglist
-        self._paths_by_index = paths_by_index
         self._simulator = simulator
         self._confirm_losses = confirm_losses
 
@@ -89,64 +91,59 @@ class Pinger:
             dscp_values=self.pinglist.dscp_values,
         )
 
-    def probe_entry(
-        self,
-        entry,
-        probes: int,
-        start_sequence: int = 0,
-        config: Optional[ProbeConfig] = None,
-    ) -> Tuple[int, int]:
-        """Send ``probes`` probes on one pinglist entry; returns ``(sent, lost)``.
-
-        The snapshot path's unit of work: each entry's whole per-window
-        budget goes out in one call.  (The telemetry engine's
-        :class:`~repro.engine.probes.ProbeScheduler` probes whole drains
-        through :meth:`~repro.simulation.ProbeSimulator.probe_paths_bulk`
-        instead.)  Counts include loss-confirmation resends.
-        """
-        config = config or self.probe_config(probes)
-        path = self._paths_by_index[entry.path_index]
-        sent = probes
-        lost = 0
-        for sequence in range(start_sequence, start_sequence + probes):
-            packet = config.packet_for(path, sequence)
-            delivered = self._simulator.round_trip(path, packet)
-            if not delivered:
-                confirmed_lost = 1
-                # Confirm the loss pattern by re-sending the same content.
-                for _ in range(self._confirm_losses):
-                    sent += 1
-                    if not self._simulator.round_trip(path, packet):
-                        confirmed_lost += 1
-                lost += confirmed_lost
-        return sent, lost
-
-    def run_window(self, window_seconds: Optional[float] = None) -> PingerReport:
-        """Probe every owned path for one aggregation window."""
-        window = window_seconds or self.pinglist.report_interval_seconds
-        per_path = self.probes_per_path_per_window(window)
-        probe_config = self.probe_config(per_path)
-
-        observations = ObservationSet()
-        sent_total = 0
-        lost_total = 0
-        for entry in self.pinglist.entries:
-            sent, lost = self.probe_entry(entry, per_path, config=probe_config)
-            observations.add(
-                PathObservation(path_index=entry.path_index, sent=sent, lost=lost)
-            )
-            sent_total += sent
-            lost_total += lost
-
-        return PingerReport(
-            pinger_server=self.server_name,
-            window_seconds=window,
-            observations=observations,
-            probes_sent=sent_total,
-            probes_lost=lost_total,
-        )
-
     # ------------------------------------------------------------ accounting
     def probes_per_window(self, window_seconds: Optional[float] = None) -> int:
         """Nominal probe budget per window (excluding loss confirmations)."""
         return self.probes_per_path_per_window(window_seconds) * self.pinglist.num_paths
+
+
+def probe_window(pingers: Sequence[Pinger]) -> List[PingerReport]:
+    """Probe one aggregation window of every pinger; one report each.
+
+    Every probe of every pinger is one count-1 row of a single
+    :meth:`~repro.simulation.ProbeSimulator.probe_rows` call: pinger by
+    pinger, entry by entry in pinglist order, each entry's window budget in
+    sequence order, each loss followed by the pinger's confirmation resends.
+    The pingers share one simulator, primed with the probe matrix their
+    pinglists index.  Each report is its pinger's slice of the call.
+    """
+    pingers = list(pingers)
+    if not pingers:
+        return []
+    lengths = [pinger.pinglist.num_paths for pinger in pingers]
+    rows = np.fromiter(
+        (entry.path_index for pinger in pingers for entry in pinger.pinglist.entries),
+        dtype=np.int64,
+        count=sum(lengths),
+    )
+    pinger_of = np.repeat(np.arange(len(pingers)), lengths)
+    per_path = np.asarray([pinger.probes_per_path_per_window() for pinger in pingers])
+    sent, lost = pingers[0].simulator.probe_rows(
+        rows,
+        per_path[pinger_of],
+        [pinger.probe_config() for pinger in pingers],
+        pinger_of,
+        [pinger.confirm_losses for pinger in pingers],
+    )
+    reports = []
+    stop = 0
+    for pinger, length in zip(pingers, lengths):
+        window = slice(stop, stop + length)
+        stop += length
+        reports.append(
+            PingerReport(
+                pinger_server=pinger.server_name,
+                window_seconds=pinger.pinglist.report_interval_seconds,
+                observations=ObservationSet(
+                    map(
+                        PathObservation,
+                        rows[window].tolist(),
+                        sent[window].tolist(),
+                        lost[window].tolist(),
+                    )
+                ),
+                probes_sent=int(sent[window].sum()),
+                probes_lost=int(lost[window].sum()),
+            )
+        )
+    return reports

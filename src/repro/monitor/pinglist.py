@@ -96,6 +96,8 @@ class Pinglist:
 
     @classmethod
     def from_xml(cls, payload: str) -> "Pinglist":
+        """Parse the XML wire format; a port range that runs backwards or a
+        probe rate or report interval that is not positive is a ``ValueError``."""
         root = ElementTree.fromstring(payload)
         if root.tag != "pinglist":
             raise ValueError(f"expected <pinglist> root element, got <{root.tag}>")
@@ -113,6 +115,13 @@ class Pinglist:
             ),
             dscp_values=dscp or (0,),
         )
+        low, high = pinglist.source_port_range
+        if low > high:
+            raise ValueError(f"source_port_low {low} exceeds source_port_high {high}")
+        if pinglist.probes_per_second <= 0:
+            raise ValueError("probes_per_second must be positive")
+        if pinglist.report_interval_seconds <= 0:
+            raise ValueError("report_interval_seconds must be positive")
         for element in root.findall("probe"):
             pinglist.entries.append(
                 PinglistEntry(

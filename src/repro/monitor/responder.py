@@ -2,8 +2,9 @@
 
 Responders are stateless user-space processes running on every server: they
 listen on the probing port, timestamp incoming probes and echo them back.  In
-the simulator the echo traversal is handled by
-:meth:`repro.simulation.ProbeSimulator.round_trip`; this class models the
+the simulator the echo traversal is handled by the probing kernel
+(:meth:`repro.simulation.ProbeSimulator.probe_paths_bulk` walks each probe's
+path forward, then back); this class models the
 per-packet behaviour (port filtering, timestamping, statelessness) so the
 monitoring pipeline and its tests mirror the real component structure.
 """

@@ -5,7 +5,8 @@ responders, diagnoser) around the probing simulator.  One call to
 :meth:`DetectorSystem.run_window` reproduces a full §3.2 cycle slice:
 
 * the controller's current probe matrix defines the pinglists,
-* every pinger probes its paths against the injected failure scenario,
+* every pinger probes its paths against the injected failure scenario, all
+  pingers' probes in one call of the simulator's bulk kernel,
 * the diagnoser merges the reports, runs PLL and produces alerts.
 
 Controller cycles come in two modes (see
@@ -24,12 +25,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import ProbeMatrix
-from ..localization import ConfusionCounts, PLLConfig, PreprocessConfig, evaluate_localization
+from ..localization import (
+    ConfusionCounts,
+    PLLConfig,
+    PreprocessConfig,
+    evaluate_localization,
+    merge_observations,
+)
 from ..simulation import FailureScenario, ProbeSimulator
 from ..topology import Topology
 from .controller import Controller, ControllerConfig, ControllerCycle
 from .diagnoser import Diagnoser, DiagnosisReport
-from .pinger import Pinger, PingerReport
+from .pinger import Pinger, PingerReport, probe_window
 from .responder import Responder
 from .watchdog import Watchdog
 
@@ -136,29 +143,20 @@ class DetectorSystem:
         """The healthy pingers of the current cycle, in pinglist order.
 
         Down pingers are simply absent (they stop reporting).  Both window
-        modes are built on this set: the snapshot path runs each pinger's
-        whole window in one shot, the telemetry engine's probe scheduler
-        turns each one into a timed probe stream.
+        modes are built on this set: :meth:`run_window` probes every
+        pinger's whole window in one bulk call, the telemetry engine's probe
+        scheduler turns each one into a timed probe stream.
         """
-        paths_by_index = {
-            index: path for index, path in enumerate(self.probe_matrix.paths)
-        }
         pingers: Dict[str, Pinger] = {}
         for server, pinglist in self.cycle.pinglists.items():
             if not self.watchdog.is_server_healthy(server):
                 continue
             pingers[server] = Pinger(
                 pinglist,
-                paths_by_index,
                 self._simulator,
                 confirm_losses=self.controller.config.loss_confirmation_probes,
             )
         return pingers
-
-    def iter_pinger_reports(self):
-        """Run every healthy pinger's window once, yielding its report."""
-        for pinger in self.build_pingers().values():
-            yield pinger.run_window()
 
     def run_window(
         self,
@@ -167,23 +165,23 @@ class DetectorSystem:
     ) -> WindowOutcome:
         """Run one 30-second aggregation window end to end.
 
-        Since the telemetry engine landed this is literally a one-tick engine
-        run on a frozen clock (:meth:`repro.engine.TelemetryEngine.run_snapshot_window`):
-        one probe event fires every pinger's window, one window-close event
-        runs the diagnoser.  Probe outcomes and random-draw order are
-        identical to the historical inline loop.
+        Primes the simulator with the cycle's probe matrix and sends every
+        healthy pinger's window through one bulk call
+        (:func:`~repro.monitor.pinger.probe_window`), one row per probe in
+        the per-packet loop's order, so random draws are consumed exactly as
+        probing packet by packet would.  The diagnoser runs on the merge of
+        the per-pinger reports.
         """
         if self.cycle is None or self.diagnoser is None:
             self.run_controller_cycle()
         if scenario is not None:
             self.inject_failures(scenario)
-
-        from ..engine.engine import TelemetryEngine  # local import: engine sits above monitor
-
-        tick = TelemetryEngine.run_snapshot_window(self, fold_stream=False)
-        reports = tick.reports
+        self._simulator.prime_paths(self.probe_matrix.paths)
+        reports = probe_window(self.build_pingers().values())
         probes_sent = sum(report.probes_sent for report in reports)
-        diagnosis = tick.diagnosis
+        diagnosis = self.diagnoser.diagnose(
+            merge_observations(report.observations for report in reports)
+        )
         metrics = None
         if evaluate:
             truth = self._simulator.scenario.bad_link_ids

@@ -49,6 +49,11 @@ class ECMPRouter:
     def seed(self) -> int:
         return self._seed
 
+    @property
+    def paths(self) -> List[Path]:
+        """The candidate paths, positional over the indices this router returns."""
+        return self._paths
+
     def endpoints(self) -> List[Tuple[str, str]]:
         return sorted(self._groups)
 

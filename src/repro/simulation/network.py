@@ -11,33 +11,39 @@ The simulator is deliberately stateless about time: an "aggregation window" is
 just a number of probes per path.  All randomness flows through an explicit
 ``numpy.random.Generator``.
 
-Two probing kernels share one semantics.  :meth:`ProbeSimulator.probe_path_batch`
-answers one ``(path, count)`` row per call and is the reference: the per-event
-oracle scheduler of ``tests/per_event_oracle.py`` probes with it, and no engine
-code path calls it.  :meth:`ProbeSimulator.probe_paths_bulk` answers a whole
-drain of rows from a plan compiled per primed path table and patched per
-scenario version (only the rows crossing a changed link are recompiled) --
-clean rows by a mask, rows crossing only full-loss / deterministic-partial
+Every pinned and ECMP probe goes through one kernel,
+:meth:`ProbeSimulator.probe_paths_bulk`.  It answers a whole drain of
+``(path, count)`` rows from a plan compiled per primed path table and patched
+per scenario version (only the rows crossing a changed link are recompiled)
+-- clean rows by a mask, rows crossing only full-loss / deterministic-partial
 links closed-form from a per-port "first link that drops it" table, rows
 crossing a random-partial link in one plain-Python pass over one block of
-uniform variates per drain, consumed in exactly the reference's
-``Generator.random(n)`` sequence.  The two agree on ``(sent, lost)``,
-``drops_per_link`` and the generator state after every call
-(``docs/INVARIANTS.md``).
+uniform variates per drain.  The telemetry engine's scheduler sends count-k
+rows; pinger windows (:meth:`ProbeSimulator.probe_rows`), the paper
+experiments (:meth:`ProbeSimulator.observe_probe_matrix`) and the ECMP
+baselines (:meth:`ProbeSimulator.probe_pairs_ecmp`) send one count-1 row per
+probe, in packet order, which is draw for draw what a per-packet round-trip
+loop does.  The per-packet loops and the one-row-per-call
+:meth:`ProbeSimulator.probe_path_batch` are the references
+(``tests/scalar_probe_oracle.py``, ``tests/per_event_oracle.py``): they agree
+with the bulk kernel on ``(sent, lost)``, ``drops_per_link`` and the
+generator state after every call (``docs/INVARIANTS.md``).  One-way
+transmission with a TTL (:meth:`ProbeSimulator.transmit`) stays per packet
+for fbtracert's hop-by-hop traces.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..contracts import informational_wall, trace_record
 from ..core import ProbeMatrix
-from ..localization import ObservationSet, PathObservation
+from ..localization import ObservationSet
 from ..routing import ECMPRouter, Path, ProbePacket
 from ..topology import Topology
 from .failures import FailureScenario, LinkFailure, LossMode
@@ -75,6 +81,8 @@ class ProbeConfig:
             raise ValueError("probes_per_path must be >= 1")
         if self.port_range < 1:
             raise ValueError("port_range must be >= 1")
+        if not self.dscp_values:
+            raise ValueError("dscp_values must not be empty")
 
     def packet_for(self, path: Path, sequence: int) -> ProbePacket:
         """The probe packet for the ``sequence``-th probe of a path."""
@@ -274,8 +282,8 @@ class ProbeSimulator:
         compiled (one per scenario version the kernel met), plan rows
         compiled (every dirty row of a fresh plan, the rows crossing a changed
         link on a version bump) and uniform variates drawn.  Only
-        :meth:`probe_paths_bulk` ticks them: they describe what the engine's
-        scheduler drained and read zero for rows probed through the reference
+        :meth:`probe_paths_bulk` ticks them (directly or through the count-1
+        callers); they read zero for rows probed through the reference
         kernel (:meth:`probe_path_batch`, the tests' oracle) -- informational,
         like the scheduler's drain statistics.
         """
@@ -642,22 +650,6 @@ class ProbeSimulator:
                 return False
         return True
 
-    def round_trip(self, path: Path, packet: ProbePacket) -> bool:
-        """Probe plus echoed response; lost if either direction is dropped."""
-        forward_key = packet.flow_key()
-        if not self.transmit(path.link_ids, forward_key):
-            return False
-        if not self._probe_reverse_path:
-            return True
-        reverse_key = (
-            packet.dst_server,
-            packet.src_server,
-            packet.dst_port,
-            packet.src_port,
-            packet.protocol,
-        )
-        return self.transmit(path.link_ids, reverse_key)
-
     # ------------------------------------------------------ batched probing
     def _batch_transmit(self, failures, ports, src: str, dst: str, dst_port: int):
         """Vectorized round trips for probes distinguished only by source port.
@@ -711,13 +703,14 @@ class ProbeSimulator:
     ) -> Tuple[int, int]:
         """Send ``count`` pinned probes on one path in a single vectorized call.
 
-        Semantically equivalent to ``count`` calls of :meth:`round_trip` plus
-        the pinger's loss-confirmation resends, but whole failure-free paths
+        Semantically equivalent to ``count`` per-packet round trips plus the
+        pinger's loss-confirmation resends, but whole failure-free paths
         (the overwhelming majority in steady state) cost one dictionary probe
         and no random draws -- this is what lets the telemetry engine sustain
         hundreds of thousands of probe events per wall-clock second.  Returns
         ``(sent, lost)`` including confirmation traffic, the same counters the
-        scalar pinger loop produces.
+        per-packet pinger loop produces.  No ``src/`` code calls it: it is
+        the one-row-per-call reference of :meth:`probe_paths_bulk`.
         """
         if count <= 0:
             return 0, 0
@@ -749,71 +742,109 @@ class ProbeSimulator:
             lost += int(np.count_nonzero(~redelivered))
         return sent, lost
 
-    # ------------------------------------------------------- pinned probing
-    def probe_path(self, path: Path, config: ProbeConfig) -> PathObservation:
-        """Send ``config.probes_per_path`` pinned probes along one path."""
-        lost = 0
-        for sequence in range(config.probes_per_path):
-            packet = config.packet_for(path, sequence)
-            if not self.round_trip(path, packet):
-                lost += 1
-        return PathObservation(
-            path_index=path.path_id, sent=config.probes_per_path, lost=lost
+    # ------------------------------------------------ per-packet probing
+    def probe_rows(
+        self,
+        rows: np.ndarray,
+        probes: np.ndarray,
+        configs: Sequence[ProbeConfig],
+        config_of: np.ndarray,
+        confirms: Sequence[int],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Send ``probes[i]`` probes, sequences ``0 .. probes[i] - 1``, on
+        primed row ``rows[i]``, one :meth:`probe_paths_bulk` row per probe.
+
+        The count-1 rows keep packet order (row by row, sequence by
+        sequence), so the kernel consumes one variate per random link a
+        probe reaches, stops at its first drop and follows it with its
+        ``confirms[config_of[i]]`` resends -- the per-packet loop, draw for
+        draw.  Returns per-row ``(sent, lost)`` int64 arrays including
+        confirmation resends.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        probes = np.asarray(probes, dtype=np.int64)
+        owner = np.repeat(np.arange(len(rows)), probes)
+        starts = np.arange(len(owner)) - np.repeat(np.cumsum(probes) - probes, probes)
+        sent, lost = self.probe_paths_bulk(
+            rows[owner],
+            np.ones(len(owner), dtype=np.int64),
+            starts,
+            configs,
+            np.asarray(config_of, dtype=np.int64)[owner],
+            confirms,
         )
+        folded = np.bincount(
+            np.concatenate((owner, owner + len(rows))),
+            weights=np.concatenate((sent, lost)),
+            minlength=2 * len(rows),
+        ).astype(np.int64)
+        return folded[: len(rows)], folded[len(rows) :]
 
     def observe_probe_matrix(
         self, probe_matrix: ProbeMatrix, config: Optional[ProbeConfig] = None
     ) -> ObservationSet:
-        """Probe every path of a probe matrix once per window (deTector's view)."""
-        config = config or ProbeConfig()
-        observations = ObservationSet()
-        for index, path in enumerate(probe_matrix.paths):
-            lost = 0
-            for sequence in range(config.probes_per_path):
-                packet = config.packet_for(path, sequence)
-                if not self.round_trip(path, packet):
-                    lost += 1
-            observations.add(
-                PathObservation(path_index=index, sent=config.probes_per_path, lost=lost)
-            )
-        return observations
+        """Probe every path of a probe matrix once per window (deTector's view).
 
-    # --------------------------------------------------------- ECMP probing
-    def probe_pair_ecmp(
-        self,
-        router: ECMPRouter,
-        src: str,
-        dst: str,
-        num_probes: int,
-        config: Optional[ProbeConfig] = None,
-    ) -> PairProbeOutcome:
-        """Probe a pair the Pingmesh/NetNORAD way: no path pinning.
-
-        Each probe uses a fresh source port; the simulated switches hash the
-        flow onto one of the candidate paths.  Only the aggregate per-pair
-        loss count is observable to those systems -- the per-path breakdown is
-        kept for analysis but hidden from their detectors.
+        Primes the matrix's path table and sends ``config.probes_per_path``
+        probes on every row, without loss confirmation.
         """
         config = config or ProbeConfig()
-        lost = 0
-        losses_by_path: Dict[int, int] = {}
-        for sequence in range(num_probes):
-            src_port = config.base_port + (sequence % max(num_probes, config.port_range))
-            packet = ProbePacket(
-                src_server=src,
-                dst_server=dst,
-                src_port=src_port,
-                dst_port=config.destination_port,
-                dscp=config.dscp_values[sequence % len(config.dscp_values)],
-                sequence=sequence,
-            )
-            path_index = router.route_index(packet.flow_key())
-            if path_index is None:
-                raise ValueError(f"ECMP router has no candidate paths for {src} -> {dst}")
-            path = router.path_at(path_index)
-            if not self.round_trip(path, packet):
-                lost += 1
-                losses_by_path[path_index] = losses_by_path.get(path_index, 0) + 1
-        return PairProbeOutcome(
-            src=src, dst=dst, sent=num_probes, lost=lost, losses_by_path=losses_by_path
+        self.prime_paths(probe_matrix.paths)
+        rows = np.arange(probe_matrix.num_paths)
+        sent, lost = self.probe_rows(
+            rows, np.full(len(rows), config.probes_per_path), [config], np.zeros(len(rows)), [0]
         )
+        return ObservationSet.from_columns(rows, sent, lost)
+
+    # --------------------------------------------------------- ECMP probing
+    def probe_pairs_ecmp(
+        self,
+        router: ECMPRouter,
+        pairs: Sequence[Tuple[str, str]],
+        num_probes: int,
+        config: Optional[ProbeConfig] = None,
+    ) -> List[PairProbeOutcome]:
+        """Probe server/ToR pairs the Pingmesh/NetNORAD way: no path pinning.
+
+        Each probe of a pair uses a fresh source port; the simulated switches
+        hash the flow onto one of the pair's candidate paths.  The router's
+        paths are primed and every probe of every pair is one count-1 row of
+        a single :meth:`probe_paths_bulk` call, pair by pair, in sequence
+        order.  Only the aggregate per-pair loss count is observable to those
+        systems -- the per-path breakdown is kept for analysis but hidden
+        from their detectors.
+        """
+        config = config or ProbeConfig()
+        port_range = max(num_probes, config.port_range)
+        routes = []
+        for src, dst in pairs:
+            for sequence in range(num_probes):
+                port = config.base_port + sequence % port_range
+                index = router.route_index((src, dst, port, config.destination_port, 17))
+                if index is None:
+                    raise ValueError(f"ECMP router has no candidate paths for {src} -> {dst}")
+                routes.append(index)
+        self.prime_paths(router.paths)
+        routes = np.asarray(routes, dtype=np.int64).reshape(len(pairs), num_probes)
+        _, lost = self.probe_paths_bulk(
+            routes.ravel(),
+            np.ones(routes.size, dtype=np.int64),
+            np.tile(np.arange(num_probes), len(pairs)),
+            [replace(config, port_range=port_range)],
+            np.zeros(routes.size, dtype=np.int64),
+            [0],
+        )
+        lost = lost.reshape(routes.shape).astype(bool)
+        outcomes = []
+        for (src, dst), pair_routes, pair_lost in zip(pairs, routes, lost):
+            paths, counts = np.unique(pair_routes[pair_lost], return_counts=True)
+            outcomes.append(
+                PairProbeOutcome(
+                    src=src,
+                    dst=dst,
+                    sent=num_probes,
+                    lost=int(counts.sum()),
+                    losses_by_path=dict(zip(paths.tolist(), counts.tolist())),
+                )
+            )
+        return outcomes

@@ -112,7 +112,7 @@ class PerEventProbeScheduler:
             position = (stream.cursor + offset) % num_entries
             entry = stream.entries[position]
             sent, lost = pinger.simulator.probe_path_batch(
-                pinger._paths_by_index[entry.path_index],
+                pinger.simulator._primed_paths[entry.path_index],
                 stream.config,
                 count,
                 stream.sequence[position],

@@ -1,8 +1,8 @@
 """Tests for the discrete-event telemetry engine.
 
 Covers the event loop's determinism, the stream aggregator's window
-semantics (rollover, out-of-order rejection, frozen-clock equivalence with
-the snapshot path), the fault models, batched probing, seeded
+semantics (rollover, out-of-order rejection, equivalence with the merge of
+a window's pinger reports), the fault models, batched probing, seeded
 reproducibility, the static-pipeline differential guarantee and the CLI
 surface.
 """
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+
+import scalar_probe_oracle as oracle
 
 from repro.engine import (
     CongestionEpisode,
@@ -209,19 +211,19 @@ class TestStreamAggregator:
 
     def test_frozen_clock_fold_equals_snapshot_merge(self, fattree4):
         """Counter equivalence: aggregator fold == merge_observations on the
-        same pinger reports, and the engine's snapshot window reproduces it."""
+        same pinger reports, every observation folded at one instant."""
         rng = np.random.default_rng(42)
         system = DetectorSystem(fattree4, rng, ControllerConfig(alpha=2, beta=1))
         system.run_controller_cycle()
         bad = system.probe_matrix.link_ids[3]
-        system.inject_failures(FailureScenario.single_link(bad))
 
-        reports = list(system.iter_pinger_reports())
+        reports = system.run_window(FailureScenario.single_link(bad)).pinger_reports
         merged = merge_observations([r.observations for r in reports])
 
         agg = StreamAggregator(system.probe_matrix.incidence, 30.0)
         for report in reports:
-            agg.ingest_report(report, 0.0)
+            for obs in report.observations:
+                agg.record(obs.path_index, 0.0, obs.sent, obs.lost)
         window = agg.close_window(0.0)
 
         assert list(window.observations) == list(merged)
@@ -273,7 +275,7 @@ class TestBatchedProbing:
         # Scalar reference on a fresh simulator (deterministic loss: no rng).
         _, reference = self._path_and_sim(fattree4, fattree4_probe_matrix, scenario)
         lost_s = sum(
-            0 if reference.round_trip(path, config.packet_for(path, seq)) else 1
+            0 if oracle.round_trip(reference, path, config.packet_for(path, seq)) else 1
             for seq in range(64)
         )
         assert (sent_b, lost_b) == (64, lost_s)
@@ -426,33 +428,27 @@ def build_system(topology, seed=2017, **config):
 
 class TestTelemetryEngine:
     def test_snapshot_run_matches_static_pipeline_exactly(self, fattree4):
-        """The differential guarantee: a frozen-clock engine run over a static
-        fault model reproduces the legacy pipeline's localization exactly."""
+        """The differential guarantee: the product window (one bulk call of
+        count-1 rows) reproduces the per-packet snapshot's localization, its
+        stream fold and its probe count exactly."""
         bad = 7
         scenario = FailureScenario.single_link(bad)
 
         system_a, _ = build_system(fattree4)
         system_a.run_controller_cycle()
-        outcome = system_a.run_window(scenario)  # the static pipeline
+        outcome = system_a.run_window(scenario)  # the product pipeline
 
-        system_b, streams = build_system(fattree4)
+        system_b, _ = build_system(fattree4)
         system_b.run_controller_cycle()
-        model = DynamicFaultModel.static(fattree4, scenario)
-        engine = TelemetryEngine(
-            system_b, model,
-            EngineConfig(window_seconds=30.0, cycle_seconds=30.0,
-                         run_controller_cycles=False, jitter_fraction=0.0),
-            rng=streams.generator("probe-jitter"),
-        )
-        tick = TelemetryEngine.run_snapshot_window(system_b)
+        reports, diagnosis, window = oracle.snapshot_window(system_b, scenario)
 
-        assert tick.diagnosis.suspected_links == outcome.diagnosis.suspected_links
-        assert tick.diagnosis.localization.estimated_loss_rates == (
+        assert diagnosis.suspected_links == outcome.diagnosis.suspected_links
+        assert diagnosis.localization.estimated_loss_rates == (
             outcome.diagnosis.localization.estimated_loss_rates
         )
         merged = merge_observations([r.observations for r in outcome.pinger_reports])
-        assert list(tick.window.observations) == list(merged)
-        assert tick.window.probes_sent == outcome.probes_sent
+        assert list(window.observations) == list(merged)
+        assert window.probes_sent == outcome.probes_sent
 
     def test_timed_run_localizes_static_fault(self, fattree4):
         system, streams = build_system(fattree4)

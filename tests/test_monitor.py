@@ -17,7 +17,9 @@ from repro.monitor import (
     PinglistEntry,
     Responder,
     Watchdog,
+    probe_window,
 )
+from repro.localization import ObservationSet, merge_observations
 from repro.obs import Tracer, activated
 from repro.routing import ProbePacket
 from repro.simulation import FailureScenario, LossMode, ProbeSimulator
@@ -56,6 +58,24 @@ class TestPinglist:
     def test_from_xml_rejects_wrong_root(self):
         with pytest.raises(ValueError):
             Pinglist.from_xml("<notapinglist/>")
+
+    @pytest.mark.parametrize(
+        "attribute, value",
+        [
+            ("source_port_low", "33450"),  # above source_port_high (33449)
+            ("probes_per_second", "0"),
+            ("probes_per_second", "-2.5"),
+            ("report_interval_seconds", "0"),
+            ("report_interval_seconds", "-30"),
+        ],
+    )
+    def test_from_xml_rejects_malformed_probing_settings(self, attribute, value):
+        payload = self.make_pinglist().to_xml()
+        # Each attribute appears once in the root element.
+        start = payload.index(f'{attribute}="') + len(attribute) + 2
+        end = payload.index('"', start)
+        with pytest.raises(ValueError, match=attribute):
+            Pinglist.from_xml(payload[:start] + value + payload[end:])
 
 
 class TestWatchdog:
@@ -265,8 +285,8 @@ class TestPinger:
                     PinglistEntry(index, "x", path.via, path.nodes)
                 )
         simulator = ProbeSimulator(fattree4, scenario, np.random.default_rng(0))
-        paths_by_index = {i: p for i, p in enumerate(probe_matrix.paths)}
-        return Pinger(pinglist, paths_by_index, simulator, confirm_losses=confirm)
+        simulator.prime_paths(probe_matrix.paths)
+        return Pinger(pinglist, simulator, confirm_losses=confirm)
 
     def test_probe_budget_split_across_paths(self, fattree4, fattree4_probe_matrix):
         pinger = self.make_pinger(fattree4, fattree4_probe_matrix, FailureScenario())
@@ -277,7 +297,7 @@ class TestPinger:
 
     def test_healthy_run_reports_no_losses(self, fattree4, fattree4_probe_matrix):
         pinger = self.make_pinger(fattree4, fattree4_probe_matrix, FailureScenario())
-        report = pinger.run_window()
+        [report] = probe_window([pinger])
         assert report.probes_lost == 0
         assert report.loss_rate == 0.0
         assert len(report.observations) == pinger.pinglist.num_paths
@@ -291,7 +311,7 @@ class TestPinger:
                 break
         scenario = FailureScenario.single_link(bad)
         pinger = self.make_pinger(fattree4, fattree4_probe_matrix, scenario, confirm=2)
-        report = pinger.run_window()
+        [report] = probe_window([pinger])
         assert report.probes_lost > 0
         # Confirmation probes inflate the sent count beyond the nominal budget.
         assert report.probes_sent > pinger.probes_per_window()
@@ -309,18 +329,18 @@ class TestDiagnoser:
             pinger_server="p", window_seconds=30, observations=observations,
             probes_sent=observations.total_sent(), probes_lost=observations.total_lost(),
         )
-        diagnoser.ingest(report)
-        assert diagnoser.pending_report_count() == 1
-        diagnosis = diagnoser.run_window()
+        diagnosis = diagnoser.diagnose(merge_observations([report.observations]))
+        # The one report is the whole window.
+        assert diagnosis.probes_analyzed == report.probes_sent
         assert diagnosis.suspected_links == [bad]
-        assert diagnoser.pending_report_count() == 0
+        assert diagnosis.window_index == 0
         assert len(diagnoser.history) == 1
         assert diagnosis.alerts[0].link_id == bad
         assert "<->" in diagnosis.alerts[0].describe()
 
     def test_empty_window(self, fattree4, fattree4_probe_matrix):
         diagnoser = Diagnoser(fattree4, fattree4_probe_matrix)
-        diagnosis = diagnoser.run_window()
+        diagnosis = diagnoser.diagnose(ObservationSet())
         assert diagnosis.suspected_links == []
         assert diagnosis.probes_analyzed == 0
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import scalar_probe_oracle as oracle
 from repro.localization import PathObservation
 from repro.routing import ECMPRouter, ProbePacket, enumerate_fattree_paths
 from repro.simulation import (
@@ -207,8 +208,11 @@ class TestProbeSimulator:
     def test_probe_path_single(self, fattree4, fattree4_probe_matrix, rng):
         path = fattree4_probe_matrix.path(0)
         simulator = ProbeSimulator(fattree4, FailureScenario(), rng)
-        observation = simulator.probe_path(path, ProbeConfig(probes_per_path=7))
+        observation = oracle.probe_path(simulator, path, ProbeConfig(probes_per_path=7))
         assert observation.sent == 7 and observation.lost == 0
+        simulator.prime_paths(fattree4_probe_matrix.paths)
+        sent, lost = simulator.probe_rows([0], [7], [ProbeConfig()], [0], [0])
+        assert (sent.tolist(), lost.tolist()) == ([7], [0])
 
     def test_probe_path_reports_the_probe_matrix_row(self, fattree4, fattree4_probe_matrix, rng):
         # ``path_id`` is the row in the owning matrix, not in the enumeration
@@ -217,7 +221,7 @@ class TestProbeSimulator:
         config = ProbeConfig(probes_per_path=1)
         for row in range(fattree4_probe_matrix.num_paths):
             path = fattree4_probe_matrix.path(row)
-            assert simulator.probe_path(path, config).path_index == row
+            assert oracle.probe_path(simulator, path, config).path_index == row
 
     def test_ecmp_probing_dilutes_single_path_failure(self, fattree4, rng):
         # A full-loss failure on one of the 4 parallel paths: pinned probing on
@@ -230,7 +234,7 @@ class TestProbeSimulator:
         bad_path = pair_paths[0]
         bad_link = next(iter(bad_path.link_ids - pair_paths[1].link_ids))
         simulator = ProbeSimulator(fattree4, FailureScenario.single_link(bad_link), rng)
-        outcome = simulator.probe_pair_ecmp(router, *target_pair, num_probes=200)
+        [outcome] = simulator.probe_pairs_ecmp(router, [target_pair], num_probes=200)
         assert 0 < outcome.lost < outcome.sent
         assert outcome.loss_rate < 0.6
 
@@ -238,13 +242,19 @@ class TestProbeSimulator:
         router = ECMPRouter([], seed=1)
         simulator = ProbeSimulator(fattree4, FailureScenario(), rng)
         with pytest.raises(ValueError):
-            simulator.probe_pair_ecmp(router, "a", "b", 5)
+            simulator.probe_pairs_ecmp(router, [("a", "b")], 5)
 
     def test_probe_config_validation(self):
         with pytest.raises(ValueError):
             ProbeConfig(probes_per_path=0)
         with pytest.raises(ValueError):
             ProbeConfig(port_range=0)
+
+    def test_probe_config_rejects_empty_dscp_values(self):
+        # packet_for cycles over the DSCP values: an empty tuple used to be
+        # accepted and fail later with a ZeroDivisionError.
+        with pytest.raises(ValueError, match="dscp_values"):
+            ProbeConfig(dscp_values=())
 
 
 class TestWorkloadAndLatency:
