@@ -815,11 +815,13 @@ class ProbeSimulator:
         from their detectors.
         """
         config = config or ProbeConfig()
+        # Wide enough that probe ``sequence`` of a pair leaves from port
+        # ``base_port + sequence``.
         port_range = max(num_probes, config.port_range)
+        ports = range(config.base_port, config.base_port + num_probes)
         routes = []
         for src, dst in pairs:
-            for sequence in range(num_probes):
-                port = config.base_port + sequence % port_range
+            for port in ports:
                 index = router.route_index((src, dst, port, config.destination_port, 17))
                 if index is None:
                     raise ValueError(f"ECMP router has no candidate paths for {src} -> {dst}")

@@ -7,6 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.localization import ObservationSet, merge_observations
 from repro.monitor import (
     Controller,
     ControllerConfig,
@@ -19,7 +20,6 @@ from repro.monitor import (
     Watchdog,
     probe_window,
 )
-from repro.localization import ObservationSet, merge_observations
 from repro.obs import Tracer, activated
 from repro.routing import ProbePacket
 from repro.simulation import FailureScenario, LossMode, ProbeSimulator
