@@ -305,3 +305,38 @@ class TestRunWindowPins:
             )
         digest = _digest((reports, float(system.rng.random())))
         assert (suspects, probes_sent, digest) == RUN_WINDOW_PINS[name]
+
+
+#: sha256 of ``deterministic_rows()`` of Figures 5 and 6 on Fattree(8), at
+#: sizes where both baselines raise alarms: Netbouncer and fbtracert run in
+#: some windows, under Figure 6's budget cap and without it in Figure 5.
+RADIX8_FIGURE_PINS = {
+    "figure5": "781ee4c8b023cfdeb1e1c3818f3ce116dbed992e1d2ebe31f249c9468e53b799",
+    "figure6": "29404a8983612196e3595209e7134326427d524cb9242a36016735c0d3c71157",
+}
+
+_RADIX8_FIGURES = {
+    "figure5": lambda: figure5.run(
+        radix=8, trials=3, detector_frequencies=(5,), baseline_probes_per_pair=(2, 10)
+    ),
+    "figure6": lambda: figure6.run(radix=8, failure_counts=(1, 5), trials=4),
+}
+
+
+class TestRadix8FigurePins:
+    @pytest.mark.parametrize("name", sorted(RADIX8_FIGURE_PINS))
+    def test_deterministic_rows(self, monkeypatch, name):
+        from repro.baselines import Fbtracert, Netbouncer
+
+        localized = []
+        for tool in (Netbouncer, Fbtracert):
+
+            def spy(self, *args, _localize=tool.localize, **kwargs):
+                result = _localize(self, *args, **kwargs)
+                localized.append(type(self).__name__)
+                return result
+
+            monkeypatch.setattr(tool, "localize", spy)
+        table = _RADIX8_FIGURES[name]()
+        assert {"Netbouncer", "Fbtracert"} <= set(localized)
+        assert _digest(table.deterministic_rows()) == RADIX8_FIGURE_PINS[name]
