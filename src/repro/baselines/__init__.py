@@ -1,6 +1,6 @@
 """Competitor monitoring systems: Pingmesh (+Netbouncer) and NetNORAD (+fbtracert)."""
 
-from .common import BaselineConfig, MonitoringOutcome, SuspectedPair
+from .common import BaselineConfig, ECMPBaseline, MonitoringOutcome, SuspectedPair
 from .fbtracert import Fbtracert, FbtracertResult
 from .netbouncer import Netbouncer, NetbouncerResult
 from .netnorad import NetNORADSystem
@@ -10,6 +10,7 @@ __all__ = [
     "BaselineConfig",
     "MonitoringOutcome",
     "SuspectedPair",
+    "ECMPBaseline",
     "PingmeshSystem",
     "NetNORADSystem",
     "Netbouncer",

@@ -12,12 +12,12 @@ explained by the fewest links possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.incidence import IncidenceIndex, first_max
-from ..routing import Path
+from ..routing import PathTable
 from ..simulation import ProbeConfig, ProbeSimulator
 
 __all__ = ["NetbouncerResult", "Netbouncer"]
@@ -42,55 +42,56 @@ class Netbouncer:
         hit_ratio_threshold: float = 0.99,
         max_probes: Optional[int] = None,
     ):
+        if probes_per_path < 1:
+            raise ValueError("probes_per_path must be >= 1")
         self._simulator = simulator
         self._probes_per_path = probes_per_path
         self._hit_ratio_threshold = hit_ratio_threshold
         self._max_probes = max_probes
 
-    def localize(
-        self, candidate_paths_by_pair: Dict[Tuple[str, str], Sequence[Path]]
-    ) -> NetbouncerResult:
+    def localize(self, rows_by_pair: Dict[Tuple[str, str], Sequence[int]]) -> NetbouncerResult:
         """Probe all candidate paths of every suspected pair and blame links.
 
         Parameters
         ----------
-        candidate_paths_by_pair:
-            For every suspected (src, dst) pair, the parallel paths between
-            them (the paths Pingmesh's probes may have taken).  When a probe
-            budget was configured, probing stops as soon as it is exhausted --
-            remaining paths simply go untested.
+        rows_by_pair:
+            For every suspected (src, dst) pair, the rows of the simulator's
+            primed table holding the parallel paths between them (the paths
+            Pingmesh's probes may have taken).  When a probe budget was
+            configured, probing stops as soon as it is exhausted -- remaining
+            paths simply go untested.
 
-        The probed paths are primed on the simulator and probed in one
-        :meth:`~repro.simulation.ProbeSimulator.probe_rows` call, pair by
-        pair and path by path.
+        The rows are probed in one
+        :meth:`~repro.simulation.ProbeSimulator.probe_rows` call, pair by pair
+        and row by row, without re-priming.
         """
         probes_per_path = self._probes_per_path
-        paths = [path for pair_paths in candidate_paths_by_pair.values() for path in pair_paths]
+        rows = np.array(
+            [row for pair_rows in rows_by_pair.values() for row in pair_rows], dtype=np.int64
+        )
         if self._max_probes is not None:
             # The budget counts probes, not outcomes: a path goes out while
             # fewer than ``max_probes`` probes went out before it.
-            paths = paths[: -(-self._max_probes // probes_per_path)]
-        self._simulator.prime_paths(paths)
+            rows = rows[: -(-self._max_probes // probes_per_path)]
         _, lost = self._simulator.probe_rows(
-            np.arange(len(paths)),
-            np.full(len(paths), probes_per_path),
+            rows,
+            np.full(len(rows), probes_per_path),
             [ProbeConfig(probes_per_path=probes_per_path)],
-            np.zeros(len(paths)),
+            np.zeros(len(rows)),
             [0],
         )
-        lossy_paths = [path for path, lossy in zip(paths, lost.tolist()) if lossy]
-        healthy_links = {
-            link for path, lossy in zip(paths, lost.tolist()) if not lossy for link in path.link_ids
-        }
+        lossy = lost > 0
         return NetbouncerResult(
-            suspected_links=self._explain(lossy_paths, healthy_links),
-            probes_sent=probes_per_path * len(paths),
-            probed_paths=len(paths),
+            suspected_links=self._explain(
+                self._simulator.primed_paths, rows[lossy], rows[~lossy]
+            ),
+            probes_sent=probes_per_path * len(rows),
+            probed_paths=len(rows),
         )
 
     @staticmethod
-    def _explain(lossy_paths: Sequence[Path], healthy_links: Set[int]) -> List[int]:
-        """Greedy explanation of the lossy paths over a CSR incidence index.
+    def _explain(table: PathTable, lossy_rows: np.ndarray, healthy_rows: np.ndarray) -> List[int]:
+        """Greedy explanation of the lossy rows over a CSR incidence index.
 
         Links that carried a completely clean pinned path are excluded from
         the universe (full-loss reasoning, as Netbouncer's link-health solving
@@ -98,12 +99,12 @@ class Netbouncer:
         the same set-cover structure PMC and PLL run on, so the per-link
         coverage counters come from the shared vectorized kernel.
         """
-        if not lossy_paths:
+        if not len(lossy_rows):
             return []
-        universe = sorted(
-            {link for path in lossy_paths for link in path.link_ids} - healthy_links
-        )
-        index = IncidenceIndex([path.link_ids for path in lossy_paths], universe)
+        indptr, links = table.take(lossy_rows).link_rows()
+        healthy_links = table.take(healthy_rows).link_rows()[1]
+        universe = np.setdiff1d(links, healthy_links).tolist()
+        index = IncidenceIndex.from_rows(indptr, links, universe)
         unexplained = np.ones(index.num_paths, dtype=bool)
         remaining = index.num_paths
 

@@ -130,9 +130,10 @@ class ExperimentSuite:
 def default_suite(scale: str = "quick") -> ExperimentSuite:
     """The standard suite covering every table and figure.
 
-    ``scale="quick"`` finishes in a few minutes on a laptop; ``scale="full"``
-    uses larger scaled-down instances and more trials (tens of minutes) for
-    numbers closer to the ones recorded in EXPERIMENTS.md.  Every entry is a
+    ``scale="quick"`` takes about 2 s serially on a 2-core Xeon (the CLI
+    process included); ``scale="full"`` uses larger scaled-down instances
+    and more trials (7-9 s on the same box) for numbers closer to the ones
+    recorded in EXPERIMENTS.md.  Every entry is a
     spec, so both suites parallelise under ``run_all(..., jobs=N)``.
     """
     if scale == "quick":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .paths import Path
+from .path_table import Path, PathTable
 
 __all__ = ["FlowKey", "ECMPRouter"]
 
@@ -31,8 +31,10 @@ class ECMPRouter:
     Parameters
     ----------
     paths:
-        Candidate paths.  They are grouped by their ``(src, dst)`` endpoints;
-        a flow between two endpoints is hashed onto one member of its group.
+        Candidate paths: a :class:`~repro.routing.PathTable`, or any sequence
+        of :class:`~repro.routing.Path` (wrapped into one).  Rows are grouped
+        by their ``(src, dst)`` endpoint columns; a flow between two
+        endpoints is hashed onto one member of its group.
     seed:
         Mixed into the hash so that different simulated switches (or different
         experiment repetitions) can realise different hash functions.
@@ -40,18 +42,16 @@ class ECMPRouter:
 
     def __init__(self, paths: Sequence[Path], seed: int = 0):
         self._seed = seed
-        self._groups: Dict[Tuple[str, str], List[int]] = {}
-        self._paths = list(paths)
-        for index, path in enumerate(self._paths):
-            self._groups.setdefault((path.src, path.dst), []).append(index)
+        self._paths = paths if isinstance(paths, PathTable) else PathTable.from_paths(paths)
+        self._groups: Dict[Tuple[str, str], List[int]] = self._paths.rows_by_endpoints()
 
     @property
     def seed(self) -> int:
         return self._seed
 
     @property
-    def paths(self) -> List[Path]:
-        """The candidate paths, positional over the indices this router returns."""
+    def paths(self) -> PathTable:
+        """The candidate table, positional over the indices this router returns."""
         return self._paths
 
     def endpoints(self) -> List[Tuple[str, str]]:

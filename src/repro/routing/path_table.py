@@ -233,6 +233,25 @@ class PathTable(_SequenceABC):
         """``(row_indptr, hop link ids)``: the flat input of the incidence build."""
         return self._link_indptr, self._links
 
+    def hops(self, row: int) -> List[int]:
+        """Row *row*'s link ids in hop order, duplicates kept (a
+        :meth:`from_paths` row keeps its ``link_ids`` iteration order)."""
+        return self._row(self._link_indptr, self._links, row)
+
+    def rows_by_endpoints(self) -> Dict[Tuple[str, str], List[int]]:
+        """The rows of every ``(src, dst)`` pair, ascending, read from the
+        endpoint code columns (no row is materialised)."""
+        names = self._node_names
+        keys = _np.asarray(self._src, dtype=_np.int64) * len(names)
+        keys += _np.asarray(self._dst, dtype=_np.int64)
+        order = _np.argsort(keys, kind="stable")
+        starts = _np.flatnonzero(_np.diff(keys[order], prepend=-1))
+        rows, bounds = order.tolist(), starts.tolist() + [len(order)]
+        return {
+            (names[key // len(names)], names[key % len(names)]): rows[start:end]
+            for key, start, end in zip(keys[order[starts]].tolist(), bounds, bounds[1:])
+        }
+
     def rows_with_endpoint(self, names: Iterable[str]):
         """Boolean row mask: rows sourced at or targeted to any of *names*."""
         names = set(names)

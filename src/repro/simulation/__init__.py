@@ -9,7 +9,7 @@ from .failures import (
     LossMode,
 )
 from .latency import LatencyConfig, LatencyModel, RTTSample
-from .network import PairProbeOutcome, ProbeConfig, ProbeSimulator
+from .network import ProbeConfig, ProbeSimulator
 from .resources import PingerResourceModel, ResourceUsage
 from .rng import SeededStreams
 from .workload import Flow, WorkloadConfig, WorkloadModel
@@ -23,7 +23,6 @@ __all__ = [
     "ChurnSchedule",
     "ProbeConfig",
     "ProbeSimulator",
-    "PairProbeOutcome",
     "WorkloadConfig",
     "WorkloadModel",
     "Flow",

@@ -21,7 +21,7 @@ crossing a random-partial link in one plain-Python pass over one block of
 uniform variates per drain.  The telemetry engine's scheduler sends count-k
 rows; pinger windows (:meth:`ProbeSimulator.probe_rows`), the paper
 experiments (:meth:`ProbeSimulator.observe_probe_matrix`) and the ECMP
-baselines (:meth:`ProbeSimulator.probe_pairs_ecmp`) send one count-1 row per
+baselines (primed rows the baselines route to) send one count-1 row per
 probe, in packet order, which is draw for draw what a per-packet round-trip
 loop does.  The per-packet loops and the one-row-per-call
 :meth:`ProbeSimulator.probe_path_batch` are the references
@@ -29,14 +29,16 @@ loop does.  The per-packet loops and the one-row-per-call
 with the bulk kernel on ``(sent, lost)``, ``drops_per_link`` and the
 generator state after every call (``docs/INVARIANTS.md``).  One-way
 transmission with a TTL (:meth:`ProbeSimulator.transmit`) stays per packet
-for fbtracert's hop-by-hop traces.
+for fbtracert's traces, which walk failed links in hop order where a bulk row
+walks ``link_ids`` order (they differ on 2 092 of 2 268 Fattree(8) rows,
+taking every seventh): on the bulk kernel they would draw differently.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,11 +46,11 @@ import numpy as np
 from ..contracts import informational_wall, trace_record
 from ..core import ProbeMatrix
 from ..localization import ObservationSet
-from ..routing import ECMPRouter, Path, ProbePacket
+from ..routing import Path, PathTable, ProbePacket
 from ..topology import Topology
 from .failures import FailureScenario, LinkFailure, LossMode
 
-__all__ = ["ProbeConfig", "PairProbeOutcome", "ProbeSimulator"]
+__all__ = ["ProbeConfig", "ProbeSimulator"]
 
 
 @dataclass(frozen=True)
@@ -94,25 +96,6 @@ class ProbeConfig:
             dscp=self.dscp_values[sequence % len(self.dscp_values)],
             sequence=sequence,
         )
-
-
-@dataclass
-class PairProbeOutcome:
-    """Result of probing a server/ToR pair without path pinning (Pingmesh style)."""
-
-    src: str
-    dst: str
-    sent: int
-    lost: int
-    losses_by_path: Dict[int, int]
-
-    @property
-    def loss_rate(self) -> float:
-        return self.lost / self.sent if self.sent else 0.0
-
-    @property
-    def is_lossy(self) -> bool:
-        return self.lost > 0
 
 
 # How one failed link of a compiled path treats the probes that reach it.
@@ -242,11 +225,11 @@ class ProbeSimulator:
         self._rng = rng
         self._probe_reverse_path = probe_reverse_path
         self.drops_per_link: Dict[int, int] = {}
-        # Bulk-probing state (prime_paths): the probe matrix's path table, a
+        # Bulk-probing state (prime_paths): the primed path table, a
         # link -> path-rows reverse index, the plan compiled for the current
         # scenario object, and the per-port decisions of every
         # deterministic-partial failure met since the last prime.
-        self._primed_paths: Optional[List[Path]] = None
+        self._primed_paths: Optional[PathTable] = None
         self._rows_by_link: Dict[int, np.ndarray] = {}
         self._plan_cache: Optional[_ScenarioPlan] = None
         self._flow_memo: Dict[tuple, Tuple[_SlotMask, _SlotMask]] = {}
@@ -268,6 +251,11 @@ class ProbeSimulator:
     @property
     def scenario(self) -> FailureScenario:
         return self._scenario
+
+    @property
+    def primed_paths(self) -> Optional[PathTable]:
+        """The table :meth:`prime_paths` registered; bulk rows index it."""
+        return self._primed_paths
 
     def set_scenario(self, scenario: FailureScenario) -> None:
         """Swap the failure scenario (new evaluation minute, same simulator)."""
@@ -291,22 +279,31 @@ class ProbeSimulator:
 
     # ------------------------------------------------------------ bulk probing
     def prime_paths(self, paths: Sequence[Path]) -> None:
-        """Register a probe matrix's path table for :meth:`probe_paths_bulk`.
+        """Register a path table (a sequence of paths is wrapped into one)
+        for :meth:`probe_paths_bulk`.
 
-        Builds a link -> path-rows reverse index once per controller cycle so
-        that a scenario change recompiles only the rows crossing the links it
-        touched.  Drops the compiled plan (the next drain compiles every dirty
-        row from scratch) and the per-port decision memo: a long ``serve()``
-        holds at most one controller cycle's ``(failure, src, dst)`` patterns.
+        Builds a link -> rows reverse index from the link column once per
+        controller cycle (once per ECMP baseline) so that a scenario change
+        recompiles only the rows crossing the links it touched; only the rows
+        a plan compiles become :class:`~repro.routing.Path` objects.  Drops
+        the compiled plan (the next drain compiles every dirty row from
+        scratch) and the per-port decision memo: a long ``serve()`` holds at
+        most one controller cycle's ``(failure, src, dst)`` patterns.
         """
-        self._primed_paths = list(paths)
-        rows_by_link: Dict[int, List[int]] = {}
-        for row, path in enumerate(self._primed_paths):
-            for link_id in path.link_ids:
-                rows_by_link.setdefault(link_id, []).append(row)
+        table = paths if isinstance(paths, PathTable) else PathTable.from_paths(paths)
+        indptr, links = table.link_rows()
+        num_rows = max(len(table), 1)
+        owner = np.repeat(np.arange(len(table)), np.diff(np.asarray(indptr, dtype=np.int64)))
+        # (link, row) entries sorted by link, then row; a row crossing a link
+        # twice keeps one entry.
+        entries = np.sort(np.asarray(links, dtype=np.int64) * num_rows + owner)
+        link_of, rows = np.divmod(entries[np.diff(entries, prepend=-1) != 0], num_rows)
+        starts = np.flatnonzero(np.diff(link_of, prepend=-1))
+        bounds = starts.tolist() + [len(rows)]
+        self._primed_paths = table
         self._rows_by_link = {
-            link_id: np.asarray(rows, dtype=np.int64)
-            for link_id, rows in rows_by_link.items()
+            link_id: rows[start:end]
+            for link_id, start, end in zip(link_of[starts].tolist(), bounds, bounds[1:])
         }
         self._plan_cache = None
         self._flow_memo = {}
@@ -795,58 +792,3 @@ class ProbeSimulator:
             rows, np.full(len(rows), config.probes_per_path), [config], np.zeros(len(rows)), [0]
         )
         return ObservationSet.from_columns(rows, sent, lost)
-
-    # --------------------------------------------------------- ECMP probing
-    def probe_pairs_ecmp(
-        self,
-        router: ECMPRouter,
-        pairs: Sequence[Tuple[str, str]],
-        num_probes: int,
-        config: Optional[ProbeConfig] = None,
-    ) -> List[PairProbeOutcome]:
-        """Probe server/ToR pairs the Pingmesh/NetNORAD way: no path pinning.
-
-        Each probe of a pair uses a fresh source port; the simulated switches
-        hash the flow onto one of the pair's candidate paths.  The router's
-        paths are primed and every probe of every pair is one count-1 row of
-        a single :meth:`probe_paths_bulk` call, pair by pair, in sequence
-        order.  Only the aggregate per-pair loss count is observable to those
-        systems -- the per-path breakdown is kept for analysis but hidden
-        from their detectors.
-        """
-        config = config or ProbeConfig()
-        # Wide enough that probe ``sequence`` of a pair leaves from port
-        # ``base_port + sequence``.
-        port_range = max(num_probes, config.port_range)
-        ports = range(config.base_port, config.base_port + num_probes)
-        routes = []
-        for src, dst in pairs:
-            for port in ports:
-                index = router.route_index((src, dst, port, config.destination_port, 17))
-                if index is None:
-                    raise ValueError(f"ECMP router has no candidate paths for {src} -> {dst}")
-                routes.append(index)
-        self.prime_paths(router.paths)
-        routes = np.asarray(routes, dtype=np.int64).reshape(len(pairs), num_probes)
-        _, lost = self.probe_paths_bulk(
-            routes.ravel(),
-            np.ones(routes.size, dtype=np.int64),
-            np.tile(np.arange(num_probes), len(pairs)),
-            [replace(config, port_range=port_range)],
-            np.zeros(routes.size, dtype=np.int64),
-            [0],
-        )
-        lost = lost.reshape(routes.shape).astype(bool)
-        outcomes = []
-        for (src, dst), pair_routes, pair_lost in zip(pairs, routes, lost):
-            paths, counts = np.unique(pair_routes[pair_lost], return_counts=True)
-            outcomes.append(
-                PairProbeOutcome(
-                    src=src,
-                    dst=dst,
-                    sent=num_probes,
-                    lost=int(counts.sum()),
-                    losses_by_path=dict(zip(paths.tolist(), counts.tolist())),
-                )
-            )
-        return outcomes

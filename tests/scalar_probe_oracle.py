@@ -2,9 +2,9 @@
 
 The product probes every pinned and ECMP packet through
 :meth:`~repro.simulation.ProbeSimulator.probe_paths_bulk`, one count-1 row per
-probe (``probe_rows``, ``observe_probe_matrix``, ``probe_pairs_ecmp``,
-``repro.monitor.probe_window``).  This module is the obvious program they
-replace: one :func:`round_trip` per packet, through the simulator's one-way
+probe (``probe_rows``, ``observe_probe_matrix``,
+``repro.baselines.common.probe_pairs_ecmp``, ``repro.monitor.probe_window``).
+This module is the obvious program they replace: one :func:`round_trip` per packet, through the simulator's one-way
 :meth:`~repro.simulation.ProbeSimulator.transmit` (forward, then the echo
 back over the same links), each lost pinger probe re-sent
 ``confirm_losses`` times.  A random-partial link draws one variate per packet
@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.baselines.common import PairProbeOutcome
 from repro.engine import StreamAggregator
 from repro.localization import ObservationSet, PathObservation, merge_observations
 from repro.monitor import PingerReport
 from repro.routing import ProbePacket
-from repro.simulation import PairProbeOutcome, ProbeConfig
+from repro.simulation import ProbeConfig
 
 
 def round_trip(simulator, path, packet: ProbePacket) -> bool:

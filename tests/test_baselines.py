@@ -39,7 +39,9 @@ class TestNetbouncer:
         pair_paths = [p for p in paths if (p.src, p.dst) == pair]
         bad_link = next(iter(pair_paths[0].link_ids - pair_paths[1].link_ids))
         simulator = ProbeSimulator(fattree4, FailureScenario.single_link(bad_link), rng)
-        result = Netbouncer(simulator, probes_per_path=10).localize({pair: pair_paths})
+        simulator.prime_paths(paths)
+        rows = [p.path_id for p in pair_paths]
+        result = Netbouncer(simulator, probes_per_path=10).localize({pair: rows})
         assert bad_link in result.suspected_links
         assert result.probes_sent == 10 * len(pair_paths)
         assert result.probed_paths == len(pair_paths)
@@ -49,7 +51,8 @@ class TestNetbouncer:
         pair = ("pod0_edge0", "pod1_edge0")
         pair_paths = [p for p in paths if (p.src, p.dst) == pair]
         simulator = ProbeSimulator(fattree4, FailureScenario(), rng)
-        result = Netbouncer(simulator).localize({pair: pair_paths})
+        simulator.prime_paths(paths)
+        result = Netbouncer(simulator).localize({pair: [p.path_id for p in pair_paths]})
         assert result.suspected_links == []
 
 
@@ -63,16 +66,16 @@ class TestFbtracert:
         sequence = walk_link_sequence(fattree4, path.nodes)
         bad_link = sequence[2]
         simulator = ProbeSimulator(fattree4, FailureScenario.single_link(bad_link), rng)
-        tracer = Fbtracert(fattree4, simulator, probes_per_hop=10)
-        blamed, probes = tracer.trace_path(path)
+        tracer = Fbtracert(simulator, probes_per_hop=10)
+        blamed, probes = tracer.trace_path(path.src, path.dst, sequence)
         assert blamed == bad_link
         assert probes > 0
 
     def test_clean_path_blames_nothing(self, fattree4, rng):
         paths = enumerate_fattree_paths(fattree4, ordered=True)
         simulator = ProbeSimulator(fattree4, FailureScenario(), rng)
-        tracer = Fbtracert(fattree4, simulator)
-        blamed, _ = tracer.trace_path(paths[0])
+        tracer = Fbtracert(simulator)
+        blamed, _ = tracer.trace_path(paths[0].src, paths[0].dst, paths.hops(0))
         assert blamed is None
 
     def test_localize_multiple_pairs(self, fattree4, rng):
@@ -81,8 +84,9 @@ class TestFbtracert:
         pair_paths = [p for p in paths if (p.src, p.dst) == pair]
         bad_link = next(iter(pair_paths[0].link_ids - pair_paths[1].link_ids))
         simulator = ProbeSimulator(fattree4, FailureScenario.single_link(bad_link), rng)
-        tracer = Fbtracert(fattree4, simulator, probes_per_hop=8)
-        result = tracer.localize({pair: pair_paths})
+        simulator.prime_paths(paths)
+        tracer = Fbtracert(simulator, probes_per_hop=8)
+        result = tracer.localize({pair: [p.path_id for p in pair_paths]})
         assert bad_link in result.suspected_links
         assert result.traced_paths == len(pair_paths)
 
@@ -160,3 +164,52 @@ class TestNetNORADSystem:
             if bad not in outcome.suspected_links:
                 misses += 1
         assert misses >= 1
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("factory", [PingmeshSystem, NetNORADSystem])
+    def test_run_window_rejects_zero_probes_per_pair(self, fattree4, factory):
+        system = factory(fattree4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="probes_per_pair"):
+            system.run_window(FailureScenario(), probes_per_pair=0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(probes_per_hop=0), dict(loss_threshold=0.0), dict(loss_threshold=1.5)]
+    )
+    def test_fbtracert_rejects_bad_settings(self, fattree4, rng, kwargs):
+        simulator = ProbeSimulator(fattree4, FailureScenario(), rng)
+        with pytest.raises(ValueError):
+            Fbtracert(simulator, **kwargs)
+
+    @pytest.mark.parametrize("max_probes", [None, 100])
+    def test_netbouncer_rejects_zero_probes_per_path(self, fattree4, rng, max_probes):
+        simulator = ProbeSimulator(fattree4, FailureScenario(), rng)
+        with pytest.raises(ValueError, match="probes_per_path"):
+            Netbouncer(simulator, probes_per_path=0, max_probes=max_probes)
+
+
+class TestOnePrimedTable:
+    """A system primes its router's table once and probes rows of it: no
+    window re-primes, and only the rows a plan compiles become ``Path``s."""
+
+    @pytest.mark.parametrize("factory", [PingmeshSystem, NetNORADSystem])
+    def test_prime_once_over_windows(self, fattree4, monkeypatch, factory):
+        primes = []
+        prime = ProbeSimulator.prime_paths
+
+        def spy(self, paths):
+            primes.append(len(paths))
+            return prime(self, paths)
+
+        monkeypatch.setattr(ProbeSimulator, "prime_paths", spy)
+        system = factory(fattree4, np.random.default_rng(5), BaselineConfig(probes_per_pair=20))
+        table = system._router.paths
+        links = fattree4.switch_links
+        localized = 0
+        for window in range(4):
+            scenario = FailureScenario.single_link(links[7 * window + 3].link_id)
+            localized += system.run_window(scenario).localization_probes > 0
+        assert primes == [len(table)]
+        assert localized
+        compiled = system._simulator.telemetry()["rows_compiled"]
+        assert 0 < table.materialised_rows <= compiled

@@ -17,7 +17,12 @@ import python_kernels
 from repro.core import PMCOptions, construct_probe_matrix
 from repro.monitor import Controller, ControllerConfig
 from repro.obs import Tracer, activated
-from repro.routing import PathTable, RoutingMatrix, enumerate_candidate_paths
+from repro.routing import (
+    PathTable,
+    RoutingMatrix,
+    enumerate_candidate_paths,
+    walk_link_sequence,
+)
 from repro.topology import TopologyDelta, build_bcube, build_fattree, build_vl2
 from walker_oracle import walker_table
 
@@ -130,6 +135,36 @@ class TestSequenceProtocol:
         assert len(empty) == 0 and list(empty) == []
         assert RoutingMatrix(fattree4, empty).num_paths == 0
         assert len(enumerate_candidate_paths(fattree4, ordered=False).take([])) == 0
+
+
+HOP_TOPOLOGIES = {
+    "fattree4": lambda: build_fattree(4),
+    "fattree8": lambda: build_fattree(8),
+    "vl2": lambda: build_vl2(12, 8, 2),
+    "bcube": lambda: build_bcube(4, 1),
+}
+
+
+class TestColumnsWithoutRows:
+    """What the ECMP baselines read instead of :class:`Path` objects."""
+
+    @pytest.mark.parametrize("name", sorted(HOP_TOPOLOGIES))
+    def test_hops_are_the_walk(self, name):
+        topology = HOP_TOPOLOGIES[name]()
+        table = enumerate_candidate_paths(topology, ordered=True)
+        hops = [table.hops(row) for row in range(len(table))]
+        assert table.materialised_rows == 0
+        assert hops == [walk_link_sequence(topology, path.nodes) for path in table]
+
+    def test_rows_by_endpoints_groups_the_rows(self, fattree4):
+        table = enumerate_candidate_paths(fattree4, ordered=True)
+        assert table.rows_by_endpoints() and table.materialised_rows == 0
+        expected = {}
+        for path in table:
+            expected.setdefault((path.src, path.dst), []).append(path.path_id)
+        assert table.rows_by_endpoints() == expected
+        assert PathTable.from_paths(list(table)).rows_by_endpoints() == expected
+        assert PathTable.from_paths([]).rows_by_endpoints() == {}
 
 
 class TestPathIdIsTheRowInTheOwner:

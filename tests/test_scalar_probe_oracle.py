@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_probe_oracle as oracle
+from repro.baselines.common import probe_pairs_ecmp, route_probes
 from repro.monitor import ControllerConfig, DetectorSystem, Pinger, probe_window
 from repro.routing import ECMPRouter, enumerate_candidate_paths
 from repro.simulation import FailureGenerator, FailureGeneratorConfig, ProbeConfig, ProbeSimulator
@@ -112,7 +113,8 @@ def test_count1_rows_equal_per_packet_probing(name, data, confirm, reverse, seed
     pairs = data.draw(st.lists(st.sampled_from(router.endpoints()), min_size=1, max_size=12))
     num_probes = data.draw(st.integers(1, 30))
     product, reference = _simulators(topology, scenario, seed, reverse)
-    assert product.probe_pairs_ecmp(router, pairs, num_probes) == [
+    product.prime_paths(router.paths)
+    assert probe_pairs_ecmp(product, pairs, route_probes(router, pairs, num_probes)) == [
         oracle.probe_pair_ecmp(reference, router, src, dst, num_probes) for src, dst in pairs
     ]
     _assert_same_state(product, reference)

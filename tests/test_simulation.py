@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import scalar_probe_oracle as oracle
+from repro.baselines.common import probe_pairs_ecmp, route_probes
 from repro.localization import PathObservation
 from repro.routing import ECMPRouter, ProbePacket, enumerate_fattree_paths
 from repro.simulation import (
@@ -234,15 +235,15 @@ class TestProbeSimulator:
         bad_path = pair_paths[0]
         bad_link = next(iter(bad_path.link_ids - pair_paths[1].link_ids))
         simulator = ProbeSimulator(fattree4, FailureScenario.single_link(bad_link), rng)
-        [outcome] = simulator.probe_pairs_ecmp(router, [target_pair], num_probes=200)
+        simulator.prime_paths(router.paths)
+        [outcome] = probe_pairs_ecmp(simulator, [target_pair], route_probes(router, [target_pair], 200))
         assert 0 < outcome.lost < outcome.sent
         assert outcome.loss_rate < 0.6
 
     def test_ecmp_probing_unknown_pair_raises(self, fattree4, rng):
         router = ECMPRouter([], seed=1)
-        simulator = ProbeSimulator(fattree4, FailureScenario(), rng)
         with pytest.raises(ValueError):
-            simulator.probe_pairs_ecmp(router, [("a", "b")], 5)
+            route_probes(router, [("a", "b")], 5)
 
     def test_probe_config_validation(self):
         with pytest.raises(ValueError):
