@@ -8,16 +8,16 @@ positives stay low as failures multiply, while both baselines degrade.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..baselines import BaselineConfig, NetNORADSystem, PingmeshSystem
-from ..localization import aggregate_metrics, evaluate_localization
 from ..monitor import ControllerConfig, DetectorSystem
 from ..simulation import FailureGenerator, SeededStreams
 from ..topology import build_fattree
 from .common import ExperimentTable
+from .protocol import Baseline, Detector, add_row, evaluate
 
 __all__ = ["run", "paper_reference_notes", "main", "DEFAULT_FAILURE_COUNTS"]
 
@@ -40,7 +40,6 @@ def run(
     precisely the disadvantage of separating detection from localization.
     """
     topology = build_fattree(radix)
-    link_ids = [link.link_id for link in topology.switch_links]
     table = ExperimentTable(
         title=(
             f"Figure 6 (measured, Fattree({radix})) -- multiple failures at a fixed budget of "
@@ -69,13 +68,12 @@ def run(
     window_seconds = sizing_cycle.pinglists[next(iter(sizing_cycle.pinglists))].report_interval_seconds
     detector_frequency = max(1.0, per_window_budget / (num_pingers * window_seconds))
 
-    for count in failure_counts:
+    def detector(count: int) -> Detector:
         # Placement-independent per-count stream (replaces the old
         # seed + count arithmetic, which collided across experiments).
-        rng = streams.generator(f"detector/failures={count}")
         system = DetectorSystem(
             topology,
-            rng,
+            streams.generator(f"detector/failures={count}"),
             ControllerConfig(
                 alpha=3,
                 beta=1,
@@ -84,60 +82,32 @@ def run(
             ),
         )
         system.run_controller_cycle()
-        metrics = []
-        probes = []
-        for scenario in scenarios[count]:
-            outcome = system.run_window(scenario)
-            metrics.append(outcome.metrics)
-            probes.append(outcome.probes_sent)
-        aggregated = aggregate_metrics(metrics)
-        table.add_row(
-            system="deTector",
-            failed_links=count,
-            accuracy_pct=100.0 * aggregated["accuracy"],
-            false_positive_pct=100.0 * aggregated["false_positive_ratio"],
-            probes_per_minute=float(np.mean(probes)) * 2.0,
-        )
+        return Detector(system)
 
     # Baselines: split the same window budget between detection and the
     # post-alarm localization round (detection_share below), and enforce the
     # total with a hard cap -- once it is spent, remaining paths go untraced.
-    for name, factory in (
-        ("Pingmesh+Netbouncer", PingmeshSystem),
-        ("NetNORAD+fbtracert", NetNORADSystem),
-    ):
-        probes_per_pair = _detection_probes_per_pair(
-            factory, topology, per_window_budget, detection_share=0.6,
-            rng=streams.generator("sizing"),
+    def baseline(name: str, factory) -> Callable[[int], Baseline]:
+        config = BaselineConfig(
+            probes_per_pair=_detection_probes_per_pair(
+                factory, topology, per_window_budget, detection_share=0.6,
+                rng=streams.generator("sizing"),
+            ),
+            probe_budget_per_window=int(per_window_budget),
         )
+        return lambda count: Baseline(
+            factory(topology, streams.generator(f"{name}/failures={count}"), config)
+        )
+
+    systems = {
+        "deTector": detector,
+        "Pingmesh+Netbouncer": baseline("Pingmesh+Netbouncer", PingmeshSystem),
+        "NetNORAD+fbtracert": baseline("NetNORAD+fbtracert", NetNORADSystem),
+    }
+    for name, make in systems.items():
         for count in failure_counts:
-            rng = streams.generator(f"{name}/failures={count}")
-            baseline = factory(
-                topology,
-                rng,
-                BaselineConfig(
-                    probes_per_pair=probes_per_pair,
-                    probe_budget_per_window=int(per_window_budget),
-                ),
-            )
-            metrics = []
-            probes = []
-            for scenario in scenarios[count]:
-                outcome = baseline.run_window(scenario)
-                metrics.append(
-                    evaluate_localization(
-                        scenario.bad_link_ids, outcome.suspected_links, link_ids
-                    )
-                )
-                probes.append(outcome.total_probes)
-            aggregated = aggregate_metrics(metrics)
-            table.add_row(
-                system=name,
-                failed_links=count,
-                accuracy_pct=100.0 * aggregated["accuracy"],
-                false_positive_pct=100.0 * aggregated["false_positive_ratio"],
-                probes_per_minute=float(np.mean(probes)) * 2.0,
-            )
+            (summary,) = evaluate([make(count)], scenarios[count])
+            add_row(table, summary, system=name, failed_links=count)
 
     table.add_note(
         "the budget covers detection plus localization probes for every system; the baselines' "

@@ -184,6 +184,31 @@ class TestFigure6:
         assert all(0.0 <= r["accuracy_pct"] <= 100.0 for r in table.rows)
         assert figure6.paper_reference_notes()
 
+    def test_systems_replay_the_same_scenarios(self, monkeypatch):
+        from repro.baselines.common import ECMPBaseline
+
+        received = {}
+        for cls in (DetectorSystem, ECMPBaseline):
+
+            def spy(self, scenario, *args, _run=cls.run_window, **kwargs):
+                received.setdefault(self, []).append(scenario)
+                return _run(self, scenario, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "run_window", spy)
+        counts = (1, 2)
+        figure6.run(radix=4, probe_budget_per_minute=4000, failure_counts=counts, trials=3)
+        # Group the systems by the exact scenario objects they monitored.
+        groups = {}
+        for system, scenarios in received.items():
+            groups.setdefault(tuple(map(id, scenarios)), (scenarios, []))[1].append(
+                type(system).__name__
+            )
+        assert len(groups) == len(counts)
+        for scenarios, systems in groups.values():
+            assert sorted(systems) == ["DetectorSystem", "NetNORADSystem", "PingmeshSystem"]
+            assert len(scenarios) == 3
+            assert len({len(scenario.bad_link_ids) for scenario in scenarios}) == 1
+
 
 class TestPLLComparison:
     def test_run_tiny(self):
