@@ -55,20 +55,19 @@ class TestPMCAblations:
         assert evals["decomposed"] <= evals["flat"]
 
     @pytest.mark.wallclock
-    @informational_wall("Ablation wall timings are informational comparisons, never determinism gates")
-    def test_lazy_update_not_slower_than_eager(self, benchmark, fattree6_routing):
-        def run_both():
-            timings = {}
-            for label, lazy in (("eager", False), ("lazy", True)):
-                options = PMCOptions(alpha=2, beta=1, use_decomposition=True, use_lazy_update=lazy)
-                start = time.perf_counter()
-                result = construct_probe_matrix(fattree6_routing, options)
-                timings[label] = time.perf_counter() - start
-                assert check_coverage(result.probe_matrix, 2)
-            return timings
+    def test_lazy_update_not_slower_than_eager(self, benchmark, fattree8_routing, paired_wall_ratio):
+        # Fattree(8), where lazy takes ~0.4x eager's wall; on Fattree(6) the
+        # gap is small enough for single rounds to flip the order.
+        def solve(lazy):
+            options = PMCOptions(alpha=2, beta=1, use_decomposition=True, use_lazy_update=lazy)
+            return lambda: construct_probe_matrix(fattree8_routing, options)
 
-        timings = benchmark.pedantic(run_both, rounds=2, iterations=1)
-        assert timings["lazy"] <= timings["eager"]
+        for lazy in (False, True):
+            assert check_coverage(solve(lazy)().probe_matrix, 2)
+        ratio = benchmark.pedantic(
+            paired_wall_ratio, args=(solve(True), solve(False), 12), rounds=1, iterations=1
+        )
+        assert ratio <= 1.0
 
     @pytest.mark.wallclock
     @informational_wall("Ablation wall timings are informational comparisons, never determinism gates")

@@ -42,8 +42,8 @@ class TestFigure6Harness:
         netnorad_acc = _mean(figure6_result, "NetNORAD+fbtracert", "accuracy_pct")
         # deTector clearly beats Pingmesh and is at least comparable to
         # NetNORAD at this 4-ary testbed scale (the full NetNORAD gap of the
-        # paper needs the ECMP dilution of larger fabrics -- see EXPERIMENTS.md),
-        # while localizing a whole window earlier.
+        # paper needs the ECMP dilution of larger fabrics), while localizing a
+        # whole window earlier.
         assert detector_acc >= pingmesh_acc + 5.0
         assert detector_acc >= netnorad_acc - 6.0
         assert detector_acc >= 75.0

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import PMCOptions, construct_probe_matrix
 from repro.experiments import pll_comparison
+from repro.experiments.protocol import MatrixObserver, draw
+from repro.localization import OMPLocalizer, PLLLocalizer
+from repro.simulation import FailureGenerator, SeededStreams
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +52,25 @@ class TestPLLComparison:
         assert pll["false_positive_pct"] <= 6.0
         assert pll["false_positive_pct"] <= omp["false_positive_pct"] + 1.0
 
-    def test_pll_faster_than_omp(self, benchmark, comparison_table):
-        rows = benchmark(lambda: comparison_table.rows)
-        pll = _row(comparison_table, "PLL")
-        omp = _row(comparison_table, "OMP")
-        assert pll["mean_runtime_ms"] <= omp["mean_runtime_ms"]
+    def test_pll_faster_than_omp(self, benchmark, fattree6, fattree6_routing, paired_wall_ratio):
+        # The comparison's own observations: its matrix, seed and scenarios.
+        probe_matrix = construct_probe_matrix(
+            fattree6_routing, PMCOptions(alpha=3, beta=1)
+        ).probe_matrix
+        rng = SeededStreams(553).generator("scenarios")
+        observer = MatrixObserver(fattree6, probe_matrix, rng, probes_per_path=120)
+        observations = [
+            observer.observe(scenario)[0]
+            for scenario in draw(FailureGenerator(fattree6, rng), 2, 15)
+        ]
+
+        def localize_all(localizer):
+            return lambda: [localizer.localize(probe_matrix, each) for each in observations]
+
+        ratio = benchmark.pedantic(
+            paired_wall_ratio,
+            args=(localize_all(PLLLocalizer()), localize_all(OMPLocalizer()), 10),
+            rounds=1,
+            iterations=1,
+        )
+        assert ratio <= 1.0

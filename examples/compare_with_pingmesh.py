@@ -1,9 +1,12 @@
-"""deTector vs Pingmesh(+Netbouncer) vs NetNORAD(+fbtracert) on identical failures.
+"""deTector vs Pingmesh(+Netbouncer) vs NetNORAD(+fbtracert) on one failure distribution.
 
 A miniature version of the Fig. 5 comparison: all three systems monitor the
-same Fattree(4) fabric while the same random failures are injected, and the
-example prints accuracy, false positives, probe cost and time-to-localization
-for each.
+same Fattree(4) fabric while single random failures are injected, and the
+example prints accuracy, false positives, probe cost and mean
+time-to-localization for each.  Every system draws its failures from the same
+distribution on its own seed-7 generator, which also feeds its probes, so the
+failure sequences differ between systems.  All three go through the
+experiments' trial loop (:mod:`repro.experiments.protocol`).
 
 Run with::
 
@@ -16,14 +19,13 @@ import numpy as np
 
 from repro import build_fattree
 from repro.baselines import BaselineConfig, NetNORADSystem, PingmeshSystem
-from repro.localization import aggregate_metrics, evaluate_localization
+from repro.experiments.protocol import Baseline, Detector, draw, evaluate
 from repro.monitor import ControllerConfig, DetectorSystem
 from repro.simulation import FailureGenerator
 
 
 def main() -> None:
     topology = build_fattree(4)
-    link_ids = [link.link_id for link in topology.switch_links]
     trials = 10
     seed = 7
 
@@ -33,15 +35,8 @@ def main() -> None:
         topology, rng, ControllerConfig(alpha=3, beta=1, probes_per_second=10)
     )
     detector.run_controller_cycle()
-    generator = FailureGenerator(topology, rng)
-    detector_metrics, detector_probes = [], []
-    for _ in range(trials):
-        outcome = detector.run_window(generator.generate_single())
-        detector_metrics.append(outcome.metrics)
-        detector_probes.append(outcome.probes_sent)
-    results = {
-        "deTector": (aggregate_metrics(detector_metrics), float(np.mean(detector_probes)), 30.0)
-    }
+    (summary,) = evaluate([Detector(detector)], draw(FailureGenerator(topology, rng), 1, trials))
+    results = {"deTector": (summary, 30.0)}
 
     # Baselines on the same failure distribution.
     for name, factory in (
@@ -49,24 +44,16 @@ def main() -> None:
         ("NetNORAD+fbtracert", NetNORADSystem),
     ):
         rng = np.random.default_rng(seed)
-        baseline = factory(topology, rng, BaselineConfig(probes_per_pair=30))
-        generator = FailureGenerator(topology, rng)
-        metrics, probes, delay = [], [], 30.0
-        for _ in range(trials):
-            scenario = generator.generate_single()
-            outcome = baseline.run_window(scenario)
-            metrics.append(
-                evaluate_localization(scenario.bad_link_ids, outcome.suspected_links, link_ids)
-            )
-            probes.append(outcome.total_probes)
-            delay = outcome.time_to_localization_seconds
-        results[name] = (aggregate_metrics(metrics), float(np.mean(probes)), delay)
+        baseline = Baseline(factory(topology, rng, BaselineConfig(probes_per_pair=30)))
+        (summary,) = evaluate([baseline], draw(FailureGenerator(topology, rng), 1, trials))
+        results[name] = (summary, float(np.mean(baseline.delays)))
 
     print(f"{'system':24s} {'accuracy':>9s} {'false pos':>10s} {'probes/window':>14s} {'localized in':>13s}")
-    for name, (aggregated, probes, delay) in results.items():
+    for name, (summary, delay) in results.items():
+        metrics = summary.percentages()
         print(
-            f"{name:24s} {aggregated['accuracy']:8.0%} {aggregated['false_positive_ratio']:9.0%} "
-            f"{probes:14.0f} {delay:11.0f} s"
+            f"{name:24s} {metrics['accuracy_pct']:7.0f}% {metrics['false_positive_pct']:8.0f}% "
+            f"{np.mean(summary.probes):14.0f} {delay:11.0f} s"
         )
     print(
         "\ndeTector localizes from its detection probes alone; the baselines need an extra "

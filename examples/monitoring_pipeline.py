@@ -62,7 +62,7 @@ def main() -> None:
                 print(f"  ALERT: {alert.describe()}")
         else:
             print("  no alerts")
-        if outcome.metrics is not None and scenario.bad_link_ids:
+        if scenario.bad_link_ids:
             print(
                 f"  ground truth: accuracy={outcome.metrics.accuracy:.0%}, "
                 f"false positives={outcome.metrics.false_positive_ratio:.0%}"

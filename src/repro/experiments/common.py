@@ -15,7 +15,7 @@ exposing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 __all__ = ["ExperimentTable", "format_value"]
 
@@ -114,7 +114,7 @@ class ExperimentTable:
         return "\n".join(lines)
 
     def render_markdown(self) -> str:
-        """GitHub-flavoured Markdown rendering (for reports and EXPERIMENTS.md)."""
+        """GitHub-flavoured Markdown rendering (for reports)."""
         headers = list(self.columns)
         lines = [f"**{self.title}**", ""]
         lines.append("| " + " | ".join(headers) + " |")

@@ -15,11 +15,10 @@ frequency gets very large.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..localization import aggregate_metrics
 from ..monitor import ControllerConfig, DetectorSystem
 from ..routing import enumerate_candidate_paths
 from ..simulation import (
@@ -32,6 +31,7 @@ from ..simulation import (
 )
 from ..topology import build_fattree
 from .common import ExperimentTable
+from .protocol import Detector, add_row, draw, evaluate
 
 __all__ = ["run", "paper_reference_notes", "main", "DEFAULT_FREQUENCIES"]
 
@@ -64,9 +64,10 @@ def run(
 
     resource_model = PingerResourceModel()
     latency_model = LatencyModel()
-    # One --seed, independent named streams (no ad-hoc seed+k derivations):
-    # every frequency replays identical probing/failure draws because
-    # ``generator(name)`` always restarts the named stream at its origin.
+    # One --seed, independent named streams (no ad-hoc seed+k derivations).
+    # Every frequency restarts the "probing" stream, but that one stream
+    # feeds both the failure draws and the probe draws, so the frequencies
+    # share only their first scenario and face different failures after it.
     streams = SeededStreams(seed)
     workload_rng = streams.generator("workload")
     workload_paths = enumerate_candidate_paths(topology, ordered=False)
@@ -81,12 +82,9 @@ def run(
             ControllerConfig(alpha=alpha, beta=beta, probes_per_second=frequency),
         )
         cycle = system.run_controller_cycle()
-        generator = FailureGenerator(topology, rng)
-        metrics = []
-        for _ in range(trials_per_frequency):
-            outcome = system.run_window(generator.generate_single())
-            metrics.append(outcome.metrics)
-        aggregated = aggregate_metrics(metrics)
+        (summary,) = evaluate(
+            [Detector(system)], draw(FailureGenerator(topology, rng), 1, trials_per_frequency)
+        )
 
         # Panel (b): per-pinger overhead at this frequency.
         paths_per_pinger = int(
@@ -108,10 +106,10 @@ def run(
             sample_paths, utilization, streams.generator("workload-rtt")
         )
 
-        table.add_row(
+        add_row(
+            table,
+            summary,
             probes_per_second=frequency,
-            accuracy_pct=100.0 * aggregated["accuracy"],
-            false_positive_pct=100.0 * aggregated["false_positive_ratio"],
             cpu_pct=usage.cpu_percent,
             memory_mb=usage.memory_mb,
             bandwidth_kbps=usage.bandwidth_kbps,

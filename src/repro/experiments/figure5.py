@@ -11,20 +11,26 @@ ratio.  The reproduced claims:
   positives no worse, and
 * deTector localizes ~30 seconds earlier because it needs no post-alarm
   probing round.
+
+The last claim is accounting, not a measurement: ``time_to_localization_s``
+is the literal ``30.0`` (one window) for deTector, and for a baseline the
+mean of ``window_seconds`` plus, in every window where it suspected
+anything, ``localization_round_seconds``.  The ~30 s lead is therefore an
+identity of those two constants.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..baselines import BaselineConfig, NetNORADSystem, PingmeshSystem
-from ..localization import aggregate_metrics, evaluate_localization
 from ..monitor import ControllerConfig, DetectorSystem
 from ..simulation import FailureGenerator, SeededStreams
 from ..topology import build_fattree
 from .common import ExperimentTable
+from .protocol import Baseline, Detector, add_row, draw, evaluate
 
 __all__ = ["run", "paper_reference", "main"]
 
@@ -41,7 +47,6 @@ def run(
 ) -> ExperimentTable:
     """Sweep each system's probing budget with a single random failure per window."""
     topology = build_fattree(radix)
-    link_ids = [link.link_id for link in topology.switch_links]
     table = ExperimentTable(
         title=f"Figure 5 (measured, Fattree({radix})) -- single failure, probes vs accuracy",
         columns=[
@@ -54,9 +59,10 @@ def run(
         ],
     )
 
-    # One --seed, independent named streams (no ad-hoc seed reuse): each
-    # budget level restarts its stream so every configuration replays
-    # identical probing and failure draws.
+    # One --seed, independent named streams (no ad-hoc seed reuse).  Each
+    # budget level restarts its system's stream, but that one stream feeds
+    # both the failure draws and the probe draws, so the levels share only
+    # their first scenario; deTector and the baselines share none.
     streams = SeededStreams(seed)
 
     # ----------------------------------------------------------- deTector
@@ -66,20 +72,12 @@ def run(
             topology, rng, ControllerConfig(alpha=3, beta=1, probes_per_second=frequency)
         )
         system.run_controller_cycle()
-        generator = FailureGenerator(topology, rng)
-        metrics = []
-        probes = []
-        for _ in range(trials):
-            outcome = system.run_window(generator.generate_single())
-            metrics.append(outcome.metrics)
-            probes.append(outcome.probes_sent)
-        aggregated = aggregate_metrics(metrics)
-        table.add_row(
+        (summary,) = evaluate([Detector(system)], draw(FailureGenerator(topology, rng), 1, trials))
+        add_row(
+            table,
+            summary,
             system="deTector",
             budget_parameter=f"{frequency} pps/pinger",
-            probes_per_minute=float(np.mean(probes)) * 2.0,
-            accuracy_pct=100.0 * aggregated["accuracy"],
-            false_positive_pct=100.0 * aggregated["false_positive_ratio"],
             time_to_localization_s=30.0,
         )
 
@@ -90,29 +88,16 @@ def run(
     ):
         for probes_per_pair in baseline_probes_per_pair:
             rng = streams.generator("baseline")
-            baseline = factory(topology, rng, BaselineConfig(probes_per_pair=probes_per_pair))
-            generator = FailureGenerator(topology, rng)
-            metrics = []
-            probes = []
-            delays = []
-            for _ in range(trials):
-                scenario = generator.generate_single()
-                outcome = baseline.run_window(scenario)
-                metrics.append(
-                    evaluate_localization(
-                        scenario.bad_link_ids, outcome.suspected_links, link_ids
-                    )
-                )
-                probes.append(outcome.total_probes)
-                delays.append(outcome.time_to_localization_seconds)
-            aggregated = aggregate_metrics(metrics)
-            table.add_row(
+            baseline = Baseline(
+                factory(topology, rng, BaselineConfig(probes_per_pair=probes_per_pair))
+            )
+            (summary,) = evaluate([baseline], draw(FailureGenerator(topology, rng), 1, trials))
+            add_row(
+                table,
+                summary,
                 system=name,
                 budget_parameter=f"{probes_per_pair} probes/pair",
-                probes_per_minute=float(np.mean(probes)) * 2.0,
-                accuracy_pct=100.0 * aggregated["accuracy"],
-                false_positive_pct=100.0 * aggregated["false_positive_ratio"],
-                time_to_localization_s=float(np.mean(delays)),
+                time_to_localization_s=float(np.mean(baseline.delays)),
             )
 
     table.add_note(
@@ -120,8 +105,13 @@ def run(
         "totals, matching the paper's accounting."
     )
     table.add_note(
-        "reproduced shape: deTector reaches its accuracy plateau with several times fewer probes and "
-        "~30 s earlier than the two baselines."
+        "reproduced shape: deTector reaches its accuracy plateau with several times fewer probes "
+        "than the two baselines."
+    )
+    table.add_note(
+        "time_to_localization_s is accounting, not measured: 30.0 (one window) for deTector; for a "
+        "baseline, the window plus its localization round in every window where it suspected "
+        "anything, averaged.  The ~30 s lead is an identity of those constants."
     )
     return table
 

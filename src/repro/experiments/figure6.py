@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from ..baselines import BaselineConfig, NetNORADSystem, PingmeshSystem
 from ..monitor import ControllerConfig, DetectorSystem
 from ..simulation import FailureGenerator, SeededStreams
@@ -69,8 +67,7 @@ def run(
     detector_frequency = max(1.0, per_window_budget / (num_pingers * window_seconds))
 
     def detector(count: int) -> Detector:
-        # Placement-independent per-count stream (replaces the old
-        # seed + count arithmetic, which collided across experiments).
+        # One stream per system and count, independent of sweep order.
         system = DetectorSystem(
             topology,
             streams.generator(f"detector/failures={count}"),
@@ -84,15 +81,15 @@ def run(
         system.run_controller_cycle()
         return Detector(system)
 
-    # Baselines: split the same window budget between detection and the
-    # post-alarm localization round (detection_share below), and enforce the
-    # total with a hard cap -- once it is spent, remaining paths go untraced.
+    # Baselines: detection gets 60 % of the window budget, spread over the
+    # monitored pairs; the rest is left for the post-alarm localization
+    # round, and the hard per-window cap guarantees the system never exceeds
+    # the overall budget however many pairs trip -- once it is spent,
+    # remaining paths go untraced.
     def baseline(name: str, factory) -> Callable[[int], Baseline]:
+        pairs = factory(topology, streams.generator("sizing"), BaselineConfig()).monitored_pairs()
         config = BaselineConfig(
-            probes_per_pair=_detection_probes_per_pair(
-                factory, topology, per_window_budget, detection_share=0.6,
-                rng=streams.generator("sizing"),
-            ),
+            probes_per_pair=max(1, int(per_window_budget * 0.6 // max(len(pairs), 1))),
             probe_budget_per_window=int(per_window_budget),
         )
         return lambda count: Baseline(
@@ -116,24 +113,6 @@ def run(
     )
     table.add_note("all systems replay identical failure scenarios per failure count.")
     return table
-
-
-def _detection_probes_per_pair(
-    factory,
-    topology,
-    per_window_budget: float,
-    detection_share: float,
-    rng: np.random.Generator,
-) -> int:
-    """Detection probes per pair such that detection uses ``detection_share`` of the budget.
-
-    The remainder of the budget is reserved for the post-alarm localization
-    round; the hard ``probe_budget_per_window`` cap then guarantees the system
-    never exceeds the overall budget regardless of how many pairs trip.
-    """
-    sizing_baseline = factory(topology, rng, BaselineConfig())
-    num_pairs = max(len(sizing_baseline.monitored_pairs()), 1)
-    return max(1, int(per_window_budget * detection_share // num_pairs))
 
 
 def paper_reference_notes() -> List[str]:

@@ -9,24 +9,17 @@ failure mix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
 from ..core import PMCOptions, construct_probe_matrix
-from ..localization import (
-    OMPLocalizer,
-    PLLLocalizer,
-    ScoreLocalizer,
-    TomoLocalizer,
-    aggregate_metrics,
-    evaluate_localization,
-    preprocess_observations,
-)
+from ..localization import OMPLocalizer, PLLLocalizer, ScoreLocalizer, TomoLocalizer
 from ..routing import RoutingMatrix, enumerate_candidate_paths
-from ..simulation import FailureGenerator, ProbeConfig, ProbeSimulator, SeededStreams
+from ..simulation import FailureGenerator, SeededStreams
 from ..topology import build_fattree
 from .common import ExperimentTable
+from .protocol import MatrixObserver, StaticLocalizer, add_row, draw, evaluate
 
 __all__ = ["run", "paper_reference_notes", "main"]
 
@@ -48,28 +41,15 @@ def run(
         routing_matrix, PMCOptions(alpha=alpha, beta=beta)
     ).probe_matrix
 
-    localizers = [PLLLocalizer(), TomoLocalizer(), ScoreLocalizer(), OMPLocalizer()]
-    metrics: Dict[str, List] = {loc.name: [] for loc in localizers}
-    runtimes: Dict[str, List[float]] = {loc.name: [] for loc in localizers}
-
-    streams = SeededStreams(seed)
-    rng = streams.generator("scenarios")
+    rng = SeededStreams(seed).generator("scenarios")
     generator = FailureGenerator(topology, rng)
-    for _ in range(trials):
-        scenario = generator.generate(failures_per_trial)
-        simulator = ProbeSimulator(topology, scenario, rng)
-        observations = simulator.observe_probe_matrix(
-            probe_matrix, ProbeConfig(probes_per_path=probes_per_path)
-        )
-        cleaned = preprocess_observations(probe_matrix, observations)
-        for localizer in localizers:
-            verdict = localizer.localize(probe_matrix, cleaned.observations)
-            metrics[localizer.name].append(
-                evaluate_localization(
-                    scenario.bad_link_ids, verdict.suspected_links, probe_matrix.link_ids
-                )
-            )
-            runtimes[localizer.name].append(verdict.elapsed_seconds)
+    # One observer: every localizer reads the same observations per scenario.
+    observer = MatrixObserver(topology, probe_matrix, rng, probes_per_path)
+    systems = [
+        StaticLocalizer(localizer, observer)
+        for localizer in (PLLLocalizer(), TomoLocalizer(), ScoreLocalizer(), OMPLocalizer())
+    ]
+    summaries = evaluate(systems, draw(generator, failures_per_trial, trials))
 
     table = ExperimentTable(
         title=(
@@ -81,13 +61,12 @@ def run(
     # Wall-clock column: excluded from the deterministic view so sweeps stay
     # byte-comparable across machines and jobs counts.
     table.metadata["informational_columns"] = ["mean_runtime_ms"]
-    for localizer in localizers:
-        aggregated = aggregate_metrics(metrics[localizer.name])
-        table.add_row(
-            algorithm=localizer.name,
-            accuracy_pct=100.0 * aggregated["accuracy"],
-            false_positive_pct=100.0 * aggregated["false_positive_ratio"],
-            mean_runtime_ms=1000.0 * float(np.mean(runtimes[localizer.name])),
+    for system, summary in zip(systems, summaries):
+        add_row(
+            table,
+            summary,
+            algorithm=system.localizer.name,
+            mean_runtime_ms=1000.0 * float(np.mean(system.runtimes)),
         )
     table.add_note(
         "paper claim: same probe matrix -> PLL ~2% more accurate, ~2% fewer false positives, and an "

@@ -22,12 +22,10 @@ scenarios from a dedicated stream and replays them for every system).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from ..core import ProbeMatrix
 from ..localization import (
     ConfusionCounts,
     ObservationSet,
@@ -36,7 +34,6 @@ from ..localization import (
     preprocess_observations,
 )
 from ..simulation import FailureGenerator, FailureScenario, ProbeConfig, ProbeSimulator
-from ..topology import Topology
 from .common import ExperimentTable
 
 __all__ = [
@@ -55,8 +52,7 @@ __all__ = [
 class System:
     """One evaluated system: monitor a scenario, then score what it suspected."""
 
-    #: The link universe the system is scored against.
-    links: Sequence[int] = ()
+    links: Sequence[int]  # the link universe the system is scored against
 
     def run(self, scenario: FailureScenario) -> Tuple[Sequence[int], int]:
         """Monitor one window of ``scenario``: (suspected links, probes sent)."""
@@ -109,30 +105,24 @@ class MatrixObserver:
     this observer sees one observation set per scenario.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        probe_matrix: ProbeMatrix,
-        rng: np.random.Generator,
-        probes_per_path: int,
-    ):
+    def __init__(self, topology, probe_matrix, rng, probes_per_path: int):
         self.topology = topology
         self.probe_matrix = probe_matrix
         self.rng = rng
         self.config = ProbeConfig(probes_per_path=probes_per_path)
-        self._scenario: Optional[FailureScenario] = None
+        self._last: tuple = (None,)  # (scenario, cleaned observations, probes sent)
 
     def observe(self, scenario: FailureScenario) -> Tuple[ObservationSet, int]:
         """The cleaned observations of ``scenario`` and the probes sent."""
-        if scenario is not self._scenario:
+        if self._last[0] is not scenario:
             simulator = ProbeSimulator(self.topology, scenario, self.rng)
             observations = simulator.observe_probe_matrix(self.probe_matrix, self.config)
-            self._observed = (
+            self._last = (
+                scenario,
                 preprocess_observations(self.probe_matrix, observations).observations,
                 int(observations.sent.sum()),
             )
-            self._scenario = scenario
-        return self._observed
+        return self._last[1:]
 
 
 class StaticLocalizer(System):
@@ -155,12 +145,11 @@ class StaticLocalizer(System):
         return verdict.suspected_links, probes
 
 
-@dataclass
-class Summary:
+class Summary(NamedTuple):
     """One system's confusion counts and probes sent, one entry per scenario."""
 
-    counts: List[ConfusionCounts] = field(default_factory=list)
-    probes: List[int] = field(default_factory=list)
+    counts: List[ConfusionCounts]
+    probes: List[int]
 
     def percentages(self) -> Dict[str, float]:
         aggregated = aggregate_metrics(self.counts)
@@ -178,7 +167,7 @@ def draw(generator: FailureGenerator, count: int, trials: int) -> Iterator[Failu
 
 def evaluate(systems: Sequence[System], scenarios: Iterable[FailureScenario]) -> List[Summary]:
     """Run and score every system on every scenario, scenario by scenario."""
-    summaries = [Summary() for _ in systems]
+    summaries = [Summary([], []) for _ in systems]
     for scenario in scenarios:
         for system, summary in zip(systems, summaries):
             suspected, probes = system.run(scenario)

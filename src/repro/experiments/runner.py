@@ -132,9 +132,9 @@ def default_suite(scale: str = "quick") -> ExperimentSuite:
 
     ``scale="quick"`` takes about 2 s serially on a 2-core Xeon (the CLI
     process included); ``scale="full"`` uses larger scaled-down instances
-    and more trials (7-9 s on the same box) for numbers closer to the ones
-    recorded in EXPERIMENTS.md.  Every entry is a
-    spec, so both suites parallelise under ``run_all(..., jobs=N)``.
+    and more trials (7-9 s on the same box) for numbers closer to the
+    paper's.  Every entry is a spec, so both suites parallelise under
+    ``run_all(..., jobs=N)``.
     """
     if scale == "quick":
         suite = ExperimentSuite(name="quick")

@@ -17,22 +17,15 @@ link count are skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Sequence, Tuple
 
 from ..core import PMCOptions, construct_probe_matrix
-from ..localization import (
-    PLLLocalizer,
-    aggregate_metrics,
-    evaluate_localization,
-    preprocess_observations,
-)
+from ..localization import PLLLocalizer
 from ..routing import RoutingMatrix, enumerate_candidate_paths
-from ..simulation import FailureGenerator, ProbeConfig, ProbeSimulator, SeededStreams
+from ..simulation import FailureGenerator, SeededStreams
 from ..topology import build_fattree
 from .common import ExperimentTable
+from .protocol import MatrixObserver, StaticLocalizer, draw, evaluate
 
 __all__ = ["run", "paper_reference", "main", "DEFAULT_ALPHA_BETA", "DEFAULT_FAILURE_COUNTS"]
 
@@ -62,39 +55,29 @@ def run(
         columns=columns,
     )
 
-    num_links = routing_matrix.num_links
-    # One --seed, independent named streams; every (alpha, beta) setting
-    # restarts the scenario stream so all matrices face identical failures.
+    # One --seed, independent named streams.  Every (alpha, beta) setting
+    # restarts the scenario stream, but that one stream feeds both the
+    # failure draws and the probe draws, so only each setting's first
+    # scenario is shared: the matrices face different failures after it.
     streams = SeededStreams(seed)
     localizer = PLLLocalizer()
     for alpha, beta in alpha_beta:
         result = construct_probe_matrix(routing_matrix, PMCOptions(alpha=alpha, beta=beta))
-        probe_matrix = result.probe_matrix
         row: Dict[str, object] = {
             "alpha_beta": f"({alpha},{beta})",
             "paths": result.num_paths,
         }
         rng = streams.generator("scenarios")
         generator = FailureGenerator(topology, rng)
+        pll = StaticLocalizer(
+            localizer, MatrixObserver(topology, result.probe_matrix, rng, probes_per_path)
+        )
         for count in failure_counts:
-            if count > num_links:
+            if count > routing_matrix.num_links:
                 row[f"acc_{count}_failures"] = None
                 continue
-            metrics = []
-            for _ in range(trials):
-                scenario = generator.generate(count)
-                simulator = ProbeSimulator(topology, scenario, rng)
-                observations = simulator.observe_probe_matrix(
-                    probe_matrix, ProbeConfig(probes_per_path=probes_per_path)
-                )
-                cleaned = preprocess_observations(probe_matrix, observations)
-                verdict = localizer.localize(probe_matrix, cleaned.observations)
-                metrics.append(
-                    evaluate_localization(
-                        scenario.bad_link_ids, verdict.suspected_links, probe_matrix.link_ids
-                    )
-                )
-            row[f"acc_{count}_failures"] = 100.0 * aggregate_metrics(metrics)["accuracy"]
+            (summary,) = evaluate([pll], draw(generator, count, trials))
+            row[f"acc_{count}_failures"] = summary.percentages()["accuracy_pct"]
         table.rows.append(row)
 
     table.add_note(

@@ -19,8 +19,8 @@ Experiments evaluate the alerts against the scenario's ground truth with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -50,7 +50,8 @@ class WindowOutcome:
     diagnosis: DiagnosisReport
     pinger_reports: List[PingerReport]
     probes_sent: int
-    metrics: Optional[ConfusionCounts] = None
+    #: The window scored against the failed links the probe matrix observes.
+    metrics: ConfusionCounts
 
     @property
     def suspected_links(self) -> List[int]:
@@ -158,11 +159,7 @@ class DetectorSystem:
             )
         return pingers
 
-    def run_window(
-        self,
-        scenario: Optional[FailureScenario] = None,
-        evaluate: bool = True,
-    ) -> WindowOutcome:
+    def run_window(self, scenario: Optional[FailureScenario] = None) -> WindowOutcome:
         """Run one 30-second aggregation window end to end.
 
         Primes the simulator with the cycle's probe matrix and sends every
@@ -170,7 +167,9 @@ class DetectorSystem:
         (:func:`~repro.monitor.pinger.probe_window`), one row per probe in
         the per-packet loop's order, so random draws are consumed exactly as
         probing packet by packet would.  The diagnoser runs on the merge of
-        the per-pinger reports.
+        the per-pinger reports, and the outcome's ``metrics`` score its
+        suspects against the scenario's failed links that the probe matrix
+        observes.
         """
         if self.cycle is None or self.diagnoser is None:
             self.run_controller_cycle()
@@ -182,18 +181,16 @@ class DetectorSystem:
         diagnosis = self.diagnoser.diagnose(
             merge_observations(report.observations for report in reports)
         )
-        metrics = None
-        if evaluate:
-            truth = self._simulator.scenario.bad_link_ids
-            observable_truth = [
-                link for link in truth if self.probe_matrix.contains_link(link)
-            ]
-            metrics = evaluate_localization(
-                observable_truth, diagnosis.suspected_links, self.probe_matrix.link_ids
-            )
+        observable_truth = [
+            link
+            for link in self._simulator.scenario.bad_link_ids
+            if self.probe_matrix.contains_link(link)
+        ]
         return WindowOutcome(
             diagnosis=diagnosis,
             pinger_reports=reports,
             probes_sent=probes_sent,
-            metrics=metrics,
+            metrics=evaluate_localization(
+                observable_truth, diagnosis.suspected_links, self.probe_matrix.link_ids
+            ),
         )

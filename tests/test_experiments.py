@@ -19,6 +19,7 @@ from repro.experiments import (
     figure5,
     figure6,
     pll_comparison,
+    protocol,
     table2,
     table3,
     table4,
@@ -218,6 +219,64 @@ class TestPLLComparison:
         pll_row = table.rows[0]
         assert pll_row["accuracy_pct"] >= 70.0
         assert pll_row["mean_runtime_ms"] >= 0.0
+
+    def test_localizers_share_one_observation_set(self, monkeypatch):
+        from repro.localization import OMPLocalizer, PLLLocalizer, ScoreLocalizer, TomoLocalizer
+
+        seen = {}
+        for cls in (PLLLocalizer, TomoLocalizer, ScoreLocalizer, OMPLocalizer):
+
+            def spy(self, probe_matrix, observations, _localize=cls.localize):
+                seen.setdefault(type(self).__name__, []).append(observations)
+                return _localize(self, probe_matrix, observations)
+
+            monkeypatch.setattr(cls, "localize", spy)
+        pll_comparison.run(radix=4, trials=3, failures_per_trial=1, probes_per_path=60)
+        per_localizer = {tuple(map(id, observations)) for observations in seen.values()}
+        assert len(seen) == 4 and len(per_localizer) == 1
+        assert len(set(next(iter(per_localizer)))) == 3
+
+
+class TestProtocol:
+    def test_scenarios_are_drawn_lazily_and_paired(self):
+        events = []
+
+        class Recorder(protocol.System):
+            links = [1, 2, 3]
+
+            def __init__(self, name):
+                self.name = name
+
+            def run(self, scenario):
+                events.append(("run", self.name, scenario.description))
+                return [1], 5
+
+        def scenarios():
+            for index in range(2):
+                events.append(("draw", index))
+                yield FailureScenario(
+                    failures={1: LinkFailure(1, LossMode.FULL)}, description=str(index)
+                )
+
+        summaries = protocol.evaluate([Recorder("a"), Recorder("b")], scenarios())
+        assert events == [
+            ("draw", 0), ("run", "a", "0"), ("run", "b", "0"),
+            ("draw", 1), ("run", "a", "1"), ("run", "b", "1"),
+        ]
+        assert [summary.probes for summary in summaries] == [[5, 5], [5, 5]]
+        assert all(c.accuracy == 1.0 for summary in summaries for c in summary.counts)
+
+    def test_add_row_follows_the_table_columns(self):
+        summary = protocol.Summary(counts=[], probes=[10, 20])
+        table = ExperimentTable(
+            title="t", columns=["system", "probes_per_minute", "accuracy_pct", "false_negative_pct"]
+        )
+        protocol.add_row(table, summary, system="x", ignored=1)
+        assert table.rows == [
+            {"system": "x", "probes_per_minute": 30.0, "accuracy_pct": 100.0,
+             "false_negative_pct": 0.0}
+        ]
+        assert list(table.rows[0]) == list(table.columns)
 
 
 # ---------------------------------------------------------------------------
