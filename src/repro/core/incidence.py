@@ -797,17 +797,23 @@ class IncidenceIndex:
         self.counters.tick(
             "components", len(rows) if rows is not None else self._num_paths
         )
-        # The scipy.csgraph path wins once the bipartite graph is large, but
-        # its fixed per-call overhead (~coo/csgraph setup) loses on the tiny
-        # per-window decompositions PLL runs; size-gate it.  Both paths return
+        # Both arms cost O(entries + links) -- every link becomes an output
+        # tuple -- and scipy.csgraph's fixed per-call setup (~0.25 ms) only
+        # loses below ~512 of them (Fattree(8) and smaller).  Both return
         # identical output, so the gate never changes results.
         if rows is None:
             entries = self.nnz
         else:
             rows_arr = _np.asarray(rows, dtype=_np.int64)
             entries = int((self._row_indptr[rows_arr + 1] - self._row_indptr[rows_arr]).sum())
-        if entries >= 4096:
+        if entries + self.num_links >= 512:
             return self._components_vectorized(rows)
+        return self._components_union_find(rows)
+
+    def _components_union_find(
+        self, rows: Optional[Sequence[int]] = None
+    ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """Small-input path of :meth:`components`: a plain-Python union-find."""
         n = self.num_links
         parent = list(range(n))
         size = [1] * n

@@ -198,7 +198,7 @@ class StreamAggregator:
         self.cost.add("aggregator_probes_folded", sent)
         return True
 
-    def record_batch(self, path_indices, times, sent, lost) -> int:
+    def record_batch(self, path_indices, times, sent, lost, clean=None) -> int:
         """Fold a columnar batch of probe outcomes; returns events accepted.
 
         The checks run in :meth:`record`'s order -- a future timestamp
@@ -207,39 +207,61 @@ class StreamAggregator:
         the whole batch before anything is folded or counted, so a batch
         that raises leaves the aggregator untouched.  The accepted rows then
         fold into the shard counters as ``bincount`` scatter-adds.
+
+        ``clean`` holds the loss-free rows of the same drain in closed form
+        (:class:`~repro.engine.probes.CleanRows`: the firing times, plus the
+        clean rows and the per-path fold of any suffix of the firings).  They
+        count and fold as if each had been passed as a row: the firings are
+        in time order, so the late ones are a prefix whose rows are rejected
+        by count, and the rest fold per path.
         """
-        n = len(path_indices)
-        if n == 0:
-            return 0
         path_indices = np.asarray(path_indices, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         sent = np.asarray(sent, dtype=np.int64)
         lost = np.asarray(lost, dtype=np.int64)
-        future = times >= self.window_end
-        if future.any():
-            bad = float(times[future][0])
+        if clean is not None and not len(clean.times):
+            clean = None
+        if not len(path_indices) and clean is None:
+            return 0
+        end = self.window_end
+        future = times[times >= end]
+        if clean is not None and clean.times[-1] >= end:
+            future = np.concatenate((future, clean.times[clean.times >= end]))
+        if len(future):
             raise ValueError(
-                f"event at t={bad} belongs to a later window than "
-                f"[{self._window_start}, {self.window_end}); close the window first"
+                f"event at t={float(future.min())} belongs to a later window than "
+                f"[{self._window_start}, {end}); close the window first"
             )
         on_time = times >= self._window_start
+        num_late = len(times) - int(on_time.sum())
+        if num_late:
+            path_indices = path_indices[on_time]
+            sent = sent[on_time]
+            lost = lost[on_time]
+        accepted = len(path_indices)
+        if clean is not None:
+            late_firings = int(np.searchsorted(clean.times, self._window_start))
+            clean_rows = clean.rows(late_firings)
+            if late_firings:
+                num_late += clean.rows() - clean_rows
+            accepted += clean_rows
+            # The clean part follows the on-time rows: `lost` covers only
+            # the rows, a prefix of the concatenated columns.
+            clean_paths, clean_sent = clean.fold(late_firings)
+            path_indices = np.concatenate((path_indices, clean_paths))
+            sent = np.concatenate((sent, clean_sent))
         num_paths = self._index.num_paths
-        out_of_range = on_time & ((path_indices < 0) | (path_indices >= num_paths))
+        out_of_range = (path_indices < 0) | (path_indices >= num_paths)
         if out_of_range.any():
             raise IndexError(
                 f"path index {int(path_indices[out_of_range][0])} outside the probe matrix"
             )
-        if (on_time & (lost > sent)).any():
+        if (lost > sent[: len(lost)]).any():
             raise ValueError("lost exceeds sent")
-        num_late = n - int(on_time.sum())
         if num_late:
             self._rejected += num_late
             self.total_rejected += num_late
             self.cost.add("aggregator_events_rejected", num_late)
-            path_indices = path_indices[on_time]
-            sent = sent[on_time]
-            lost = lost[on_time]
-        accepted = n - num_late
         if accepted == 0:
             return 0
         # One scatter-add over the flat (shard, path) index of the shard
@@ -252,7 +274,7 @@ class StreamAggregator:
         for counters, values in ((self._shard_sent, sent), (self._shard_lost, lost)):
             if not values.any():
                 continue
-            folded = np.bincount(flat, weights=values, minlength=counters.size)
+            folded = np.bincount(flat[: len(values)], weights=values, minlength=counters.size)
             counters += folded.astype(np.int64).reshape(counters.shape)
         total_sent = int(sent.sum())
         self._probes_sent += total_sent

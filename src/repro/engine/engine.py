@@ -415,8 +415,8 @@ class TelemetryEngine:
         )
 
     # --------------------------------------------------------------- plumbing
-    def _record_outcome_batch(self, paths, times, sent, lost) -> None:
-        self._aggregator.record_batch(paths, times, sent, lost)
+    def _record_outcome_batch(self, paths, times, sent, lost, clean=None) -> None:
+        self._aggregator.record_batch(paths, times, sent, lost, clean)
 
     def _kernel_source(self) -> Dict[str, int]:
         """Run-total incidence-kernel counters, ``kernel_``-prefixed.

@@ -11,7 +11,7 @@ rate.
 
 The scheduler is the event loop's *batch source*: it keeps the streams as
 per-stream arrays (next firing time, tie number, rate, carry, probes spent,
-last firing, pinglist length and slice of the shared per-entry path table)
+last firing and pinglist length, beside one per-entry table of paths)
 and the loop lets it drain every firing falling strictly before the next
 regular event in one pass.  A drain walks *slabs* of simulated time
 ``batch_seconds * (1 - jitter_fraction)`` wide -- the shortest interval a
@@ -24,14 +24,30 @@ equals one scalar draw per firing in that order.
 The round-robin deals a stream's probes to its entries one at a time in
 pinglist order, so the ``k``-th probe a stream spends goes to entry
 ``k mod n``: the cursor is the stream's probe total modulo ``n``, and an
-entry's next sequence number is the count of earlier probes dealt to it, a
-closed form of that total.  The expansion to ``(path, count, start_sequence)``
-rows and the probing itself run as columnar numpy passes through :meth:`~repro.simulation.ProbeSimulator.probe_paths_bulk`, which
-answers clean and deterministic-loss rows without per-row Python and all
-random-loss rows of the drain in one plain-Python pass, in row order, over one
-block of uniform variates.  Outcomes leave as one columnar
-``sink(paths, times, sent, lost)`` call per drain (the engine wires
-:meth:`~repro.engine.aggregator.StreamAggregator.record_batch` here).
+entry's next sequence number is the count of earlier probes dealt to it,
+:func:`dealt`, a closed form of that total.  A drain costs what its *dirty*
+entries cost -- those whose path crosses a failed link, by the simulator's
+:meth:`~repro.simulation.ProbeSimulator.dirty_paths` mask:
+
+* a *clean* entry's outcome is ``(count, 0)`` whatever its sequence numbers,
+  so its rows are never built: over the drain, entry ``p`` of an ``n``-entry
+  stream whose total went from ``T0`` to ``T1`` received
+  ``dealt(T1, p, n) - dealt(T0, p, n)`` probes, one vector pass over the
+  entries (:class:`CleanRows`);
+* only the ``(firing, dirty entry)`` pairs that spend become
+  ``(path, count, start_sequence)`` rows, in the ``(firing, offset from the
+  cursor)`` order the round-robin deals them, and go through
+  :meth:`~repro.simulation.ProbeSimulator.probe_paths_bulk`, which answers
+  deterministic-loss rows without per-row Python and all random-loss rows of
+  the drain in one plain-Python pass, in row order, over one block of uniform
+  variates.
+
+Outcomes leave as one ``sink(paths, times, sent, lost, clean)`` call per
+drain, the dirty rows columnar and the clean ones in closed form (the engine
+wires :meth:`~repro.engine.aggregator.StreamAggregator.record_batch` here),
+after one ``probe_paths_bulk`` call per drain, with zero rows on a healthy
+fabric.  Every count -- rows per class, events folded, probes sent -- is the
+one the expanded rows would give.
 
 The reference this is held to is the one-heap-event-per-firing scheduler in
 ``tests/per_event_oracle.py`` (scalar round-robin, one
@@ -47,7 +63,7 @@ previous cycle, and fresh streams start at the current instant.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -58,7 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..monitor.pinger import Pinger
     from ..simulation.network import ProbeSimulator
 
-__all__ = ["ProbeScheduler"]
+__all__ = ["CleanRows", "ProbeScheduler", "dealt"]
 
 # Priority convention of the engine's event classes at equal timestamps:
 # fault transitions run first (the loop default, 0), then window closes, then
@@ -71,6 +87,74 @@ PRIORITY_PROBE = 30
 
 _EMPTY_INT = np.zeros(0, dtype=np.int64)
 _EMPTY_FLOAT = np.zeros(0, dtype=np.float64)
+
+
+def dealt(total, position, n):
+    """Probes a round-robin over ``n`` entries deals to entry ``position``
+    out of a stream's first ``total`` (probe ``k`` goes to entry ``k mod
+    n``): the entry's next start sequence.  Elementwise on arrays."""
+    return (total - position + n - 1) // n
+
+
+class _Entries(NamedTuple):
+    """The per-entry table of one controller cycle's streams, entry by entry
+    in stream order: the entry's primed path, its stream, its position in
+    the stream's pinglist and that pinglist's length."""
+
+    paths: np.ndarray
+    stream: np.ndarray
+    position: np.ndarray
+    length: np.ndarray
+
+
+class CleanRows:
+    """A drain's rows on clean entries (no failed link), in closed form.
+
+    ``times`` holds the drain's firing times, in firing order.  A clean row's
+    outcome is ``(count, 0)``, so a sink takes the clean rows as counts --
+    :meth:`rows` and the per-path :meth:`fold` -- over the firings from
+    ``first`` on.
+    """
+
+    __slots__ = (
+        "times", "_streams", "_spends", "_rows", "_dirty_firing", "_totals", "_clean", "_entries"
+    )
+
+    def __init__(self, times, streams, spends, rows, dirty_firing, totals, clean, entries):
+        self.times = times
+        # Per firing: its stream, its probes and its rows, clean or not.
+        self._streams = streams
+        self._spends = spends
+        self._rows = rows
+        self._dirty_firing = dirty_firing  # the firing of each dirty row, ascending
+        self._totals = totals  # per stream: probes spent after the drain
+        self._clean = clean  # per entry
+        self._entries = entries
+
+    def rows(self, first: int = 0) -> int:
+        """Clean rows of firings ``first`` onward: their rows less the dirty."""
+        dirty = len(self._dirty_firing) - int(np.searchsorted(self._dirty_firing, first))
+        return int(self._rows[first:].sum()) - dirty
+
+    def fold(self, first: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """``(path_indices, sent)`` over every entry: the clean probes dealt
+        by firings ``first`` onward (zero on dirty entries).
+
+        A stream's firings from ``first`` on are its last of the drain, so
+        they dealt its probes ``T0 .. T1 - 1``: ``T1`` its total after the
+        drain, ``T0`` that minus those firings' probes.  Entry ``p`` of an
+        ``n``-entry stream received ``dealt(T1, p, n) - dealt(T0, p, n)``.
+        """
+        entries = self._entries
+        drained = np.bincount(
+            self._streams[first:], weights=self._spends[first:], minlength=len(self._totals)
+        ).astype(np.int64)
+        after = self._totals[entries.stream]
+        before = after - drained[entries.stream]
+        sent = dealt(after, entries.position, entries.length)
+        sent -= dealt(before, entries.position, entries.length)
+        sent *= self._clean
+        return entries.paths, sent
 
 
 class ProbeScheduler:
@@ -112,15 +196,14 @@ class ProbeScheduler:
         self._spent = _EMPTY_INT
         self._last_fired = _EMPTY_FLOAT
         self._num_entries = _EMPTY_INT
-        self._slice_start = _EMPTY_INT
         self._configs: List = []
         self._confirms: List[int] = []
         self._next_tie = 0
         self._head: Optional[float] = None  # earliest pending firing
-        self._entry_paths = _EMPTY_INT
+        self._entries = _Entries(_EMPTY_INT, _EMPTY_INT, _EMPTY_INT, _EMPTY_INT)
         self._simulator: Optional["ProbeSimulator"] = None
         self.sink: Optional[
-            Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
+            Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, CleanRows], None]
         ] = None
         self.probes_sent = 0
         self.probes_lost = 0
@@ -164,11 +247,17 @@ class ProbeScheduler:
         num_streams = len(rates)
         self._rate = np.asarray(rates, dtype=np.float64)
         self._num_entries = np.asarray(lengths, dtype=np.int64)
-        self._slice_start = np.cumsum(self._num_entries) - self._num_entries
+        slice_start = np.cumsum(self._num_entries) - self._num_entries
         self._carry = np.zeros(num_streams, dtype=np.float64)
         self._spent = np.zeros(num_streams, dtype=np.int64)
         self._last_fired = np.full(num_streams, now, dtype=np.float64)
-        self._entry_paths = np.asarray(paths, dtype=np.int64)
+        stream = np.repeat(np.arange(num_streams), self._num_entries)
+        self._entries = _Entries(
+            np.asarray(paths, dtype=np.int64),
+            stream,
+            np.arange(len(stream)) - slice_start[stream],
+            self._num_entries[stream],
+        )
         self._next_time = now + self._intervals(num_streams)
         self._tie = self._next_tie + np.arange(num_streams, dtype=np.int64)
         self._next_tie += num_streams
@@ -193,8 +282,9 @@ class ProbeScheduler:
         plus one slab width fire in ``(time, tie)`` order -- exactly the order
         a one-event-per-firing scheduler fires in, since a re-armed stream
         lands at or past the slab's end -- but nothing probes until the end
-        of the drain, when all accumulated firings expand into one columnar
-        ``(path, count, start_sequence)`` batch.  ``strict`` excludes firings
+        of the drain, when the accumulated firings' dirty rows go out as one
+        columnar ``(path, count, start_sequence)`` batch and their clean rows
+        in closed form (:meth:`_emit`).  ``strict`` excludes firings
         at exactly ``until`` (used by the loop to stop before a regular event
         at that timestamp); ``coalesce_horizon`` caps a single drain's time
         span and ``limit`` its number of firings.
@@ -258,11 +348,16 @@ class ProbeScheduler:
     def _emit(
         self, streams: np.ndarray, times: np.ndarray, probes: np.ndarray, spent: np.ndarray
     ) -> int:
-        """Expand accumulated firings into one columnar probe batch.
+        """Probe accumulated firings: dirty rows expanded, clean ones folded.
 
         The arrays are per firing, in firing order: the stream index, the
         firing time, the probes it spends and the probes its stream spent
-        before it.  Returns the number of rows probed.
+        before it; the per-stream totals already include the drain.  Only
+        the ``(firing, entry)`` rows of entries whose path crosses a failed
+        link go through the bulk kernel; every other entry's probes over the
+        whole drain follow in closed form from its stream's totals
+        (:class:`CleanRows`).  Returns the number of rows the drain stands
+        for, clean and dirty.
         """
         n_entries = self._num_entries[streams]
         # Round-robin from the cursor (spent % n): every entry gets `base`
@@ -275,18 +370,13 @@ class ProbeScheduler:
         self.drain_rows_total += total_rows
         if total_rows > self.drain_rows_max:
             self.drain_rows_max = total_rows
-        firing_of_row = np.repeat(np.arange(len(streams)), rows_per_firing)
-        row_start = np.cumsum(rows_per_firing) - rows_per_firing
-        offset = np.arange(total_rows, dtype=np.int64) - row_start[firing_of_row]
+        entries = self._entries
+        entry_dirty = self._simulator.dirty_paths()[entries.paths]
+        firing_of_row, entry, offset = self._dirty_rows(streams, spent, base, extra, entry_dirty)
         count = base[firing_of_row] + (offset < extra[firing_of_row])
-        spent_before = spent[firing_of_row]
-        n = n_entries[firing_of_row]
-        position = (spent_before + offset) % n
-        # The entry's start sequence: how many of the stream's earlier probes
-        # were dealt to it, i.e. the k < spent with k = position (mod n).
-        start_seq = (spent_before - position + n - 1) // n
+        start_seq = dealt(spent[firing_of_row], entries.position[entry], entries.length[entry])
         stream_of_row = streams[firing_of_row]
-        path_indices = self._entry_paths[self._slice_start[stream_of_row] + position]
+        path_indices = entries.paths[entry]
         sent, lost = self._simulator.probe_paths_bulk(
             path_indices,
             count,
@@ -294,12 +384,52 @@ class ProbeScheduler:
             configs=self._configs,
             config_of=stream_of_row,
             confirms=self._confirms,
+            clean_rows=total_rows - len(path_indices),
         )
-        self.probes_sent += int(sent.sum())
+        clean = CleanRows(
+            times,
+            streams,
+            probes,
+            rows_per_firing,
+            firing_of_row,
+            self._spent.copy(),
+            ~entry_dirty,
+            entries,
+        )
+        self.probes_sent += int(probes.sum()) - int(count.sum()) + int(sent.sum())
         self.probes_lost += int(lost.sum())
         if self.sink is not None:
-            self.sink(path_indices, times[firing_of_row], sent, lost)
+            self.sink(path_indices, times[firing_of_row], sent, lost, clean)
         return total_rows
+
+    def _dirty_rows(
+        self,
+        streams: np.ndarray,
+        spent: np.ndarray,
+        base: np.ndarray,
+        extra: np.ndarray,
+        entry_dirty: np.ndarray,
+    ):
+        """``(firing, entry, offset from the cursor)`` of every row that
+        spends on a dirty entry, in ``(firing, offset)`` order -- the order
+        the round-robin deals them."""
+        dirty = np.flatnonzero(entry_dirty)
+        if not len(dirty):
+            return _EMPTY_INT, _EMPTY_INT, _EMPTY_INT
+        entries = self._entries
+        per_stream = np.bincount(entries.stream[dirty], minlength=len(self._rate))
+        first = np.cumsum(per_stream) - per_stream
+        per_firing = per_stream[streams]
+        firing = np.repeat(np.arange(len(streams)), per_firing)
+        rank = np.arange(len(firing)) - np.repeat(np.cumsum(per_firing) - per_firing, per_firing)
+        entry = dirty[first[streams[firing]] + rank]
+        offset = (entries.position[entry] - spent[firing]) % entries.length[entry]
+        spends = (base[firing] > 0) | (offset < extra[firing])
+        firing, entry, offset = firing[spends], entry[spends], offset[spends]
+        # Each firing's dirty entries ascend by position, so their offsets are
+        # a rotation: one sort on (firing, offset) restores deal order.
+        order = np.argsort(firing * int(self._num_entries.max()) + offset)
+        return firing[order], entry[order], offset[order]
 
     # ------------------------------------------------------------------ views
     @property
@@ -320,7 +450,10 @@ class ProbeScheduler:
         }
 
     def drain_telemetry(self) -> Dict[str, int]:
-        """Informational coalescing statistics (they vary with the horizon)."""
+        """Informational coalescing statistics (they vary with the horizon).
+
+        Rows count every ``(firing, entry)`` pair that spends, clean ones
+        included, although only the dirty ones are built."""
         return {
             "coalesced_drains": self.drains,
             "coalesced_rows_total": self.drain_rows_total,

@@ -232,6 +232,7 @@ class ProbeSimulator:
         self._primed_paths: Optional[PathTable] = None
         self._rows_by_link: Dict[int, np.ndarray] = {}
         self._plan_cache: Optional[_ScenarioPlan] = None
+        self._compiled_reported = 0  # rows_compiled already on a sim.bulk span
         self._flow_memo: Dict[tuple, Tuple[_SlotMask, _SlotMask]] = {}
         # Run totals of the bulk kernel (telemetry()).
         self._bulk_totals = {
@@ -256,6 +257,21 @@ class ProbeSimulator:
     def primed_paths(self) -> Optional[PathTable]:
         """The table :meth:`prime_paths` registered; bulk rows index it."""
         return self._primed_paths
+
+    def dirty_paths(self) -> np.ndarray:
+        """Read-only mask over the primed paths: ``True`` where a path
+        crosses a failed link of the current scenario version.
+
+        It is the mask :meth:`probe_paths_bulk` classifies rows by, from the
+        same plan (compiled or patched here if the version moved; the next
+        bulk call's ``sim.bulk`` span reports those compiled rows), so a
+        caller can answer the clean rows itself and pass only the dirty ones.
+        """
+        if self._primed_paths is None:
+            raise RuntimeError("prime_paths() must be called before dirty_paths()")
+        mask = self._plan().dirty.view()
+        mask.flags.writeable = False
+        return mask
 
     def set_scenario(self, scenario: FailureScenario) -> None:
         """Swap the failure scenario (new evaluation minute, same simulator)."""
@@ -436,6 +452,7 @@ class ProbeSimulator:
         configs: Sequence[ProbeConfig],
         config_of: np.ndarray,
         confirms: Sequence[int],
+        clean_rows: int = 0,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Probe many ``(path, count)`` rows in one columnar call.
 
@@ -458,10 +475,13 @@ class ProbeSimulator:
 
         No randomness is consumed by the first two classes, so ``(sent,
         lost)``, ``drops_per_link`` and the generator state equal issuing the
-        same rows one :meth:`probe_path_batch` call at a time.  Emits one
-        informational ``sim.bulk`` span per call, labelled with the rows of
-        each class, the variates drawn and the plan rows compiled.  Returns
-        ``(sent, lost)`` int64 arrays including confirmation resends.
+        same rows one :meth:`probe_path_batch` call at a time.  ``clean_rows``
+        counts rows the caller answered itself as clean (by
+        :meth:`dirty_paths`) and did not pass; they join the clean class.
+        Emits one informational ``sim.bulk`` span per call, labelled with the
+        rows of each class, the variates drawn and the plan rows compiled
+        since the previous call.  Returns ``(sent, lost)`` int64 arrays
+        including confirmation resends.
         """
         started = time.perf_counter()
         if self._primed_paths is None:
@@ -470,9 +490,9 @@ class ProbeSimulator:
         sent = counts.copy()
         lost = np.zeros(len(counts), dtype=np.int64)
         totals = self._bulk_totals
-        compiled = totals["rows_compiled"]
         plan = self._plan()
-        compiled = totals["rows_compiled"] - compiled
+        compiled = totals["rows_compiled"] - self._compiled_reported
+        self._compiled_reported = totals["rows_compiled"]
         dirty_rows = np.flatnonzero(plan.dirty[path_indices])
         stochastic = plan.stochastic[path_indices[dirty_rows]]
         draws = 0
@@ -500,7 +520,7 @@ class ProbeSimulator:
                 )
         num_stochastic = int(np.count_nonzero(stochastic))
         row_classes = {
-            "rows_clean": len(counts) - len(dirty_rows),
+            "rows_clean": len(counts) - len(dirty_rows) + clean_rows,
             "rows_deterministic": len(dirty_rows) - num_stochastic,
             "rows_stochastic": num_stochastic,
         }

@@ -692,6 +692,84 @@ class TestBatchedSchedulingDifferential:
         assert min(rows for rows, _ in drains) <= 6
         assert any(repeated for _, repeated in drains) == chained
 
+    def test_flapping_drains_mixing_clean_and_dirty_entries_equal_per_event(
+        self, fattree4, monkeypatch
+    ):
+        """Flapping links only: a stream whose pinglist mixes clean and dirty
+        entries sends its dirty rows through the bulk kernel and folds the
+        rest in closed form, in the same drain, and the run equals the
+        oracle's."""
+        episodes = [
+            FlappingLink(link_id=3, half_life_up_seconds=25.0, half_life_down_seconds=10.0),
+            FlappingLink(link_id=34, half_life_up_seconds=15.0, half_life_down_seconds=15.0),
+        ]
+        baseline = _observe(_build_oracle_engine(monkeypatch, fattree4, episodes=episodes))
+        mixed = []
+        emit = ProbeScheduler._emit
+
+        def spy(self, streams, times, probes, spent):
+            dirty = self._simulator.dirty_paths()[self._entries.paths]
+            before = self._simulator.telemetry()
+            rows = emit(self, streams, times, probes, spent)
+            after = self._simulator.telemetry()
+            spent_dirty = after["rows_deterministic"] > before["rows_deterministic"]
+            spent_clean = after["rows_clean"] > before["rows_clean"]
+            mixed.extend(
+                stream
+                for stream in set(streams.tolist())
+                if spent_dirty and spent_clean and 0 < dirty[
+                    self._entries.stream == stream
+                ].sum() < self._num_entries[stream]
+            )
+            return rows
+
+        monkeypatch.setattr(ProbeScheduler, "_emit", spy)
+        engine = _build_engine(fattree4, episodes=episodes)
+        assert _observe(engine) == baseline
+        assert mixed
+        rows = engine.system.simulator.telemetry()
+        assert rows["rows_deterministic"] > 0 and rows["rows_stochastic"] == 0
+
+    def test_pristine_drains_probe_no_row_and_fold_every_probe(self, fattree4, monkeypatch):
+        """No failed link: every drain makes one ``probe_paths_bulk`` call
+        with zero rows, and the aggregator still folds every probe, per path
+        what the per-event oracle folds row by row."""
+        def run(scheduler_class):
+            streams = SeededStreams(7)
+            system = DetectorSystem(
+                fattree4, streams.generator("probing"), ControllerConfig(alpha=2, beta=1)
+            )
+            system.run_controller_cycle()
+            system.simulator.prime_paths(system.probe_matrix.paths)
+            loop = EventLoop()
+            scheduler = scheduler_class(
+                loop, streams.generator("probe-jitter"), probes_per_second=100.0
+            )
+            aggregator = StreamAggregator(system.probe_matrix.incidence, window_seconds=30.0)
+            scheduler.sink = aggregator.record_batch
+            scheduler.set_pingers(system.build_pingers())
+            loop.run_until(20.0)
+            report = aggregator.close_window()
+            return scheduler, system.simulator, aggregator.cost.as_dict(), (
+                list(report.observations), report.probes_sent, report.link_sent.tolist()
+            )
+
+        bulk_rows = []
+        bulk = ProbeSimulator.probe_paths_bulk
+
+        def spy(self, path_indices, *args, **kwargs):
+            bulk_rows.append(len(path_indices))
+            return bulk(self, path_indices, *args, **kwargs)
+
+        monkeypatch.setattr(ProbeSimulator, "probe_paths_bulk", spy)
+        scheduler, simulator, cost, window = run(ProbeScheduler)
+        assert len(bulk_rows) == scheduler.drains > 0 and set(bulk_rows) == {0}
+        assert window[1] == scheduler.probes_sent > 0
+        assert cost["aggregator_events_accepted"] == scheduler.drain_rows_total
+        assert simulator.telemetry()["rows_clean"] == scheduler.drain_rows_total
+        _, _, oracle_cost, oracle_window = run(PerEventProbeScheduler)
+        assert (cost, window) == (oracle_cost, oracle_window)
+
     @pytest.mark.parametrize("shards", [2, 8])
     def test_engine_results_invariant_in_shard_count(self, fattree4, shards):
         baseline = _canonical(_build_engine(fattree4).run(130.0))
@@ -708,6 +786,36 @@ class TestBatchedSchedulingDifferential:
         assert short == baseline
 
 
+class _PathOutcomes:
+    """A scheduler sink that keeps what both schedulers must agree on: the
+    per-path sent and lost totals, the number of rows, and every row on a
+    dirty path, row for row.  The per-event oracle passes every row; the
+    product passes the dirty rows and folds the clean ones in closed form."""
+
+    def __init__(self, simulator, num_paths):
+        self._simulator = simulator
+        self.sent = np.zeros(num_paths, dtype=np.int64)
+        self.lost = np.zeros(num_paths, dtype=np.int64)
+        self.rows = 0
+        self.dirty_rows = []
+
+    def __call__(self, paths, times, sent, lost, clean=None):
+        np.add.at(self.sent, paths, sent)
+        np.add.at(self.lost, paths, lost)
+        self.rows += len(paths)
+        dirty = self._simulator.dirty_paths()[paths]
+        self.dirty_rows.extend(
+            zip(*(column[dirty].tolist() for column in (paths, times, sent, lost)))
+        )
+        if clean is not None:
+            clean_paths, clean_sent = clean.fold()
+            np.add.at(self.sent, clean_paths, clean_sent)
+            self.rows += clean.rows()
+
+    def summary(self):
+        return self.sent.tolist(), self.lost.tolist(), self.rows, self.dirty_rows
+
+
 class TestGenerationInvalidation:
     @staticmethod
     def _outcomes(topology, scheduler_class, rearms: int) -> tuple:
@@ -716,19 +824,22 @@ class TestGenerationInvalidation:
             topology, streams.generator("probing"), ControllerConfig(alpha=2, beta=1)
         )
         system.run_controller_cycle()
-        system.simulator.prime_paths(system.probe_matrix.paths)
+        paths = system.probe_matrix.paths
+        system.simulator.prime_paths(paths)
+        # One dead link, so some rows are dirty and reach the sink one by one.
+        scenario = FailureScenario(description="one dead link")
+        scenario.add(LinkFailure(min(paths[0].link_ids), LossMode.FULL))
+        system.inject_failures(scenario)
         loop = EventLoop()
         scheduler = scheduler_class(
             loop, streams.generator("probe-jitter"), probes_per_second=100.0
         )
-        outcomes = []
-        scheduler.sink = lambda *columns: outcomes.extend(
-            zip(*(column.tolist() for column in columns))
-        )
+        outcomes = _PathOutcomes(system.simulator, len(paths))
+        scheduler.sink = outcomes
         for _ in range(rearms):
             scheduler.set_pingers(system.build_pingers())
         loop.run_until(10.0)
-        return scheduler.probes_sent, scheduler.probes_lost, outcomes
+        return scheduler.probes_sent, scheduler.probes_lost, outcomes.summary()
 
     def test_rapid_double_set_pingers_never_double_fires(self, fattree4):
         """A stale stream from a superseded controller cycle must not fire:
@@ -738,10 +849,13 @@ class TestGenerationInvalidation:
         # The second re-arm replaces the first's streams wholesale: no stale
         # stream fires, so the jitter draws differ but no probe is duplicated.
         assert twice[0] > 0
-        assert len({(p, t) for (p, t, _, _) in twice[2]}) == len(twice[2])
+        sent, lost, _, dirty_rows = twice[2]
+        assert sum(sent) == twice[0] and sum(lost) == twice[1] > 0
+        assert len({(p, t) for (p, t, _, _) in dirty_rows}) == len(dirty_rows)
         assert once[0] > 0
         # The oracle cancels the superseded cycle's pending events instead of
-        # rebuilding a heap; row for row the stream is the same.
+        # rebuilding a heap; per path, and row for row on the dirty paths,
+        # the stream is the same.
         assert once == self._outcomes(fattree4, PerEventProbeScheduler, 1)
         assert twice == self._outcomes(fattree4, PerEventProbeScheduler, 2)
 

@@ -144,6 +144,23 @@ class TestComponents:
                 assert index.components(rows) == python_kernels.components(*csr, rows)
 
 
+    def test_both_arms_agree_on_either_side_of_the_size_gate(self):
+        """The gate (entries + links >= 512) only picks an arm: union-find and
+        csgraph return the same components below, at and above it."""
+        rng = np.random.default_rng(7)
+        for n_links in (20, 200, 600):
+            universe = list(range(n_links))
+            link_sets = [
+                frozenset(rng.choice(n_links, size=int(rng.integers(1, 6)), replace=False).tolist())
+                for _ in range(int(rng.integers(10, 150)))
+            ]
+            index = IncidenceIndex(link_sets, universe)
+            for rows in (None, sorted(rng.choice(len(link_sets), size=8, replace=False).tolist())):
+                expected = index._components_union_find(rows)
+                assert index._components_vectorized(rows) == expected
+                assert index.components(rows) == expected
+
+
 class TestColumnSignatures:
     """``distinct_column_signatures``: the PMC greedy's termination target."""
 

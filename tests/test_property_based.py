@@ -560,6 +560,107 @@ def test_bulk_probing_equals_row_by_row_scalar(
 
 
 # ---------------------------------------------------------------------------
+# clean pinglist entries fold in closed form
+# ---------------------------------------------------------------------------
+
+@st.composite
+def round_robin_drains(draw):
+    """Streams of 1-7 entries with arbitrary probe totals so far, a drain of
+    interleaved firings, a clean/dirty split of the entries, and a window
+    start that makes a prefix of the firings late."""
+    lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    totals = draw(st.lists(st.integers(0, 60), min_size=len(lengths), max_size=len(lengths)))
+    firings = draw(st.lists(
+        st.tuples(st.integers(0, len(lengths) - 1), st.integers(1, 20)), min_size=1, max_size=12
+    ))
+    clean = draw(st.lists(st.booleans(), min_size=sum(lengths), max_size=sum(lengths)))
+    late = draw(st.integers(0, len(firings)))
+    return lengths, totals, firings, clean, late
+
+
+@given(round_robin_drains(), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_clean_rows_fold_equals_the_round_robin_expansion(drain, shards):
+    """Per entry, ``dealt(T1) - dealt(T0)`` equals the probes the round-robin
+    deals it one firing at a time, from any firing on; and a sink folding the
+    clean rows in closed form, with a late prefix of firings, ends where one
+    folding every expanded clean row does."""
+    from repro.core.incidence import IncidenceIndex
+    from repro.engine import StreamAggregator
+    from repro.engine.probes import CleanRows, _Entries, dealt
+
+    lengths, totals, firings, clean, late = drain
+    starts = np.cumsum([0] + lengths[:-1])
+    spent = list(totals)
+    rows, rows_per_firing, dirty_firing = [], [], []
+    for index, (stream, probes) in enumerate(firings):
+        n = lengths[stream]
+        base, extra = divmod(probes, n)
+        touched = 0
+        for offset in range(n):  # the per-event oracle's round-robin
+            count = base + (offset < extra)
+            if count == 0:
+                break
+            position = (spent[stream] + offset) % n
+            # The start sequence is the closed form of the probes dealt so far.
+            sequence = sum(
+                1 for k in range(spent[stream]) if k % n == position
+            )
+            assert dealt(spent[stream], position, n) == sequence
+            entry = starts[stream] + position
+            touched += 1
+            if clean[entry]:
+                rows.append((index, entry, count))
+            else:
+                dirty_firing.append(index)
+        rows_per_firing.append(touched)
+        spent[stream] += probes
+    stream_of = np.repeat(np.arange(len(lengths)), lengths)
+    entries = _Entries(
+        np.arange(sum(lengths)), stream_of, np.arange(sum(lengths)) - starts[stream_of],
+        np.asarray(lengths)[stream_of],
+    )
+    times = np.arange(len(firings), dtype=np.float64)
+    folded = CleanRows(
+        times,
+        np.asarray([stream for stream, _ in firings]),
+        np.asarray([probes for _, probes in firings]),
+        np.asarray(rows_per_firing),
+        np.asarray(dirty_firing, dtype=np.int64),
+        np.asarray(spent),
+        np.asarray(clean),
+        entries,
+    )
+    for first in sorted({0, late}):
+        expected = np.zeros(sum(lengths), dtype=np.int64)
+        for index, entry, count in rows:
+            if index >= first:
+                expected[entry] += count
+        paths, sent = folded.fold(first)
+        assert np.bincount(paths, weights=sent, minlength=len(expected)).tolist() == (
+            expected.tolist()
+        )
+        assert folded.rows(first) == sum(1 for index, _, _ in rows if index >= first)
+
+    def aggregator():
+        index = IncidenceIndex([{entry} for entry in range(sum(lengths))], range(sum(lengths)))
+        return StreamAggregator(index, window_seconds=100.0, start_time=late, num_shards=shards)
+
+    expanded, closed = aggregator(), aggregator()
+    columns = [np.asarray(column) for column in zip(*rows)] if rows else [np.zeros(0)] * 3
+    accepted = expanded.record_batch(
+        columns[1].astype(np.int64), columns[0].astype(np.float64),
+        columns[2].astype(np.int64), np.zeros(len(rows), dtype=np.int64),
+    )
+    empty = np.zeros(0, dtype=np.int64)
+    assert closed.record_batch(empty, empty, empty, empty, folded) == accepted
+    a, b = expanded.close_window(), closed.close_window()
+    assert list(a.observations) == list(b.observations)
+    assert (a.probes_sent, a.rejected_events) == (b.probes_sent, b.rejected_events)
+    assert expanded.cost.as_dict() == closed.cost.as_dict()
+
+
+# ---------------------------------------------------------------------------
 # the coalescing horizon shapes the drains, never the run
 # ---------------------------------------------------------------------------
 
